@@ -260,13 +260,51 @@ def find_true_state(aut: Automaton):
     return None
 
 
+def nonemptiness_game(aut: Automaton):
+    """Build and solve the nonemptiness game; returns (arena, solution).
+
+    Positions: ('state', a) owned by E with priority Ω(a), who moves to any
+    ('elem', φ) with φ in some cell Δ(a, c); ('elem', φ) owned by A, who
+    moves to ('state', b) for any b ∈ base(φ) and loses when that is empty.
+    For a functor with a functorial lifting, E wins at a exactly when a
+    accepts some model (Kupke & Venema, *Coalgebraic automata theory: basic
+    results*, LMCS 2008): a winning play follows a realization, and E's
+    positional strategy is itself a model (see :func:`witness_coalgebra`).
+    """
+    F = aut.functor
+    phis = _elements(aut)
+    positions = [("state", a) for a in aut.states] + [("elem", phi) for phi in phis]
+    index = {pos: i for i, pos in enumerate(positions)}
+    picks = {a: {} for a in aut.states}  # ordered sets of element positions
+    for (a, _), elems in aut.delta:
+        picks[a].update((index[("elem", phi)], None) for phi in elems)
+    moves = [tuple(picks[a]) for a in aut.states] + [
+        tuple(index[("state", b)] for b in sorted(base(F, phi), key=canon_key))
+        for phi in phis
+    ]
+    n, m = len(aut.states), len(phis)
+    arena = Arena(
+        tuple(positions),
+        ("E",) * n + ("A",) * m,
+        aut.omega + (0,) * m,
+        tuple(moves),
+    )
+    return arena, solve_parity(arena)
+
+
+def _elements(aut: Automaton) -> list:
+    """The distinct transition elements, in cell order."""
+    return list(dict.fromkeys(phi for _, elems in aut.delta for phi in elems))
+
+
 @lru_cache(maxsize=64)
 def satisfiability_context(aut: Automaton, bound: int) -> tuple:
     """Winning pairs of the acceptance game on every canonical model with at
     most ``bound`` states over the automaton's vocabulary.
 
-    Cached: normalization and witness construction revisit the same
-    automaton repeatedly, and the model sweep dominates their cost.
+    Used only for functors with a monotone part, where the nonemptiness game
+    is not exact.  Cached: normalization and witness construction revisit
+    the same automaton repeatedly, and the model sweep dominates their cost.
     """
     out = []
     for n in range(1, bound + 1):
@@ -295,23 +333,32 @@ def element_satisfiable(aut: Automaton, phi, bound: int = 3, context=None):
 
 
 def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
-    """Drop transition elements with no bounded model realization.
+    """Drop transition elements that no model realizes.
+
+    For a functor with a functorial lifting the test is exact: φ stays iff
+    every state of base(φ) wins the nonemptiness game.  Where a monotone
+    part is present, φ stays iff some model of at most ``bound`` states
+    realizes it, since the ∀∃ lifting can relate one model state to several
+    automaton states and base(φ) alone does not decide realizability.
 
     One pass suffices: a realization's winning strategies only ever use
     elements that are themselves realized over the same model, so pruning
     cannot invalidate surviving elements.
     """
-    ctx = satisfiability_context(aut, bound)
-    memo = {}
-
-    def keep(phi):
-        if phi not in memo:
-            memo[phi] = element_satisfiable(aut, phi, bound, context=ctx) is not None
-        return memo[phi]
-
+    phis = _elements(aut)
+    if aut.functor.has_functorial_lifting:
+        # A loses an element position iff some state of base(φ) loses
+        arena, sol = nonemptiness_game(aut)
+        keep = {phi: arena.index(("elem", phi)) in sol.win_e for phi in phis}
+    else:
+        ctx = satisfiability_context(aut, bound)
+        keep = {
+            phi: element_satisfiable(aut, phi, bound, context=ctx) is not None
+            for phi in phis
+        }
     delta = {}
     for (a, c), elems in aut.delta:
-        kept = tuple(phi for phi in elems if keep(phi))
+        kept = tuple(phi for phi in elems if keep[phi])
         if kept:
             delta[(a, c)] = kept
     return Automaton.make(
@@ -327,7 +374,12 @@ def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
 @lru_cache(maxsize=256)
 def normalize(aut: Automaton, bound: int = 3) -> Automaton:
     """Adjoin a universally accepting state (unless one exists already),
-    then prune unrealizable elements.  Idempotent."""
+    then prune unrealizable elements.  Idempotent.
+
+    Exact for functors with a functorial lifting; ``bound`` caps the
+    realizing models only where a monotone part is present (see
+    :func:`prune_unsatisfiable`).
+    """
     if find_true_state(aut) is None:
         aut, _ = add_true_state(aut)
     return prune_unsatisfiable(aut, bound)
@@ -335,12 +387,11 @@ def normalize(aut: Automaton, bound: int = 3) -> Automaton:
 
 @dataclass(frozen=True)
 class WitnessCoalgebra:
-    """Bundled model realizations for every transition element of an automaton.
+    """A model realizing every transition element of an automaton.
 
-    ``model`` is a coproduct of per-element witness models; ``winning`` pairs
-    (model state, automaton state) are won by the existential player; each
-    transition element φ is realized by ``tau_of[φ]`` with a witness relation
-    inside ``winning``.
+    ``winning`` pairs (model state, automaton state) are won by the
+    existential player; each transition element φ is realized by
+    ``tau_of[φ]`` with a witness relation inside ``winning``.
     """
 
     model: ColoredModel
@@ -352,19 +403,48 @@ class WitnessCoalgebra:
 def witness_coalgebra(aut: Automaton, bound: int = 3) -> WitnessCoalgebra:
     """Realize every transition element of a totally satisfiable automaton.
 
-    Raises ValueError if some element has no model of at most ``bound``
-    states (run :func:`prune_unsatisfiable` first).
+    For a functor with a functorial lifting this is the strategy model of
+    the nonemptiness game: its states are E's winning automaton states, a
+    state's successor structure is the element E's strategy picks there and
+    its color that of a cell holding it, and every φ is realized by itself
+    through the diagonal.  Where a monotone part is present it is the
+    coproduct of per-element witness models of at most ``bound`` states.
+
+    Raises ValueError if some element has no realization (run
+    :func:`prune_unsatisfiable` first).
     """
+    phis = _elements(aut)
+    if aut.functor.has_functorial_lifting:
+        return _strategy_model(aut, phis)
+    return _swept_witnesses(aut, phis, bound)
+
+
+def _strategy_model(aut: Automaton, phis: list) -> WitnessCoalgebra:
+    F = aut.functor
+    arena, sol = nonemptiness_game(aut)
+    win = [arena.positions[i][1] for i in sorted(sol.win_e) if i < len(aut.states)]
+    if any(arena.index(("elem", phi)) not in sol.win_e for phi in phis):
+        raise ValueError("automaton has an unrealizable transition element")
+    sigma = {}
+    gamma = {}
+    for a in win:
+        phi = arena.positions[sol.strategy_e[arena.index(("state", a))]][1]
+        sigma[a] = phi
+        gamma[a] = next(
+            c for (b, c), elems in aut.delta if b == a and phi in elems
+        )
+    model = ColoredModel.make(F, sigma, gamma, props=aut.props, states=win)
+    diagonal = frozenset((a, a) for a in win)
+    W = winning_pairs(aut, model)
+    if not diagonal <= W:
+        raise AssertionError("the strategy model loses a state of its own strategy")
+    return WitnessCoalgebra(model, W, {phi: phi for phi in phis})
+
+
+def _swept_witnesses(aut: Automaton, phis: list, bound: int) -> WitnessCoalgebra:
     from .coalgebra import coproduct as model_coproduct
 
     ctx = satisfiability_context(aut, bound)
-    phis = []
-    seen = set()
-    for (a, c), elems in aut.delta:
-        for phi in elems:
-            if phi not in seen:
-                seen.add(phi)
-                phis.append(phi)
     realizations = {}
     used = []
     for phi in phis:

@@ -266,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive,
         default=3,
         metavar="K",
-        help="model size bound for realizability checks (default: 3)",
+        help="model size bound for realizability checks on functors with a "
+        "monotone part (default: 3); exact elsewhere, where K is unused",
     )
     common.add_argument(
         "--max-model-size",

@@ -155,11 +155,15 @@ def solve_parity(arena: Arena) -> ParitySolution:
         st_o.update(se2)
         return frozenset(we2 | B), wa2, st_o, sa2
 
-    # recursion depth is bounded by the number of positions
+    # recursion depth is bounded by the number of positions; the caller's
+    # limit comes back however the solver exits
     limit = sys.getrecursionlimit()
-    if limit < 2 * n + 200:
-        sys.setrecursionlimit(2 * n + 200)
-    we, wa, se, sa = zielonka(frozenset(range(n + 2)))
+    try:
+        if limit < 2 * n + 200:
+            sys.setrecursionlimit(2 * n + 200)
+        we, wa, se, sa = zielonka(frozenset(range(n + 2)))
+    finally:
+        sys.setrecursionlimit(limit)
     real = set(range(n))
     return ParitySolution(
         arena,

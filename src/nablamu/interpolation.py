@@ -5,9 +5,9 @@ that differs only in the proposition p": translate to an automaton, project
 the automaton along p, translate back.  ``uniform_interpolant`` folds this
 over every proposition outside the vocabulary to keep, yielding the
 strongest consequence of the input in that vocabulary.  Both inherit the
-guarded-fragment restrictions of the automaton translation and the
-realizability ``bound`` of the projection (exact for properties whose models
-fit within the bound).
+guarded-fragment restrictions of the automaton translation; the projection
+is exact for functors with a functorial lifting, and its realizability
+``bound`` applies only where a monotone part is present.
 
 ``entails_bounded`` is the desk-scale entailment check used to validate
 interpolants: it sweeps all pointed models up to a size bound and returns a
@@ -39,8 +39,10 @@ def exists_p(
 ) -> Formula:
     """A formula over the remaining vocabulary equivalent to ∃p. f.
 
-    Modality-free formulas default to the powerset functor.  Raises
-    UnsupportedFragment when ``f`` falls outside the translatable fragment.
+    Modality-free formulas default to the powerset functor.  Exact for
+    functors with a functorial lifting; ``bound`` caps the realizing models
+    only where a monotone part is present.  Raises UnsupportedFragment when
+    ``f`` falls outside the translatable fragment.
     """
     F = _functor_for(f, functor)
     aut = formula_to_automaton(f, functor=F)
@@ -50,7 +52,11 @@ def exists_p(
 def uniform_interpolant(
     f: Formula, keep, bound: int = 3, functor: FunctorDescriptor = None
 ) -> Formula:
-    """The strongest consequence of ``f`` using only the propositions in ``keep``."""
+    """The strongest consequence of ``f`` using only the propositions in ``keep``.
+
+    Exact for functors with a functorial lifting; ``bound`` caps the
+    realizing models only where a monotone part is present.
+    """
     F = _functor_for(f, functor)
     out = f
     for p in sorted(set(free_props(f)) - set(keep)):

@@ -229,8 +229,9 @@ def _delta_p_merge(aut: Automaton, p: str) -> Automaton:
 def project_automaton(aut: Automaton, p: str, bound: int = 3) -> Automaton:
     """The automaton for ∃p: normalize, then let every step guess ``p``.
 
-    Realizability is checked against models of at most ``bound`` states;
-    the construction is exact for properties with models that small.
+    Exact for functors with a functorial lifting, where normalization
+    decides realizability by the nonemptiness game.  Only where a monotone
+    part is present are realizing models bounded by ``bound`` states.
     """
     return _delta_p_merge(normalize(aut, bound), p)
 

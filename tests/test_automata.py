@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_automaton
+from helpers import SHAPES, random_automaton
 
 from nablamu import (
     MONOTONE,
@@ -24,6 +24,7 @@ from nablamu.automata import (
     build_arena,
     element_satisfiable,
     find_true_state,
+    nonemptiness_game,
     normalize,
     parse_automaton,
     prune_unsatisfiable,
@@ -337,6 +338,56 @@ def test_normalize_keeps_true_state_and_prunes():
 def test_normalize_idempotent():
     once = normalize(ODD_LOOP, bound=2)
     assert normalize(once, bound=2) == once
+
+
+def test_game_pruning_matches_bounded_sweep():
+    # functorial liftings: the nonemptiness game decides realizability
+    # exactly, so it agrees with the ≤3-state model sweep on automata whose
+    # realizations fit in three states
+    rng = random.Random(12)
+    kept = dropped = 0
+    for name, count in (("powerset", 12), ("coproduct", 6), ("product", 3)):
+        F = SHAPES[name]
+        for _ in range(count):
+            aut = random_automaton(F, ("p",), rng)
+            pruned = prune_unsatisfiable(aut)
+            for (a, c), elems in aut.delta:
+                for phi in elems:
+                    swept = element_satisfiable(aut, phi, bound=3) is not None
+                    assert (phi in pruned.delta_of(a, c)) == swept, (name, aut, phi)
+                    kept += swept
+                    dropped += not swept
+    assert kept >= 20 and dropped >= 5
+
+
+def test_monotone_keeps_element_with_dead_base_state():
+    # φ = {{b1}, {b2, b3}} is realized by x ↦ {{y}} with y accepted from b1
+    # and b2: the ∀∃ lifting relates y to both, and dead b3 is never needed
+    phi = frozenset((frozenset(("b1",)), frozenset(("b2", "b3"))))
+    empty = frozenset()
+    aut = Automaton.make(
+        MONOTONE,
+        (),
+        ("a", "b1", "b2", "b3"),
+        "a",
+        {"a": 0, "b1": 0, "b2": 0, "b3": 0},
+        {("a", NOP): [phi], ("b1", NOP): [empty], ("b2", NOP): [empty]},
+    )
+    arena, sol = nonemptiness_game(aut)
+    assert arena.index(("state", "b3")) not in sol.win_e
+    assert normalize(aut).delta_of("a", NOP) == (phi,)
+
+
+def test_witness_coalgebra_is_strategy_model():
+    rng = random.Random(13)
+    for _ in range(8):
+        aut = normalize(random_automaton(POWERSET, ("p",), rng))
+        wc = witness_coalgebra(aut)
+        assert set(wc.model.states) <= set(aut.states)
+        for a in wc.model.states:
+            assert (a, a) in wc.winning
+            assert wc.model.sigma_of(a) in aut.delta_of(a, wc.model.gamma_of(a))
+        assert all(tau == phi for phi, tau in wc.tau_of.items())
 
 
 def test_witness_coalgebra_realizes_every_element():

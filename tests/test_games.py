@@ -1,6 +1,7 @@
 """Parity game solving: known small games, certificates, oracle agreement."""
 
 import random
+import sys
 
 import pytest
 
@@ -103,3 +104,13 @@ def test_larger_arena_smoke():
     a = random_arena(rng, max_positions=60, max_priority=5, max_degree=4)
     sol = solve_parity(a)
     validate_parity_solution(a, sol)
+
+
+def test_solve_parity_restores_recursion_limit():
+    before = sys.getrecursionlimit()
+    # a cycle long enough that the solver must raise the limit for its call
+    n = before
+    ring = arena("E" * n, [i % 3 for i in range(n)], [((i + 1) % n,) for i in range(n)])
+    sol = solve_parity(ring)
+    assert sol.win_e == frozenset(range(n))
+    assert sys.getrecursionlimit() == before

@@ -18,10 +18,17 @@ from nablamu import (
     coproduct,
     enumerate_t,
     lift_member,
+    parse_model,
     product,
     up_to_p_bisimilar,
 )
-from nablamu.automata import Automaton, accepts, find_true_state
+from nablamu.automata import (
+    Automaton,
+    accepts,
+    find_true_state,
+    normalize,
+    parse_automaton,
+)
 from nablamu.projection import (
     _delta_p_merge,
     construct_projection_witness,
@@ -367,3 +374,28 @@ def test_projection_witness_random_monotone():
                 per_aut += 1
         done += per_aut
     assert done >= 6
+
+
+# a0 -> a1 {p} -> a2 {q} -> a3 {p,q} -> a4 -> deadlock: the accepted chain
+# model has five states, more than a bounded realizability sweep of three
+CHAIN = """functor powerset; props {p, q}; initial a0;
+state a0 priority 0; state a1 priority 0; state a2 priority 0;
+state a3 priority 0; state a4 priority 0;
+delta a0 {} : [{a1}]; delta a1 {p} : [{a2}]; delta a2 {q} : [{a3}];
+delta a3 {p, q} : [{a4}]; delta a4 {} : [{}];
+"""
+
+CHAIN_REDUCT = """functor powerset; props {q};
+state s0; sigma {s1}; gamma {}; state s1; sigma {s2}; gamma {};
+state s2; sigma {s3}; gamma {q}; state s3; sigma {s4}; gamma {q};
+state s4; sigma {}; gamma {}; point s0;
+"""
+
+
+def test_projection_accepts_reduct_of_long_chain():
+    aut = parse_automaton(CHAIN)
+    reduct = parse_model(CHAIN_REDUCT)
+    assert accepts(project_automaton(aut, "p"), reduct)
+    out = construct_projection_witness(aut, reduct, "p")
+    assert accepts(normalize(aut), out)
+    assert up_to_p_bisimilar(reduct, out, "p")
