@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .coalgebra import ColoredModel, PointedModel, canonical_models
+from .coalgebra import coproduct as model_coproduct
 from .functors import (
     FunctorDescriptor,
     base,
@@ -27,6 +29,7 @@ from .functors import (
     parse_functor,
     parse_telem,
     render_telem,
+    subsets,
     t_map,
 )
 from .games import Arena, ParitySolution, solve_parity
@@ -214,14 +217,6 @@ def _fresh_state(aut: Automaton, stem: str):
     return f"{stem}_{i}"
 
 
-def _colors(props):
-    import itertools
-
-    props = tuple(sorted(props))
-    for r in range(len(props) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(props, r))
-
-
 def add_true_state(aut: Automaton):
     """Adjoin a state accepting everything; returns (automaton, state).
 
@@ -232,7 +227,7 @@ def add_true_state(aut: Automaton):
     tt = _fresh_state(aut, "att")
     delta = dict(aut.delta)
     elems = enumerate_t(aut.functor, frozenset((tt,)))
-    for c in _colors(aut.props):
+    for c in subsets(aut.props):
         delta[(tt, c)] = elems
     omega = dict(zip(aut.states, aut.omega))
     omega[tt] = 0
@@ -255,7 +250,7 @@ def find_true_state(aut: Automaton):
         if k % 2 != 0:
             continue
         want = set(enumerate_t(aut.functor, frozenset((a,))))
-        if all(set(aut.delta_of(a, c)) == want for c in _colors(aut.props)):
+        if all(set(aut.delta_of(a, c)) == want for c in subsets(aut.props)):
             return a
     return None
 
@@ -297,39 +292,38 @@ def _elements(aut: Automaton) -> list:
     return list(dict.fromkeys(phi for _, elems in aut.delta for phi in elems))
 
 
-@lru_cache(maxsize=64)
-def satisfiability_context(aut: Automaton, bound: int) -> tuple:
-    """Winning pairs of the acceptance game on every canonical model with at
-    most ``bound`` states over the automaton's vocabulary.
+@lru_cache(maxsize=32)
+def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
+    """The first model realization of each transition element, if any.
+
+    Sweeps the canonical models of at most ``bound`` states over the
+    automaton's vocabulary once, in order, and maps each element φ to the
+    first ``(M, τ, Z)`` found: ``τ ∈ T(M.states)`` and ``Z`` a minimal
+    witness for ``(τ, φ)`` inside the winning pairs of the acceptance game
+    on ``M``.  Elements no such model realizes map to ``None``.  The sweep
+    stops as soon as every element is realized.
 
     Used only for functors with a monotone part, where the nonemptiness game
-    is not exact.  Cached: normalization and witness construction revisit
-    the same automaton repeatedly, and the model sweep dominates their cost.
-    """
-    out = []
-    for n in range(1, bound + 1):
-        for M in canonical_models(aut.functor, aut.props, n):
-            out.append((M, winning_pairs(aut, M)))
-    return tuple(out)
-
-
-def element_satisfiable(aut: Automaton, phi, bound: int = 3, context=None):
-    """A model realization of a transition element, if one exists.
-
-    Returns ``(M, τ, Z)`` with ``M`` a model of at most ``bound`` states,
-    ``τ ∈ T(M.states)``, and ``Z`` a minimal witness for ``(τ, φ)`` inside
-    the winning pairs of the acceptance game on ``M`` — or ``None``.
+    is not exact.
     """
     F = aut.functor
-    ctx = satisfiability_context(aut, bound) if context is None else context
-    for M, W in ctx:
-        for tau in enumerate_t(F, M.state_set):
-            if lift_member(F, W, tau, phi):
-                Z = next(
-                    z for z in minimal_witnesses(F, tau, phi) if z.pairs <= W
-                )
-                return (M, tau, Z)
-    return None
+    found = dict.fromkeys(_elements(aut))
+    todo = list(found)
+    for n in range(1, bound + 1):
+        for M in canonical_models(F, aut.props, n):
+            if not todo:
+                return MappingProxyType(found)
+            W = winning_pairs(aut, M)
+            taus = enumerate_t(F, M.state_set)
+            for phi in todo:
+                tau = next((t for t in taus if lift_member(F, W, t, phi)), None)
+                if tau is not None:
+                    Z = next(
+                        z for z in minimal_witnesses(F, tau, phi) if z.pairs <= W
+                    )
+                    found[phi] = (M, tau, Z)
+            todo = [phi for phi in todo if found[phi] is None]
+    return MappingProxyType(found)
 
 
 def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
@@ -351,11 +345,8 @@ def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
         arena, sol = nonemptiness_game(aut)
         keep = {phi: arena.index(("elem", phi)) in sol.win_e for phi in phis}
     else:
-        ctx = satisfiability_context(aut, bound)
-        keep = {
-            phi: element_satisfiable(aut, phi, bound, context=ctx) is not None
-            for phi in phis
-        }
+        found = bounded_realizations(aut, bound)
+        keep = {phi: found[phi] is not None for phi in phis}
     delta = {}
     for (a, c), elems in aut.delta:
         kept = tuple(phi for phi in elems if keep[phi])
@@ -371,7 +362,6 @@ def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
     )
 
 
-@lru_cache(maxsize=256)
 def normalize(aut: Automaton, bound: int = 3) -> Automaton:
     """Adjoin a universally accepting state (unless one exists already),
     then prune unrealizable elements.  Idempotent.
@@ -399,7 +389,6 @@ class WitnessCoalgebra:
     tau_of: dict
 
 
-@lru_cache(maxsize=64)
 def witness_coalgebra(aut: Automaton, bound: int = 3) -> WitnessCoalgebra:
     """Realize every transition element of a totally satisfiable automaton.
 
@@ -413,14 +402,14 @@ def witness_coalgebra(aut: Automaton, bound: int = 3) -> WitnessCoalgebra:
     Raises ValueError if some element has no realization (run
     :func:`prune_unsatisfiable` first).
     """
-    phis = _elements(aut)
     if aut.functor.has_functorial_lifting:
-        return _strategy_model(aut, phis)
-    return _swept_witnesses(aut, phis, bound)
+        return _strategy_model(aut)
+    return _swept_witnesses(aut, bound)
 
 
-def _strategy_model(aut: Automaton, phis: list) -> WitnessCoalgebra:
+def _strategy_model(aut: Automaton) -> WitnessCoalgebra:
     F = aut.functor
+    phis = _elements(aut)
     arena, sol = nonemptiness_game(aut)
     win = [arena.positions[i][1] for i in sorted(sol.win_e) if i < len(aut.states)]
     if any(arena.index(("elem", phi)) not in sol.win_e for phi in phis):
@@ -441,23 +430,13 @@ def _strategy_model(aut: Automaton, phis: list) -> WitnessCoalgebra:
     return WitnessCoalgebra(model, W, {phi: phi for phi in phis})
 
 
-def _swept_witnesses(aut: Automaton, phis: list, bound: int) -> WitnessCoalgebra:
-    from .coalgebra import coproduct as model_coproduct
-
-    ctx = satisfiability_context(aut, bound)
-    realizations = {}
-    used = []
-    for phi in phis:
-        got = element_satisfiable(aut, phi, bound, context=ctx)
-        if got is None:
-            raise ValueError("automaton has an unrealizable transition element")
-        M, tau, Z = got
-        if M not in used:
-            used.append(M)
-        realizations[phi] = (M, tau, Z)
-    if not used:
-        M0 = canonical_models(aut.functor, aut.props, 1)[0]
-        used.append(M0)
+def _swept_witnesses(aut: Automaton, bound: int) -> WitnessCoalgebra:
+    realizations = bounded_realizations(aut, bound)
+    if None in realizations.values():
+        raise ValueError("automaton has an unrealizable transition element")
+    used = list(dict.fromkeys(M for M, _, _ in realizations.values())) or [
+        canonical_models(aut.functor, aut.props, 1)[0]
+    ]
     big, injections = model_coproduct(used)
     inj_of = {id(M): injections[i] for i, M in enumerate(used)}
     tau_of = {}
@@ -476,18 +455,6 @@ def _swept_witnesses(aut: Automaton, phis: list, bound: int) -> WitnessCoalgebra
 
 # --------------------------------------------------------------------------
 # Text format
-
-
-def _ident_set(cur: Cursor) -> frozenset:
-    cur.expect("{")
-    items = []
-    if not cur.take("}"):
-        while True:
-            items.append(cur.ident("name"))
-            if cur.take("}"):
-                break
-            cur.expect(",")
-    return frozenset(items)
 
 
 def render_automaton(aut: Automaton) -> str:
@@ -523,7 +490,7 @@ def parse_automaton(text: str) -> Automaton:
     F = parse_functor(cur)
     cur.expect(";")
     cur.expect_word("props")
-    props = _ident_set(cur)
+    props = cur.ident_set()
     cur.expect(";")
     cur.expect_word("initial")
     initial = cur.ident("state name")
@@ -543,7 +510,7 @@ def parse_automaton(text: str) -> Automaton:
             omega[name] = k
         elif cur.take_word("delta"):
             a = cur.ident("state name")
-            c = _ident_set(cur)
+            c = cur.ident_set()
             cur.expect(":")
             cur.expect("[")
             elems = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .automata import normalize, parse_automaton, render_automaton
 from .automata import accepts as automaton_accepts
@@ -34,19 +33,8 @@ from .projection import project_automaton
 from .translation import UnsupportedFragment, automaton_to_formula, formula_to_automaton
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Bounds and output mode shared by every command."""
-
-    functor: str = "powerset"
-    fmt: str = "human"
-    witness_bound: int = 3
-    max_model_size: int = 3
-    cap: int = DEFAULT_CAP
-
-
-def _emit(cfg: RunConfig, data: dict, human: str) -> None:
-    if cfg.fmt == "structured":
+def _emit(args, data: dict, human: str) -> None:
+    if args.format == "structured":
         print(json.dumps(data, sort_keys=True, separators=(",", ":")))
     else:
         print(human)
@@ -79,7 +67,7 @@ def _formula_text(args) -> str:
 # Commands
 
 
-def cmd_check(cfg: RunConfig, args) -> int:
+def cmd_check(args) -> int:
     M, point = _load_model(args.model)
     f = parse_formula(_formula_text(args), M.functor)
     extension = eval_formula(M, f)
@@ -87,14 +75,14 @@ def cmd_check(cfg: RunConfig, args) -> int:
     sat = point in extension
     verdict = "satisfied" if sat else "not satisfied"
     _emit(
-        cfg,
+        args,
         {"command": "check", "extension": ext, "point": point, "satisfied": sat},
         "extension {" + ", ".join(ext) + "}" + f"\npoint {point}: {verdict}",
     )
     return 0 if sat else 1
 
 
-def cmd_bisim(cfg: RunConfig, args) -> int:
+def cmd_bisim(args) -> int:
     A, pa = _load_model(args.model_a)
     B, pb = _load_model(args.model_b)
     if A.functor != B.functor:
@@ -108,7 +96,7 @@ def cmd_bisim(cfg: RunConfig, args) -> int:
     human = "\n".join(f"{x} ~ {y}" for x, y in pairs) or "(empty relation)"
     human += f"\npoints {pa}, {pb}: " + ("related" if related else "not related")
     _emit(
-        cfg,
+        args,
         {
             "command": "bisim",
             "relation": [[x, y] for x, y in pairs],
@@ -121,40 +109,40 @@ def cmd_bisim(cfg: RunConfig, args) -> int:
     return 0 if related else 1
 
 
-def cmd_automaton(cfg: RunConfig, args) -> int:
+def cmd_automaton(args) -> int:
     aut = parse_automaton(_read(args.automaton))
     if args.sub == "accept":
         M, pt = _load_model(args.model)
         ok = automaton_accepts(aut, PointedModel(M, pt))
         _emit(
-            cfg,
+            args,
             {"command": "automaton.accept", "point": pt, "accepted": ok},
             f"point {pt}: " + ("accepted" if ok else "rejected"),
         )
         return 0 if ok else 1
     if args.sub == "to-formula":
         text = render_formula(automaton_to_formula(aut))
-        _emit(cfg, {"command": "automaton.to-formula", "formula": text}, text)
+        _emit(args, {"command": "automaton.to-formula", "formula": text}, text)
         return 0
     if args.sub == "project":
-        out = render_automaton(project_automaton(aut, args.prop, cfg.witness_bound))
+        out = render_automaton(project_automaton(aut, args.prop, args.witness_bound))
         _emit(
-            cfg,
+            args,
             {"command": "automaton.project", "prop": args.prop, "automaton": out},
             out.rstrip("\n"),
         )
         return 0
     # normalize
-    out = render_automaton(normalize(aut, cfg.witness_bound))
-    _emit(cfg, {"command": "automaton.normalize", "automaton": out}, out.rstrip("\n"))
+    out = render_automaton(normalize(aut, args.witness_bound))
+    _emit(args, {"command": "automaton.normalize", "automaton": out}, out.rstrip("\n"))
     return 0
 
 
-def cmd_to_automaton(cfg: RunConfig, args) -> int:
-    F = parse_functor(cfg.functor)
+def cmd_to_automaton(args) -> int:
+    F = parse_functor(args.functor)
     f = parse_formula(_formula_text(args), F)
     out = render_automaton(formula_to_automaton(f, functor=F))
-    _emit(cfg, {"command": "to-automaton", "automaton": out}, out.rstrip("\n"))
+    _emit(args, {"command": "to-automaton", "automaton": out}, out.rstrip("\n"))
     return 0
 
 
@@ -165,65 +153,65 @@ def _parse_keep(text: str):
     return tuple(sorted({w.strip() for w in text.split(",") if w.strip()}))
 
 
-def cmd_interpolate(cfg: RunConfig, args) -> int:
-    F = parse_functor(cfg.functor)
+def cmd_interpolate(args) -> int:
+    F = parse_functor(args.functor)
     f = parse_formula(_formula_text(args), F)
     keep = _parse_keep(args.keep)
-    g = uniform_interpolant(f, keep, bound=cfg.witness_bound, functor=F)
-    ok, cm = entails_bounded(f, g, cfg.max_model_size, functor=F)
+    g = uniform_interpolant(f, keep, bound=args.witness_bound, functor=F)
+    ok, cm = entails_bounded(f, g, args.max_model_size, functor=F)
     text = render_formula(g)
     vocab = sorted(free_props(g))
     human = (
         f"interpolant: {text}\nvocabulary: {{{', '.join(vocab)}}}\n"
-        f"input entails interpolant up to {cfg.max_model_size} states: "
+        f"input entails interpolant up to {args.max_model_size} states: "
         + ("yes" if ok else "NO")
     )
     _emit(
-        cfg,
+        args,
         {
             "command": "interpolate",
             "interpolant": text,
             "vocabulary": vocab,
             "keep": list(keep),
             "entailment_verified": ok,
-            "max_model_size": cfg.max_model_size,
+            "max_model_size": args.max_model_size,
         },
         human,
     )
     return 0 if ok else 1
 
 
-def cmd_entails(cfg: RunConfig, args) -> int:
-    F = parse_functor(cfg.functor)
+def cmd_entails(args) -> int:
+    F = parse_functor(args.functor)
     a = parse_formula(args.formula_a, F)
     b = parse_formula(args.formula_b, F)
-    ok, cm = entails_bounded(a, b, cfg.max_model_size, functor=F)
+    ok, cm = entails_bounded(a, b, args.max_model_size, functor=F)
     counter = None if ok else render_model(cm)
     human = (
-        f"entailment holds on all models with at most {cfg.max_model_size} states"
+        f"entailment holds on all models with at most {args.max_model_size} states"
         if ok
         else "countermodel:\n" + counter.rstrip("\n")
     )
     _emit(
-        cfg,
+        args,
         {
             "command": "entails",
             "holds": ok,
             "countermodel": counter,
-            "max_model_size": cfg.max_model_size,
+            "max_model_size": args.max_model_size,
         },
         human,
     )
     return 0 if ok else 1
 
 
-def cmd_selftest(cfg: RunConfig, args) -> int:
-    F = parse_functor(cfg.functor)
-    axioms = check_lax_axioms(F, args.carrier_bound, cfg.cap)
-    support = check_support_restriction(F, args.carrier_bound, cfg.cap)
+def cmd_selftest(args) -> int:
+    F = parse_functor(args.functor)
+    axioms = check_lax_axioms(F, args.carrier_bound, args.cap)
+    support = check_support_restriction(F, args.carrier_bound, args.cap)
     ok = axioms.ok and support.ok
     _emit(
-        cfg,
+        args,
         {
             "command": "selftest",
             "functor": functor_tag(F),
@@ -248,20 +236,26 @@ def _positive(text: str) -> int:
     return value
 
 
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one flag, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--functor",
-        default="powerset",
-        help="functor tag for formula parsing (default: powerset)",
-    )
-    common.add_argument(
+    fmt = _flag(
         "--format",
         choices=("human", "structured"),
         default="human",
         help="output mode (structured = one line of canonical JSON)",
     )
-    common.add_argument(
+    functor = _flag(
+        "--functor",
+        default="powerset",
+        help="functor tag for formula parsing (default: powerset)",
+    )
+    witness = _flag(
         "--witness-bound",
         type=_positive,
         default=3,
@@ -269,14 +263,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="model size bound for realizability checks on functors with a "
         "monotone part (default: 3); exact elsewhere, where K is unused",
     )
-    common.add_argument(
+    size = _flag(
         "--max-model-size",
         type=_positive,
         default=3,
         metavar="N",
         help="model size bound for entailment sweeps (default: 3)",
     )
-    common.add_argument(
+    cap = _flag(
         "--cap",
         type=_positive,
         default=DEFAULT_CAP,
@@ -290,14 +284,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="evaluate a formula on a model")
+    p = sub.add_parser("check", parents=[fmt], help="evaluate a formula on a model")
     p.add_argument("model", help="model file")
     p.add_argument("formula", nargs="?", help="formula text")
     p.add_argument("--formula-file", help="read the formula from a file")
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser(
-        "bisim", parents=[common], help="greatest bisimulation of two models"
+        "bisim", parents=[fmt], help="greatest bisimulation of two models"
     )
     p.add_argument("model_a", help="first model file")
     p.add_argument("model_b", help="second model file")
@@ -306,38 +300,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("automaton", help="operate on an automaton file")
     asub = p.add_subparsers(dest="sub", required=True)
-    q = asub.add_parser("accept", parents=[common], help="run the acceptance game")
+    q = asub.add_parser("accept", parents=[fmt], help="run the acceptance game")
     q.add_argument("automaton", help="automaton file")
     q.add_argument("model", help="model file")
     q.set_defaults(handler=cmd_automaton, sub="accept")
     q = asub.add_parser(
-        "to-formula", parents=[common], help="translate to an equivalent formula"
+        "to-formula", parents=[fmt], help="translate to an equivalent formula"
     )
     q.add_argument("automaton", help="automaton file")
     q.set_defaults(handler=cmd_automaton, sub="to-formula")
     q = asub.add_parser(
-        "project", parents=[common], help="hide a proposition existentially"
+        "project", parents=[fmt, witness], help="hide a proposition existentially"
     )
     q.add_argument("automaton", help="automaton file")
     q.add_argument("prop", help="proposition to hide")
     q.set_defaults(handler=cmd_automaton, sub="project")
     q = asub.add_parser(
         "normalize",
-        parents=[common],
+        parents=[fmt, witness],
         help="adjoin a true state and prune unrealizable elements",
     )
     q.add_argument("automaton", help="automaton file")
     q.set_defaults(handler=cmd_automaton, sub="normalize")
 
     p = sub.add_parser(
-        "to-automaton", parents=[common], help="translate a formula to an automaton"
+        "to-automaton",
+        parents=[fmt, functor],
+        help="translate a formula to an automaton",
     )
     p.add_argument("formula", nargs="?", help="formula text")
     p.add_argument("--formula-file", help="read the formula from a file")
     p.set_defaults(handler=cmd_to_automaton)
 
     p = sub.add_parser(
-        "interpolate", parents=[common], help="uniform interpolant of a formula"
+        "interpolate",
+        parents=[fmt, functor, witness, size],
+        help="uniform interpolant of a formula",
     )
     p.add_argument("formula", nargs="?", help="formula text")
     p.add_argument("--formula-file", help="read the formula from a file")
@@ -350,14 +348,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_interpolate)
 
     p = sub.add_parser(
-        "entails", parents=[common], help="bounded entailment between two formulas"
+        "entails",
+        parents=[fmt, functor, size],
+        help="bounded entailment between two formulas",
     )
     p.add_argument("formula_a", help="antecedent formula text")
     p.add_argument("formula_b", help="consequent formula text")
     p.set_defaults(handler=cmd_entails)
 
     p = sub.add_parser(
-        "selftest", parents=[common], help="exhaustive lax-extension axiom sweep"
+        "selftest",
+        parents=[fmt, functor, cap],
+        help="exhaustive lax-extension axiom sweep",
     )
     p.add_argument(
         "--carrier-bound",
@@ -373,15 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        functor=args.functor,
-        fmt=args.format,
-        witness_bound=args.witness_bound,
-        max_model_size=args.max_model_size,
-        cap=args.cap,
-    )
     try:
-        return args.handler(cfg, args)
+        return args.handler(args)
     except UnsupportedFragment as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

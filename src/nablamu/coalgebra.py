@@ -25,6 +25,7 @@ from .functors import (
     parse_telem,
     random_telem,
     render_telem,
+    subsets,
     t_map,
 )
 from .parsing import Cursor
@@ -237,12 +238,6 @@ def coproduct(models) -> tuple:
 # Enumeration and sampling
 
 
-def _subsets(xs):
-    xs = tuple(xs)
-    for r in range(len(xs) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(xs, r))
-
-
 @lru_cache(maxsize=None)
 def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
     """All ``n``-state models over ``F`` and ``props``, one per isomorphism class.
@@ -253,7 +248,7 @@ def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
     props = tuple(sorted(props))
     states = tuple(f"s{i}" for i in range(n))
     elems = enumerate_t(F, frozenset(states))
-    colorings = tuple(_subsets(props))
+    colorings = tuple(subsets(props))
     perms = [dict(zip(states, p)) for p in itertools.permutations(states)]
     render_memo = {}
 
@@ -321,18 +316,6 @@ def random_model(F: FunctorDescriptor, props, n: int, rng) -> ColoredModel:
 # Text format
 
 
-def _ident_set(cur: Cursor) -> frozenset:
-    cur.expect("{")
-    items = []
-    if not cur.take("}"):
-        while True:
-            items.append(cur.ident("name"))
-            if cur.take("}"):
-                break
-            cur.expect(",")
-    return frozenset(items)
-
-
 def render_model(M, point=None) -> str:
     """Serialize a model (or pointed model) with canonically renamed states."""
     if isinstance(M, PointedModel):
@@ -358,7 +341,7 @@ def parse_model(text: str):
     F = parse_functor(cur)
     cur.expect(";")
     cur.expect_word("props")
-    props = _ident_set(cur)
+    props = cur.ident_set()
     cur.expect(";")
     states, sigma, gamma = [], {}, {}
     point = None
@@ -372,7 +355,7 @@ def parse_model(text: str):
             t = parse_telem(cur, F, lambda c: c.ident("state name"))
             cur.expect(";")
             cur.expect_word("gamma")
-            g = _ident_set(cur)
+            g = cur.ident_set()
             cur.expect(";")
             states.append(name)
             sigma[name] = t

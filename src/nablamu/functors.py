@@ -242,11 +242,17 @@ def _antichain_min(sets) -> frozenset:
     return frozenset(s for s in sets if not any(o < s for o in sets))
 
 
+def subsets(xs):
+    """All subsets of the sequence ``xs`` as frozensets, by size, then in
+    ``itertools.combinations`` order."""
+    xs = tuple(xs)
+    for r in range(len(xs) + 1):
+        yield from (frozenset(c) for c in itertools.combinations(xs, r))
+
+
 def _antichains(xs: tuple, cap: int):
     """All ⊆-antichains of subsets of ``xs`` (generators of upward-closed families)."""
-    subs = [
-        frozenset(c) for r in range(len(xs) + 1) for c in itertools.combinations(xs, r)
-    ]
+    subs = list(subsets(xs))
     out = []
 
     def rec(i: int, chosen: list):
@@ -276,9 +282,7 @@ def enumerate_t(F: FunctorDescriptor, X, cap: int = DEFAULT_CAP) -> tuple:
     if kind == "powerset":
         if 2 ** len(xs) > cap:
             raise CapExceeded(f"2^{len(xs)} powerset elements exceed the cap {cap}")
-        elems = [
-            frozenset(c) for r in range(len(xs) + 1) for c in itertools.combinations(xs, r)
-        ]
+        elems = list(subsets(xs))
     elif kind == "monotone":
         elems = _antichains(xs, cap)
     elif kind == "identity":

@@ -88,6 +88,18 @@ class Cursor:
         if not self.take_word(word):
             self.error(f"expected {word!r}")
 
+    def ident_set(self) -> frozenset:
+        """Consume a braced, comma-separated set of identifiers."""
+        self.expect("{")
+        items = []
+        if not self.take("}"):
+            while True:
+                items.append(self.ident("name"))
+                if self.take("}"):
+                    break
+                self.expect(",")
+        return frozenset(items)
+
     def int_lit(self) -> int:
         self.skip_ws()
         text, i = self.text, self.pos

@@ -30,6 +30,7 @@ from .functors import (
     _antichain_min,
     _lift_member,
     _pairset,
+    base,
     canon_key,
     lift_member,
     t_map,
@@ -243,9 +244,11 @@ def construct_projection_witness(
 
     Given ``P`` accepted by ``project_automaton(aut, p, bound)``, returns a
     pointed model over the full vocabulary that ``aut`` (normalized) accepts
-    and that is bisimilar to ``P`` up to ``p``.  Raises ValueError if the
-    projection rejects ``P``; both claims about the result are re-verified
-    and failures raise AssertionError.
+    and that is bisimilar to ``P`` up to ``p``.  Its states are the pairs of
+    a model state and an automaton state that E's winning strategy reaches
+    from the point, plus the witness-coalgebra states their middles mention.
+    Raises ValueError if the projection rejects ``P``; both claims about the
+    result are re-verified and failures raise AssertionError.
     """
     F = aut.functor
     if F != P.functor:
@@ -256,31 +259,34 @@ def construct_projection_witness(
         raise AssertionError("normalization must leave a universally accepting state")
     E = _delta_p_merge(autn, p)
     M = P.model
-    arena, sol = acceptance_game(E, M)
+    # the uncovered successors go to the true state, so its pairs join the arena
+    arena, sol = acceptance_game(
+        E, M, pairs=[(P.point, E.initial)] + [(t, att) for t in M.states]
+    )
     if arena.index(("state", P.point, E.initial)) not in sol.win_e:
         raise ValueError("the projection automaton rejects this pointed model")
     wc = witness_coalgebra(autn, bound)
-    win_pairs = {
-        (pos[1], pos[2])
-        for i, pos in enumerate(arena.positions)
-        if pos[0] == "state" and i in sol.win_e
-    }
     strat = sol.strategy_e
     eprops = frozenset(E.props)
     pset = frozenset((p,))
     w_pairs = frozenset((("w", q), b) for q, b in wc.winning)
 
+    # walk from the point along E's winning strategy: every pair it reaches
+    # is won by E, and the middles mention only such pairs and witness states
     sigma: dict = {}
     gamma: dict = {}
-    for s in M.states:
-        for a in E.states:
-            tok = ("m", s, a)
-            if (s, a) not in win_pairs:
-                sigma[tok] = t_map(F, lambda t: ("m", t, a), M.sigma_of(s))
-                gamma[tok] = M.gamma_of(s) - pset
-                continue
-            i = arena.index(("state", s, a))
-            j = strat[i]
+    todo = [("m", P.point, E.initial)]
+    while todo:
+        tok = todo.pop()
+        if tok in sigma:
+            continue
+        if tok[0] == "w":
+            q = tok[1]
+            sigma[tok] = t_map(F, lambda r: ("w", r), wc.model.sigma_of(q))
+            gamma[tok] = wc.model.gamma_of(q)
+        else:
+            _, s, a = tok
+            j = strat[arena.index(("state", s, a))]
             _, _, phi = arena.positions[j]
             Zpairs = arena.positions[strat[j]][1]
             covered = {t for t, _ in Zpairs}
@@ -304,10 +310,7 @@ def construct_projection_witness(
             if phi in autn.delta_of(a, c | pset):
                 colors = colors | pset
             gamma[tok] = colors
-    for q in wc.model.states:
-        tok = ("w", q)
-        sigma[tok] = t_map(F, lambda r: ("w", r), wc.model.sigma_of(q))
-        gamma[tok] = wc.model.gamma_of(q)
+        todo.extend(base(F, sigma[tok]))
 
     props = sorted(set(autn.props) | set(M.props))
     big = ColoredModel.make(

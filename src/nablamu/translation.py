@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import logic
 from .automata import Automaton
-from .functors import FunctorDescriptor, base, canon_key, enumerate_t, t_map
+from .functors import FunctorDescriptor, base, canon_key, enumerate_t, subsets, t_map
 from .logic import (
     Atom,
     Formula,
@@ -447,12 +447,6 @@ class _Decomposer:
         return res
 
 
-def _all_colors(props):
-    props = tuple(sorted(props))
-    for k in range(len(props) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(props, k))
-
-
 def formula_to_automaton(
     f: Formula, functor: FunctorDescriptor = None, props=None
 ) -> Automaton:
@@ -478,7 +472,7 @@ def formula_to_automaton(
     dec = _Decomposer(system)
 
     true_state = (TRUE, 0)
-    colors = list(_all_colors(props))
+    colors = list(subsets(props))
     initial = (system.root, 0)
     states = [initial]
     seen = {initial}
@@ -591,7 +585,7 @@ def _reachable_states(aut: Automaton):
     queue = [aut.initial]
     while queue:
         a = queue.pop(0)
-        for c in _all_colors(aut.props):
+        for c in subsets(aut.props):
             for phi in aut.delta_of(a, c):
                 for b in sorted(base(aut.functor, phi), key=canon_key):
                     if b not in seen:
@@ -621,7 +615,7 @@ def automaton_to_formula(aut: Automaton) -> Formula:
     rhs = {}
     for a in reach:
         choices = []
-        for c in _all_colors(aut.props):
+        for c in subsets(aut.props):
             cell = aut.delta_of(a, c)
             if not cell:
                 continue

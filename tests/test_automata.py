@@ -21,8 +21,8 @@ from nablamu.automata import (
     Automaton,
     accepts,
     add_true_state,
+    bounded_realizations,
     build_arena,
-    element_satisfiable,
     find_true_state,
     nonemptiness_game,
     normalize,
@@ -304,7 +304,7 @@ def test_find_true_state_rejects_odd_or_partial():
 
 
 def test_element_satisfiable_finds_witness():
-    got = element_satisfiable(A_P, frozenset(("tt",)), bound=2)
+    got = bounded_realizations(A_P, 2)[frozenset(("tt",))]
     assert got is not None
     M, tau, Z = got
     assert lift_member(POWERSET, Z, tau, frozenset(("tt",)))
@@ -312,7 +312,7 @@ def test_element_satisfiable_finds_witness():
 
 
 def test_element_unsatisfiable_when_state_rejects_everything():
-    assert element_satisfiable(ODD_LOOP, frozenset(("a",)), bound=3) is None
+    assert bounded_realizations(ODD_LOOP, 3)[frozenset(("a",))] is None
 
 
 def test_prune_drops_rejecting_cells():
@@ -351,13 +351,14 @@ def test_game_pruning_matches_bounded_sweep():
         for _ in range(count):
             aut = random_automaton(F, ("p",), rng)
             pruned = prune_unsatisfiable(aut)
+            found = bounded_realizations(aut, 3)
             for (a, c), elems in aut.delta:
                 for phi in elems:
-                    swept = element_satisfiable(aut, phi, bound=3) is not None
+                    swept = found[phi] is not None
                     assert (phi in pruned.delta_of(a, c)) == swept, (name, aut, phi)
                     kept += swept
                     dropped += not swept
-    assert kept >= 20 and dropped >= 5
+    assert (kept, dropped) == (95, 6)
 
 
 def test_monotone_keeps_element_with_dead_base_state():

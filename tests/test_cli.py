@@ -94,6 +94,18 @@ def test_check_missing_file(capsys):
     assert code == 2 and err
 
 
+def test_subcommands_take_only_the_flags_they_read(write, capsys):
+    model = write("m.model", LOOP_P)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", model, "p", "--witness-bound", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --witness-bound" in capsys.readouterr().err
+    aut = write("c.aut", render_automaton(CELL_AUT))
+    plain = run(capsys, "automaton", "project", aut, "p")
+    assert plain[0] == 0
+    assert run(capsys, "automaton", "project", aut, "p", "--witness-bound", "2") == plain
+
+
 # --------------------------------------------------------------------------
 # bisim
 

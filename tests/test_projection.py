@@ -12,6 +12,7 @@ from nablamu import (
     POWERSET,
     ColoredModel,
     PointedModel,
+    base,
     canonical_pointed_models,
     compose,
     constant,
@@ -399,3 +400,12 @@ def test_projection_accepts_reduct_of_long_chain():
     out = construct_projection_witness(aut, reduct, "p")
     assert accepts(normalize(aut), out)
     assert up_to_p_bisimilar(reduct, out, "p")
+    # one witness state per reduct state, each reachable from the point
+    W = out.model
+    assert len(W.states) == 5
+    seen, todo = {out.point}, [out.point]
+    while todo:
+        for t in base(W.functor, W.sigma_of(todo.pop())) - seen:
+            seen.add(t)
+            todo.append(t)
+    assert seen == set(W.states)

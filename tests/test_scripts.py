@@ -1,0 +1,26 @@
+"""The demo scripts run end to end on small arguments."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+SMALL_ARGS = {
+    "axiom_sweep": ["--carrier-bound", "1", "--powerset-bound", "1"],
+    "projection_walkthrough": ["--max-model-size", "1"],
+    "interpolation_demo": ["--max-model-size", "2"],
+}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ARGS))
+def test_script_exits_zero(name):
+    assert _load(name).main(SMALL_ARGS[name]) == 0
