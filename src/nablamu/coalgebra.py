@@ -12,8 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .functors import (
+    DEFAULT_CAP,
+    CapExceeded,
     FunctorDescriptor,
     Relation,
     base,
@@ -238,56 +241,60 @@ def coproduct(models) -> tuple:
 # Enumeration and sampling
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
     """All ``n``-state models over ``F`` and ``props``, one per isomorphism class.
 
     States are named ``s0 … s{n−1}`` and each returned model is the least
-    relabeling of its class, so repeated calls are deterministic.
+    relabeling of its class, so repeated calls are deterministic.  Models
+    are ordered by their key, the tuple of ``(render_telem(σ(s)),
+    sorted(γ(s)))`` over the states in order.
+
+    The sweep works on integer codes: a state's code is the rank of its
+    successor structure by rendering, times the number of colorings, plus
+    the rank of its coloring by sorted names.  Both ranks follow the key's
+    order, so code tuples compare exactly as keys do.  A combination is
+    kept iff no state permutation relabels it to a smaller code tuple, i.e.
+    iff it is the least relabeling of its class; the codes are walked in
+    increasing order, so the result comes out sorted.  Raises CapExceeded
+    when there are more than ``DEFAULT_CAP`` combinations to walk.
     """
     props = tuple(sorted(props))
     states = tuple(f"s{i}" for i in range(n))
-    elems = enumerate_t(F, frozenset(states))
-    colorings = tuple(subsets(props))
-    perms = [dict(zip(states, p)) for p in itertools.permutations(states)]
-    render_memo = {}
-
-    def rendered(t):
-        got = render_memo.get(t)
-        if got is None:
-            got = render_memo[t] = render_telem(F, t)
-        return got
-
-    tmap_memo = {}
-
-    def relabeled(pi_id, pi, t):
-        got = tmap_memo.get((pi_id, t))
-        if got is None:
-            got = tmap_memo[(pi_id, t)] = t_map(F, pi, t)
-        return got
-
-    out = {}
-    for sigma in itertools.product(elems, repeat=n):
-        for gamma in itertools.product(colorings, repeat=n):
-            best_key = None
-            best = None
-            for pi_id, pi in enumerate(perms):
-                new_sigma = [None] * n
-                new_gamma = [None] * n
-                for i, s in enumerate(states):
-                    j = int(pi[s][1:])
-                    new_sigma[j] = relabeled(pi_id, pi, sigma[i])
-                    new_gamma[j] = gamma[i]
-                key = tuple(
-                    (rendered(t), tuple(sorted(g)))
-                    for t, g in zip(new_sigma, new_gamma)
+    elems = sorted(enumerate_t(F, frozenset(states)), key=lambda t: render_telem(F, t))
+    colorings = sorted(subsets(props), key=sorted)
+    width = len(colorings)
+    combinations = (len(elems) * width) ** n
+    if combinations > DEFAULT_CAP:
+        raise CapExceeded(
+            f"{combinations} {n}-state combinations to sweep exceed the cap "
+            f"{DEFAULT_CAP}"
+        )
+    rank = {t: r for r, t in enumerate(elems)}
+    # Per non-identity permutation π (the first one is the identity): the
+    # table c ↦ code of c relabeled by π, and a getter reading, for each
+    # target state π(i) in order, the source state i.
+    relabelings = []
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        pi = {states[i]: states[j] for i, j in enumerate(perm)}
+        table = [rank[t_map(F, pi, t)] * width + c for t in elems for c in range(width)]
+        relabelings.append((table.__getitem__, itemgetter(*map(perm.index, range(n)))))
+    out = []
+    for code in itertools.product(range(len(elems) * width), repeat=n):
+        for table, source in relabelings:
+            if tuple(map(table, source(code))) < code:
+                break
+        else:
+            out.append(
+                ColoredModel(
+                    F,
+                    props,
+                    states,
+                    tuple(elems[c // width] for c in code),
+                    tuple(colorings[c % width] for c in code),
                 )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (tuple(new_sigma), tuple(new_gamma))
-            if best_key not in out:
-                out[best_key] = ColoredModel(F, props, states, best[0], best[1])
-    return tuple(out[k] for k in sorted(out))
+            )
+    return tuple(out)
 
 
 def canonical_pointed_models(F: FunctorDescriptor, props: tuple, max_states: int):

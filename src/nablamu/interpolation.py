@@ -10,15 +10,15 @@ is exact for functors with a functorial lifting, and its realizability
 ``bound`` applies only where a monotone part is present.
 
 ``entails_bounded`` is the desk-scale entailment check used to validate
-interpolants: it sweeps all pointed models up to a size bound and returns a
-countermodel when one exists.
+interpolants: it sweeps all pointed models up to a size bound, smallest
+first, and returns the first countermodel it meets.
 """
 
 from __future__ import annotations
 
-from .coalgebra import canonical_pointed_models
+from .coalgebra import PointedModel, canonical_models
 from .functors import POWERSET, FunctorDescriptor
-from .logic import Formula, free_props, mk_and, mk_neg, satisfies
+from .logic import Formula, eval_formula, free_props, mk_and, mk_neg
 from .projection import project_automaton
 from .translation import automaton_to_formula, formula_to_automaton
 
@@ -72,12 +72,21 @@ def entails_bounded(
 ):
     """Whether ``a`` entails ``b`` on all pointed models of at most ``max_states``.
 
-    Returns ``(True, None)`` or ``(False, countermodel)``.
+    Returns ``(True, None)`` or ``(False, countermodel)``.  The sweep goes
+    size by size through ``canonical_models``, evaluates ``a ∧ ¬b`` once per
+    model and stops at the first countermodel: the least by size, then by
+    model order, then by state order, i.e. the first point of
+    ``canonical_pointed_models`` satisfying ``a ∧ ¬b``.  Sizes past the
+    countermodel are never enumerated; a size beyond the enumeration cap
+    raises CapExceeded when the sweep reaches it.
     """
     F = _functor_for(mk_and(a, b), functor)
-    props = sorted(set(free_props(a)) | set(free_props(b)))
+    props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
     witness = mk_and(a, mk_neg(b))
-    for pm in canonical_pointed_models(F, tuple(props), max_states):
-        if satisfies(pm, witness):
-            return False, pm
+    for n in range(1, max_states + 1):
+        for M in canonical_models(F, props, n):
+            ext = eval_formula(M, witness)
+            for s in M.states:
+                if s in ext:
+                    return False, PointedModel(M, s)
     return True, None

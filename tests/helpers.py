@@ -135,6 +135,41 @@ def full_family_lift(R, fam1, fam2):
     return clause1 and clause2
 
 
+def brute_canonical_models(F, props, n):
+    """Every ``n``-state model over ``F`` and ``props``, one per isomorphism
+    class, by relabeling each combination under every state permutation and
+    keeping the least key: ``(rendered successor structure, sorted colors)``
+    per state, in state order.  Sorted by that key."""
+    from nablamu import ColoredModel, enumerate_t, render_telem, t_map
+
+    props = tuple(sorted(props))
+    states = tuple(f"s{i}" for i in range(n))
+    elems = enumerate_t(F, frozenset(states))
+    colorings = tuple(subsets(props))
+    rendered = {t: render_telem(F, t) for t in elems}
+    perms = []
+    for perm in itertools.permutations(range(n)):
+        pi = {states[i]: states[j] for i, j in enumerate(perm)}
+        perms.append((perm, {t: t_map(F, pi, t) for t in elems}))
+    out = {}
+    for sigma in itertools.product(elems, repeat=n):
+        for gamma in itertools.product(colorings, repeat=n):
+            best = None
+            for perm, relabel in perms:
+                new_sigma, new_gamma = [None] * n, [None] * n
+                for i, j in enumerate(perm):
+                    new_sigma[j] = relabel[sigma[i]]
+                    new_gamma[j] = gamma[i]
+                key = tuple(
+                    (rendered[t], tuple(sorted(g)))
+                    for t, g in zip(new_sigma, new_gamma)
+                )
+                if best is None or key < best[0]:
+                    best = (key, tuple(new_sigma), tuple(new_gamma))
+            out.setdefault(best[0], ColoredModel(F, props, states, best[1], best[2]))
+    return tuple(out[k] for k in sorted(out))
+
+
 # --------------------------------------------------------------------------
 # Parity games
 

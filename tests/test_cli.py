@@ -251,6 +251,13 @@ def test_entails_yes_and_no(capsys):
     assert not satisfies(cm, parse_formula("p", POWERSET))
 
 
+def test_entails_beyond_the_enumeration_cap_exits_2(capsys):
+    # the entailment holds up to 3 states, so the sweep reaches 4 states,
+    # whose 16^4 · 4^4 combinations exceed the cap
+    code, out, err = run(capsys, "entails", "(p /\\ q)", "p", "--max-model-size", "4")
+    assert code == 2 and out == "" and "cap" in err
+
+
 # --------------------------------------------------------------------------
 # selftest and determinism
 

@@ -8,15 +8,18 @@ import pytest
 from nablamu import (
     MONOTONE,
     POWERSET,
+    CapExceeded,
     ColoredModel,
     PointedModel,
     canonical_models,
     canonical_pointed_models,
+    constant,
     greatest_bisimulation,
     is_bisimulation,
     is_morphism,
     model_coproduct,
     parse_model,
+    product,
     project_model,
     random_model,
     render_model,
@@ -165,6 +168,30 @@ def test_canonical_models_counts_and_coverage():
     assert canonical_pointed_models(POWERSET, ("p",), 1) == [
         PointedModel(M, "s0") for M in canonical_models(POWERSET, ("p",), 1)
     ]
+
+
+@pytest.mark.parametrize(
+    "F,props,max_n",
+    [
+        (POWERSET, (), 3),
+        (POWERSET, ("p",), 3),
+        (POWERSET, ("p", "q"), 3),
+        (MONOTONE, (), 3),
+        (MONOTONE, ("p",), 3),
+        (product(POWERSET, constant(["a", "b"])), ("p",), 2),
+    ],
+)
+def test_canonical_models_match_relabeling_reference(F, props, max_n):
+    from helpers import brute_canonical_models
+
+    for n in range(1, max_n + 1):
+        assert canonical_models(F, props, n) == brute_canonical_models(F, props, n)
+
+
+def test_canonical_models_refuses_sweeps_beyond_the_cap():
+    # 16^4 successor sets times 2^4 colorings is just over DEFAULT_CAP
+    with pytest.raises(CapExceeded):
+        canonical_models(POWERSET, ("p",), 4)
 
 
 def test_model_text_round_trip():

@@ -1,11 +1,19 @@
 """Uniform interpolation: projection of formulas, bounded entailment."""
 
+import itertools
+
 import pytest
+
+from formula_corpus import TRANSLATION_CORPUS
 
 from nablamu import (
     MONOTONE,
     POWERSET,
+    canonical_models,
     canonical_pointed_models,
+    free_props,
+    mk_and,
+    mk_neg,
     parse_formula,
     satisfies,
     up_to_p_bisimilar,
@@ -110,6 +118,44 @@ def test_entails_bounded_modal():
     ok, cm = entails_bounded(pf("nabla {p}"), pf("nabla {p, true}"), 2)
     # ∇{p} forces a nonempty all-p successor set, which ∇{p, true} allows
     assert ok and cm is None
+
+
+def test_entails_bounded_returns_the_first_countermodel():
+    # the countermodel is the first point of the ≤ 2-state sweep satisfying
+    # a ∧ ¬b, on every ordered pair of the translation corpus
+    formulas = [pf(src) for src in TRANSLATION_CORPUS]
+    held = 0
+    for a, b in itertools.product(formulas, repeat=2):
+        props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
+        witness = mk_and(a, mk_neg(b))
+        first = next(
+            (
+                P
+                for P in canonical_pointed_models(POWERSET, props, 2)
+                if satisfies(P, witness)
+            ),
+            None,
+        )
+        expected = (True, None) if first is None else (False, first)
+        assert entails_bounded(a, b, 2) == expected, (a, b)
+        held += first is None
+    assert 0 < held < len(formulas) ** 2
+
+
+def test_entails_bounded_stops_at_the_first_countermodel(monkeypatch):
+    import nablamu.interpolation as interpolation
+
+    sizes = []
+
+    def counting(F, props, n):
+        sizes.append(n)
+        return canonical_models(F, props, n)
+
+    monkeypatch.setattr(interpolation, "canonical_models", counting)
+    ok, cm = entails_bounded(pf("q"), pf("(p /\\ q)"), 3)
+    assert not ok and cm.model.props == ("p", "q")
+    assert satisfies(cm, pf("(q /\\ ~p)"))
+    assert sizes == [1]
 
 
 # --------------------------------------------------------------------------
