@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .parsing import Cursor
 
@@ -410,8 +411,6 @@ def lift_member(F: FunctorDescriptor, R, t1, t2) -> bool:
 # --------------------------------------------------------------------------
 # Minimal witnesses
 
-_witness_cache: dict = {}
-
 
 def _all_minimal(items: tuple, pred):
     """All ⊆-minimal subsets of ``items`` satisfying a monotone predicate."""
@@ -428,17 +427,14 @@ def _all_minimal(items: tuple, pred):
     return out
 
 
+@lru_cache(maxsize=4096)
 def minimal_witnesses(F: FunctorDescriptor, t1, t2, cap: int = DEFAULT_CAP) -> tuple:
     """All ⊆-minimal relations ``Z ⊆ base(t1) × base(t2)`` lifting to ``(t1, t2)``.
 
-    Results are cached: payloads are carrier-free, so the answer depends only
-    on the functor and the two payloads.  Empty iff no witness exists.
+    Results are cached in a bounded LRU cache: payloads are carrier-free, so
+    the answer depends only on the functor and the two payloads.  Empty iff
+    no witness exists.
     """
-    key = (F, t1, t2)
-    hit = _witness_cache.get(key)
-    if hit is not None:
-        return hit
-
     dom = base(F, t1)
     cod = base(F, t2)
     ground = tuple(sorted(itertools.product(
@@ -457,9 +453,7 @@ def minimal_witnesses(F: FunctorDescriptor, t1, t2, cap: int = DEFAULT_CAP) -> t
     if len(found) > cap:
         raise CapExceeded(f"more than {cap} minimal witnesses")
     found.sort(key=canon_key)
-    result = tuple(Relation(dom, cod, Z) for Z in found)
-    _witness_cache[key] = result
-    return result
+    return tuple(Relation(dom, cod, Z) for Z in found)
 
 
 # --------------------------------------------------------------------------

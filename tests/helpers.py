@@ -170,6 +170,31 @@ def brute_canonical_models(F, props, n):
     return tuple(out[k] for k in sorted(out))
 
 
+def brute_greatest_bisimulation(M1, M2, Q=None):
+    """The largest bisimulation between two models, by relation refinement:
+    start from every pair whose colors agree on ``Q`` (default: every
+    proposition of either model) and drop pairs whose successor structures
+    the lifting of the current relation does not relate, until none drops."""
+    from nablamu import Relation
+
+    Q = frozenset(M1.props) | frozenset(M2.props) if Q is None else frozenset(Q)
+    R = {
+        (s, t)
+        for s in M1.states
+        for t in M2.states
+        if M1.gamma_of(s) & Q == M2.gamma_of(t) & Q
+    }
+    while True:
+        keep = {
+            (s, t)
+            for (s, t) in R
+            if lift_member(M1.functor, R, M1.sigma_of(s), M2.sigma_of(t))
+        }
+        if keep == R:
+            return Relation(M1.state_set, M2.state_set, frozenset(R))
+        R = keep
+
+
 # --------------------------------------------------------------------------
 # Parity games
 

@@ -123,6 +123,69 @@ def test_refinement_terminates_quickly():
         assert steps <= len(M1.states) * len(M2.states)
 
 
+def test_is_bisimulation_rejects_pairs_outside_the_models():
+    assert not is_bisimulation({("zz", "a")}, TWO_CYCLE, TWO_CYCLE)
+    assert not is_bisimulation({("a", "zz")}, TWO_CYCLE, TWO_CYCLE)
+    assert not is_bisimulation({("a", "a"), ("b", "b"), ("a", "u")}, TWO_CYCLE, TWO_CYCLE)
+
+
+def chain(colors, names):
+    """The powerset chain c0 -> c1 -> ... -> deadlock, position c named
+    ``names[c]`` and colored ``colors[c]``."""
+    n = len(colors)
+    return ColoredModel.make(
+        POWERSET,
+        {names[c]: fs(names[c + 1 : c + 2]) for c in range(n)},
+        {names[c]: fs(colors[c]) for c in range(n)},
+        props=("p", "q"),
+    )
+
+
+def chain_pairs(n=150):
+    """Chains colored periodically by three colors, where positions are
+    bisimilar only if their distances to the end agree: the chain against a
+    renamed copy, against itself with q flipped a sixth of the way along,
+    and the flipped pair again with q disregarded.  Yields (M1, M2, Q)."""
+    word = (("p",), ("q",), ("p", "q"))
+    colors = [word[i % 3] for i in range(n)]
+    flipped = list(colors)
+    flipped[n // 6] = tuple(sorted(set(colors[n // 6]) ^ {"q"}))
+    names = [f"c{i}" for i in range(n)]
+    shuffled = list(names)
+    random.Random(12).shuffle(shuffled)
+    a = chain(colors, names)
+    yield a, chain(colors, shuffled), None
+    yield a, chain(flipped, names), None
+    yield a, chain(flipped, names), {"p"}
+
+
+def test_greatest_bisimulation_matches_relation_refinement():
+    from helpers import SHAPES, brute_greatest_bisimulation
+
+    rng = random.Random(13)
+    pairs = [
+        tuple(random_model(F, ("p", "q"), rng.randint(1, 4), rng) for _ in range(2))
+        for F in SHAPES.values()
+        for _ in range(25)
+    ]
+    # random_model names the states of both models s0, s1, ...
+    assert all(set(M1.states) & set(M2.states) for M1, M2 in pairs)
+    cases = [(M1, M2, Q) for M1, M2 in pairs for Q in (None, (), ("p",))]
+    sizes = []
+    for M1, M2, Q in [*cases, *chain_pairs()]:
+        R = greatest_bisimulation(M1, M2, Q)
+        assert R == brute_greatest_bisimulation(M1, M2, Q)
+        assert is_bisimulation(R, M1, M2, Q)
+        sizes.append(len(R.pairs) / (len(M1.states) * len(M2.states)))
+    assert 0 in sizes and 1 in sizes and any(0 < x < 1 for x in sizes)
+
+
+def test_refinement_rounds_stay_below_the_union_size():
+    for M1, M2, Q in chain_pairs():
+        _, steps = greatest_bisimulation(M1, M2, Q, with_steps=True)
+        assert steps < len(M1.states) + len(M2.states)
+
+
 def test_project_model():
     M = kripke({"a": {"a"}}, {"a": {"p", "q"}})
     N = project_model(M, {"q"})
