@@ -102,7 +102,9 @@ def solve_parity(arena: Arena) -> ParitySolution:
         """Positions in ``sub`` from which ``player`` forces a visit to target."""
         attr = set(target)
         strat = {}
-        cnt = {v: sum(1 for w in moves[v] if w in sub) for v in sub}
+        # an opponent position's count of in-subgame moves not yet known to
+        # lead into attr, taken when the attractor first reaches it
+        cnt = {}
         queue = deque(target)
         while queue:
             w = queue.popleft()
@@ -114,8 +116,11 @@ def solve_parity(arena: Arena) -> ParitySolution:
                     strat[v] = w
                     queue.append(v)
                 else:
-                    cnt[v] -= 1
-                    if cnt[v] == 0:
+                    k = cnt.get(v)
+                    if k is None:
+                        k = sum(map(sub.__contains__, moves[v]))
+                    cnt[v] = k = k - 1
+                    if k == 0:
                         attr.add(v)
                         queue.append(v)
         return frozenset(attr), strat
@@ -124,9 +129,9 @@ def solve_parity(arena: Arena) -> ParitySolution:
         """Returns (win_e, win_a, strat_e, strat_a) for the total subgame."""
         if not sub:
             return frozenset(), frozenset(), {}, {}
-        d = max(priority[v] for v in sub)
+        d = max(map(priority.__getitem__, sub))
         player = "E" if d % 2 == 0 else "A"
-        Z = frozenset(v for v in sub if priority[v] == d)
+        Z = frozenset([v for v in sub if priority[v] == d])
         A, strat_attr = attractor(Z, player, sub)
         we, wa, se, sa = zielonka(sub - A)
         win_mine, win_other = (we, wa) if player == "E" else (wa, we)

@@ -33,6 +33,7 @@ from .functors import (
     base,
     canon_key,
     lift_member,
+    minimal_witnesses,
     t_map,
 )
 
@@ -237,6 +238,26 @@ def project_automaton(aut: Automaton, p: str, bound: int = 3) -> Automaton:
     return _delta_p_merge(normalize(aut, bound), p)
 
 
+def _committed_pairs(arena, strat, j) -> frozenset:
+    """The pairs (t, b) whose ('state', t, b) positions a play from position
+    ``j`` can reach first when E follows ``strat``: the relation E's strategy
+    proves the element's lifting with."""
+    out = set()
+    seen = {j}
+    todo = [j]
+    while todo:
+        v = todo.pop()
+        pos = arena.positions[v]
+        if pos[0] == "state":
+            out.add(pos[1:])
+            continue
+        for w in (strat[v],) if arena.owner[v] == "E" else arena.moves[v]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return frozenset(out)
+
+
 def construct_projection_witness(
     aut: Automaton, P: PointedModel, p: str, bound: int = 3
 ) -> PointedModel:
@@ -247,6 +268,10 @@ def construct_projection_witness(
     and that is bisimilar to ``P`` up to ``p``.  Its states are the pairs of
     a model state and an automaton state that E's winning strategy reaches
     from the point, plus the witness-coalgebra states their middles mention.
+    At a pair (s, a) the strategy picks an element φ; the relation Z behind
+    the step is the first ⊆-minimal witness for (σ(s), φ) made of pairs the
+    strategy can reach next through the unfolded lifting, so every play the
+    witness allows is one the strategy wins.
     Raises ValueError if the projection rejects ``P``; both claims about the
     result are re-verified and failures raise AssertionError.
     """
@@ -287,13 +312,15 @@ def construct_projection_witness(
         else:
             _, s, a = tok
             j = strat[arena.index(("state", s, a))]
-            _, _, phi = arena.positions[j]
-            Zpairs = arena.positions[strat[j]][1]
+            _, tau, phi = arena.positions[j]
+            committed = _committed_pairs(arena, strat, j)
+            Zpairs = next(
+                Z.pairs for Z in minimal_witnesses(F, tau, phi) if Z.pairs <= committed
+            )
             covered = {t for t, _ in Zpairs}
             Zp = set(Zpairs) | {(t, att) for t in M.states if t not in covered}
             R1 = frozenset((t, ("m", t, b)) for t, b in Zp)
             R2 = frozenset((("m", t, b), b) for t, b in Zp) | w_pairs
-            tau = M.sigma_of(s)
             choice: dict = {}
             for t, b in sorted(Zp, key=canon_key):
                 choice.setdefault(t, ("m", t, b))

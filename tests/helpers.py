@@ -6,6 +6,8 @@ optimized library code.
 """
 
 import itertools
+import sys
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -316,6 +318,160 @@ def validate_parity_solution(arena, sol):
                     if w in sub and w not in seen:
                         seen.add(w)
                         stack.append(w)
+
+
+def brute_build_arena(aut, M, pairs=None):
+    """The acceptance game as first defined: at ('elem', τ, φ) the existential
+    player picks a ⊆-minimal witness relation Z, at ('rel', Z) the universal
+    player picks a pair of Z, which leads to its ('state', t, b) position."""
+    from nablamu import minimal_witnesses
+    from nablamu.games import Arena
+
+    if pairs is None:
+        pairs = [(s, a) for s in M.states for a in aut.states]
+    index, positions, owner, priority, moves = {}, [], [], [], []
+
+    def intern(pos):
+        i = index.get(pos)
+        if i is None:
+            i = index[pos] = len(positions)
+            positions.append(pos)
+            owner.append("A" if pos[0] == "rel" else "E")
+            priority.append(aut.omega_of(pos[2]) if pos[0] == "state" else 0)
+            moves.append(None)
+            todo.append(pos)
+        return i
+
+    todo = []
+    for s, a in pairs:
+        intern(("state", s, a))
+    k = 0
+    while k < len(todo):
+        pos = todo[k]
+        k += 1
+        if pos[0] == "state":
+            _, s, a = pos
+            c = aut.color_of(M.gamma_of(s))
+            succ = [intern(("elem", M.sigma_of(s), phi)) for phi in aut.delta_of(a, c)]
+        elif pos[0] == "elem":
+            _, tau, phi = pos
+            succ = [
+                intern(("rel", Z.pairs))
+                for Z in minimal_witnesses(aut.functor, tau, phi)
+            ]
+        else:
+            succ = [intern(("state", t, b)) for t, b in sorted(pos[1], key=canon_key)]
+        moves[index[pos]] = tuple(succ)
+    return Arena(tuple(positions), tuple(owner), tuple(priority), tuple(moves))
+
+
+def brute_winning_pairs(aut, M):
+    """The pairs the existential player wins in :func:`brute_build_arena`."""
+    from nablamu.games import solve_parity
+
+    arena = brute_build_arena(aut, M)
+    sol = solve_parity(arena)
+    return frozenset(
+        (pos[1], pos[2])
+        for i, pos in enumerate(arena.positions)
+        if pos[0] == "state" and i in sol.win_e
+    )
+
+
+def reference_solve_parity(arena):
+    """Zielonka's algorithm as first written, whose attractors count every
+    position's in-subgame moves up front; the library solver must return the
+    same regions and strategies."""
+    from nablamu.games import ParitySolution, Strategy
+
+    n = len(arena.positions)
+    # totalize: position n is a sink winning for A (odd self-loop, reached by
+    # stuck E positions), position n+1 a sink winning for E.
+    owner = list(arena.owner) + ["E", "A"]
+    priority = list(arena.priority) + [1, 0]
+    moves = [tuple(m) for m in arena.moves] + [(n,), (n + 1,)]
+    for v in range(n):
+        if not moves[v]:
+            moves[v] = (n,) if owner[v] == "E" else ((n + 1),)
+    preds = [[] for _ in range(n + 2)]
+    for v in range(n + 2):
+        for w in moves[v]:
+            preds[w].append(v)
+
+    def attractor(target, player, sub):
+        """Positions in ``sub`` from which ``player`` forces a visit to target."""
+        attr = set(target)
+        strat = {}
+        cnt = {v: sum(1 for w in moves[v] if w in sub) for v in sub}
+        queue = deque(target)
+        while queue:
+            w = queue.popleft()
+            for v in preds[w]:
+                if v not in sub or v in attr:
+                    continue
+                if owner[v] == player:
+                    attr.add(v)
+                    strat[v] = w
+                    queue.append(v)
+                else:
+                    cnt[v] -= 1
+                    if cnt[v] == 0:
+                        attr.add(v)
+                        queue.append(v)
+        return frozenset(attr), strat
+
+    def zielonka(sub: frozenset):
+        """Returns (win_e, win_a, strat_e, strat_a) for the total subgame."""
+        if not sub:
+            return frozenset(), frozenset(), {}, {}
+        d = max(priority[v] for v in sub)
+        player = "E" if d % 2 == 0 else "A"
+        Z = frozenset(v for v in sub if priority[v] == d)
+        A, strat_attr = attractor(Z, player, sub)
+        we, wa, se, sa = zielonka(sub - A)
+        win_mine, win_other = (we, wa) if player == "E" else (wa, we)
+        st_mine = se if player == "E" else sa
+        st_other = sa if player == "E" else se
+        if not win_other:
+            # the favored player wins the whole subgame: recurse-region
+            # strategy inside sub∖A, attractor strategy on A∖Z, and any
+            # in-subgame move on the top-priority positions themselves.
+            st = dict(st_mine)
+            st.update(strat_attr)
+            for v in Z:
+                if owner[v] == player:
+                    st[v] = next(w for w in moves[v] if w in sub)
+            if player == "E":
+                return frozenset(sub), frozenset(), st, {}
+            return frozenset(), frozenset(sub), {}, st
+        other = "A" if player == "E" else "E"
+        B, strat_b = attractor(win_other, other, sub)
+        we2, wa2, se2, sa2 = zielonka(sub - B)
+        st_o = dict(st_other)
+        st_o.update(strat_b)
+        if player == "E":
+            st_o.update(sa2)
+            return we2, frozenset(wa2 | B), se2, st_o
+        st_o.update(se2)
+        return frozenset(we2 | B), wa2, st_o, sa2
+
+    # recursion depth is bounded by the number of positions; the caller's
+    # limit comes back however the solver exits
+    limit = sys.getrecursionlimit()
+    try:
+        if limit < 2 * n + 200:
+            sys.setrecursionlimit(2 * n + 200)
+        we, wa, se, sa = zielonka(frozenset(range(n + 2)))
+    finally:
+        sys.setrecursionlimit(limit)
+    real = set(range(n))
+    return ParitySolution(
+        arena,
+        frozenset(we & real),
+        frozenset(wa & real),
+        Strategy("E", {v: w for v, w in se.items() if v < n and w < n}),
+        Strategy("A", {v: w for v, w in sa.items() if v < n and w < n}),
+    )
 
 
 def random_automaton(F, props, rng, max_states=3, max_priority=3, max_base=2):

@@ -1,10 +1,11 @@
 """Automata: acceptance games, true states, satisfiability, text format."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import SHAPES, random_automaton
+from helpers import SHAPES, brute_winning_pairs, random_automaton
 
 from nablamu import (
     MONOTONE,
@@ -13,16 +14,19 @@ from nablamu import (
     ParseError,
     PointedModel,
     enumerate_t,
+    eval_formula,
     greatest_bisimulation,
     lift_member,
+    parse_formula,
     random_model,
 )
+from nablamu.translation import formula_to_automaton
 from nablamu.automata import (
     Automaton,
+    acceptance_game,
     accepts,
     add_true_state,
     bounded_realizations,
-    build_arena,
     find_true_state,
     nonemptiness_game,
     normalize,
@@ -205,7 +209,7 @@ def test_empty_element_accepts_deadlock_only():
 
 
 def test_arena_shape_on_atom_automaton():
-    arena = build_arena(A_P, LOOP_P)
+    arena, sol = acceptance_game(A_P, LOOP_P)
     pos = set(arena.positions)
     start = ("state", "s", "a0")
     assert start in pos
@@ -217,14 +221,78 @@ def test_arena_shape_on_atom_automaton():
         ("elem", frozenset(("s",)), frozenset()),
         ("elem", frozenset(("s",)), frozenset(("tt",))),
     }
-    # the matching element leads to the singleton witness, then back around
+    # the matching element: A picks the successor s (forward) or the target
+    # tt (backward), and E answers with its only partner, back around
     j = arena.index(("elem", frozenset(("s",)), frozenset(("tt",))))
-    (k,) = arena.moves[j]
-    assert arena.positions[k] == ("rel", frozenset(((("s", "tt")),)))
-    assert arena.owner[k] == "A"
-    # the mismatched element is a dead end for the existential player
+    assert arena.owner[j] == "A"
+    fwd = arena.index(("fwd", (), "s", frozenset(("tt",))))
+    bwd = arena.index(("bwd", (), frozenset(("s",)), "tt"))
+    assert set(arena.moves[j]) == {fwd, bwd}
+    back = arena.index(("state", "s", "tt"))
+    for k in (fwd, bwd):
+        assert arena.owner[k] == "E" and arena.moves[k] == (back,)
+    # the mismatched element is won by A: E has no answer to the successor s
     j2 = arena.index(("elem", frozenset(("s",)), frozenset()))
-    assert arena.moves[j2] == ()
+    assert j2 in sol.win_a
+    (k2,) = arena.moves[j2]
+    assert arena.owner[k2] == "E" and arena.moves[k2] == ()
+
+
+def test_unfolded_arena_matches_witness_arena():
+    # the oracle lets E pick a minimal witness relation and A a pair of it
+    rng = random.Random(6)
+    for name, F in SHAPES.items():
+        for _ in range(25):
+            props = ("p",) if rng.random() < 0.5 else ("p", "q")
+            aut = random_automaton(F, props, rng)
+            M = random_model(F, props, rng.randint(1, 3), rng)
+            assert winning_pairs(aut, M) == brute_winning_pairs(aut, M), name
+    # the benchmark's model-checking automata on a 150-state lasso: a path
+    # with forward chords, rare back edges and dead ends at s49 and s99 runs
+    # into a 30-state loop; p on every 7th path state, q off every 3rd state
+    n, loop = 150, 120
+    shape = random.Random(n)
+    sigma, gamma = {}, {}
+    for i in range(n):
+        succ = {i + 1, i + shape.randint(2, 6)}
+        if shape.random() < 0.1:
+            succ.add(max(0, i - shape.randint(1, 8)))
+        if i >= loop:
+            succ = {loop + (j - loop) % (n - loop) for j in succ}
+        elif i % 50 == 49:
+            succ = set()
+        sigma[f"s{i}"] = frozenset(f"s{min(j, n - 1)}" for j in succ)
+        gamma[f"s{i}"] = frozenset(
+            (("p",) if i % 7 == 0 and i < loop else ()) + (("q",) if i % 3 else ())
+        )
+    lasso = ColoredModel.make(POWERSET, sigma, gamma, props=("p", "q"))
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+    for name in ("inf_p_path", "fin_p_path", "nu_mu_nu", "mu_nu_mu"):
+        aut = parse_automaton((data / f"{name}.aut").read_text())
+        W = winning_pairs(aut, lasso)
+        assert W == brute_winning_pairs(aut, lasso), name
+        accepted = [s for s in lasso.states if (s, aut.initial) in W]
+        assert 0 < len(accepted) < n, name
+
+
+def test_wide_branching_stays_polynomial():
+    # one root over 16 one-loop successors: the initial state's one element
+    # has two states, so 2^16 - 2 minimal witness relations, while the
+    # unfolded arena grows linearly
+    f = parse_formula(r"nabla {mu x. (p \/ nabla {x}), q}", POWERSET)
+    aut = formula_to_automaton(f)
+    kids = [f"t{i}" for i in range(1, 17)]
+    for last in (("q",), ()):
+        sigma = {"r": frozenset(kids)}
+        gamma = {"r": frozenset()}
+        for i, t in enumerate(kids, 1):
+            sigma[t] = frozenset((t,))
+            gamma[t] = frozenset(("p",) if i % 2 else ("q",))
+        gamma[kids[-1]] = frozenset(last)
+        M = ColoredModel.make(POWERSET, sigma, gamma, props=("p", "q"))
+        want = "r" in eval_formula(M, f)
+        assert want == bool(last)
+        assert accepts(aut, PointedModel(M, "r")) == want
 
 
 def test_winning_pairs_matches_accepts():

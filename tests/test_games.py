@@ -7,7 +7,12 @@ import pytest
 
 from nablamu.games import Arena, solve_parity
 
-from helpers import oracle_winners, random_arena, validate_parity_solution
+from helpers import (
+    oracle_winners,
+    random_arena,
+    reference_solve_parity,
+    validate_parity_solution,
+)
 
 
 def arena(owner, priority, moves):
@@ -104,6 +109,29 @@ def test_larger_arena_smoke():
     a = random_arena(rng, max_positions=60, max_priority=5, max_degree=4)
     sol = solve_parity(a)
     validate_parity_solution(a, sol)
+
+
+def test_larger_arenas_match_reference_solver():
+    # attractor counts are taken lazily; regions and strategies must equal
+    # those of the solver that counts every position up front
+    checked = 0
+    for seed in range(200):
+        a = random_arena(
+            random.Random(seed), max_positions=60, max_priority=5, max_degree=4
+        )
+        sol = solve_parity(a)
+        validate_parity_solution(a, sol)
+        assert sol == reference_solve_parity(a), seed
+        # the oracle enumerates E's positional strategies: only where few
+        choices = 1
+        for v in range(len(a)):
+            if a.owner[v] == "E" and a.moves[v]:
+                choices *= len(a.moves[v])
+        if choices <= 256:
+            want = oracle_winners(a)
+            assert tuple(sol.winner(v) for v in range(len(a))) == want, seed
+            checked += 1
+    assert checked >= 50
 
 
 def test_solve_parity_restores_recursion_limit():
