@@ -24,7 +24,7 @@ RESERVED = frozenset({"mu", "nu", "nabla", "true", "false", "const", "id", "inl"
 class Formula:
     """Base class; identity equality (valid thanks to hash-consing)."""
 
-    __slots__ = ("_rendered",)
+    __slots__ = ("_rendered", "_free")
 
     def canon_key(self) -> str:
         return render_formula(self)
@@ -38,6 +38,7 @@ class Atom(Formula):
 
     def __init__(self, name: str):
         self._rendered = None
+        self._free = None
         self.name = name
 
 
@@ -46,6 +47,7 @@ class Neg(Formula):
 
     def __init__(self, sub: Formula):
         self._rendered = None
+        self._free = None
         self.sub = sub
 
 
@@ -54,6 +56,7 @@ class Or(Formula):
 
     def __init__(self, parts: frozenset):
         self._rendered = None
+        self._free = None
         self.parts = parts
 
 
@@ -62,6 +65,7 @@ class Nabla(Formula):
 
     def __init__(self, functor: FunctorDescriptor, payload):
         self._rendered = None
+        self._free = None
         self.functor = functor
         self.payload = payload
 
@@ -71,6 +75,7 @@ class Mu(Formula):
 
     def __init__(self, var: str, body: Formula):
         self._rendered = None
+        self._free = None
         self.var = var
         self.body = body
 
@@ -122,14 +127,10 @@ def mk_nu(var: str, body: Formula) -> Formula:
 # --------------------------------------------------------------------------
 # Structural queries
 
-_free_memo: dict = {}
-
-
 def free_props(f: Formula) -> frozenset:
     """Atoms not bound by any enclosing fixpoint (propositions and free variables)."""
-    got = _free_memo.get(f)
-    if got is not None:
-        return got
+    if f._free is not None:
+        return f._free
     if isinstance(f, Atom):
         out = frozenset((f.name,))
     elif isinstance(f, Neg):
@@ -142,7 +143,7 @@ def free_props(f: Formula) -> frozenset:
         )
     else:
         out = free_props(f.body) - {f.var}
-    _free_memo[f] = out
+    f._free = out
     return out
 
 
@@ -257,12 +258,26 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
 
     ``env`` optionally overrides the extension of free atoms (used during
     fixpoint iteration; overriding a proposition is also allowed).
+
+    Fixpoints are computed by Knaster–Tarski iteration, and each ∇ node is
+    re-evaluated incrementally.  The node keeps the set ``sat`` of pairs
+    ``(t, b)`` (t satisfies the argument b) from its last evaluation
+    together with the states it found.  Whether s lies in ∇α depends only on
+    the pairs ``(t, b)`` with t ∈ base(σ(s)): the lifting of every functor
+    kind reads no other pair.  So when ``sat`` changes, only the
+    predecessors of the states in the symmetric difference are re-checked,
+    and every other state keeps its verdict.  This compares the two ``sat``
+    sets only, so it is exact whatever the direction of the iteration
+    (ν is encoded as ¬μ¬) and under ``env`` overrides.
     """
     states = frozenset(M.states)
     memo: dict = {}
+    last: dict = {}
+    preds = None  # t ↦ [s | t ∈ base(σ(s))], built at the first re-check
     env = {k: frozenset(v) for k, v in (env or {}).items()}
 
     def ev(g: Formula, env: dict) -> frozenset:
+        nonlocal preds
         key = (
             g,
             tuple(sorted((v, env[v]) for v in free_props(g) if v in env)),
@@ -271,10 +286,10 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
         if got is not None:
             return got
         if isinstance(g, Atom):
-            out = env.get(
-                g.name,
-                frozenset(s for s in M.states if g.name in M.gamma_of(s)),
-            )
+            if g.name in env:
+                out = env[g.name]
+            else:
+                out = frozenset(s for s in M.states if g.name in M.gamma_of(s))
         elif isinstance(g, Neg):
             out = states - ev(g.sub, env)
         elif isinstance(g, Or):
@@ -289,11 +304,23 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
                 for b in base(g.functor, g.payload)
                 for s in ev(b, env)
             )
-            out = frozenset(
+            if g in last:
+                if preds is None:
+                    preds = {}
+                    for s in M.states:
+                        for t in base(M.functor, M.sigma_of(s)):
+                            preds.setdefault(t, []).append(s)
+                old_sat, old_out = last[g]
+                todo = {s for t, _ in sat ^ old_sat for s in preds.get(t, ())}
+                kept = old_out - todo
+            else:
+                todo, kept = M.states, frozenset()
+            out = kept | frozenset(
                 s
-                for s in M.states
+                for s in todo
                 if lift_member(g.functor, sat, M.sigma_of(s), g.payload)
             )
+            last[g] = (sat, out)
         else:
             cur = frozenset()
             while True:
@@ -313,9 +340,6 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
 def satisfies(P, f: Formula) -> bool:
     """Whether the pointed model satisfies the formula."""
     return P.point in eval_formula(P.model, f)
-
-
-eval = eval_formula  # noqa: A001 — the op is conventionally called eval
 
 
 # --------------------------------------------------------------------------

@@ -197,6 +197,63 @@ def brute_greatest_bisimulation(M1, M2, Q=None):
         R = keep
 
 
+def brute_eval_formula(M, f, env=None) -> frozenset:
+    """Knaster–Tarski evaluation that re-checks every state at every ∇ node
+    on every iteration (the evaluator before it became incremental)."""
+    from nablamu import Atom, Nabla, Neg, Or, free_props
+
+    states = frozenset(M.states)
+    memo: dict = {}
+    env = {k: frozenset(v) for k, v in (env or {}).items()}
+
+    def ev(g, env: dict) -> frozenset:
+        key = (
+            g,
+            tuple(sorted((v, env[v]) for v in free_props(g) if v in env)),
+        )
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if isinstance(g, Atom):
+            out = env.get(
+                g.name,
+                frozenset(s for s in M.states if g.name in M.gamma_of(s)),
+            )
+        elif isinstance(g, Neg):
+            out = states - ev(g.sub, env)
+        elif isinstance(g, Or):
+            out = frozenset()
+            for p in g.parts:
+                out |= ev(p, env)
+        elif isinstance(g, Nabla):
+            if g.functor != M.functor:
+                raise ValueError("modality functor differs from the model functor")
+            sat = frozenset(
+                (s, b)
+                for b in base(g.functor, g.payload)
+                for s in ev(b, env)
+            )
+            out = frozenset(
+                s
+                for s in M.states
+                if lift_member(g.functor, sat, M.sigma_of(s), g.payload)
+            )
+        else:
+            cur = frozenset()
+            while True:
+                env2 = dict(env)
+                env2[g.var] = cur
+                nxt = ev(g.body, env2)
+                if nxt == cur:
+                    break
+                cur = nxt
+            out = cur
+        memo[key] = out
+        return out
+
+    return ev(f, env)
+
+
 # --------------------------------------------------------------------------
 # Parity games
 

@@ -11,6 +11,7 @@ from nablamu import (
     POWERSET,
     TOP,
     ColoredModel,
+    Mu,
     PointedModel,
     eval_formula,
     free_props,
@@ -32,6 +33,9 @@ from nablamu import (
     validate_monotone,
 )
 from nablamu.parsing import ParseError
+
+from formula_corpus import random_guarded_formula
+from helpers import SHAPES, brute_eval_formula
 
 fs = frozenset
 
@@ -200,6 +204,84 @@ def test_eval_rejects_wrong_functor():
 def test_satisfies():
     assert satisfies(PointedModel(STEP, "s"), pf("nabla {p}"))
     assert not satisfies(PointedModel(STEP, "t"), pf("nabla {p}"))
+
+
+def test_eval_matches_brute_evaluator_on_random_models():
+    rng = random.Random(5)
+    for F in SHAPES.values():
+        fixpoints = 0
+        while fixpoints < 25:
+            M = random_model(F, ("p", "q"), rng.randint(1, 12), rng)
+            f = random_guarded_formula(rng, F, ("p", "q"), 4)
+            fixpoints += any(isinstance(g, Mu) for g in subformulas(f))
+            assert eval_formula(M, f) == brute_eval_formula(M, f)
+            # ``env`` overrides a proposition, and the bound variable of
+            # each fixpoint body, with arbitrary (non-monotone) extensions.
+            env = {"p": fs(s for s in M.states if rng.random() < 0.5)}
+            assert eval_formula(M, f, env) == brute_eval_formula(M, f, env)
+            for g in subformulas(f):
+                if isinstance(g, Mu):
+                    env = {g.var: fs(s for s in M.states if rng.random() < 0.5)}
+                    assert eval_formula(M, g.body, env) == brute_eval_formula(
+                        M, g.body, env
+                    )
+
+
+def test_eval_matches_brute_evaluator_on_alternating_ring():
+    # A lasso of 300 states: steps forward by 1-6, rare short back edges,
+    # the last state loops; p every 60th state in the first half.
+    rng = random.Random(7)
+    n = 300
+    sigma, gamma = {}, {}
+    for i in range(n):
+        ts = {min(i + 1, n - 1)}
+        if rng.random() < 0.6:
+            ts.add(min(i + rng.randint(2, 6), n - 1))
+        if rng.random() < 0.1:
+            ts.add(max(i - rng.randint(1, 8), 0))
+        sigma[f"s{i}"] = fs(f"s{t}" for t in ts)
+        gamma[f"s{i}"] = fs(
+            x
+            for x, at in (("p", i % 60 == 0 and i < n // 2), ("q", rng.random() < 0.8))
+            if at
+        )
+    M = ColoredModel.make(POWERSET, sigma, gamma, props=("p", "q"))
+    proper = 0
+    for text in (
+        "nu x. mu y. ((p /\\ nabla {x, true}) \\/ nabla {y, true})",
+        "mu x. nu y. ((p /\\ nabla {x, true}) \\/ (~p /\\ nabla {y, true}))",
+        "nu x. (mu y. (p \\/ nabla {y, true}) /\\ nabla {x, true})",
+        "nu x. mu y. \\/{((p /\\ q) /\\ nabla {x, true}), (q /\\ nabla {y, true})}",
+    ):
+        f = pf(text)
+        got = eval_formula(M, f)
+        assert got == brute_eval_formula(M, f), text
+        proper += fs() < got < fs(M.states)
+    assert proper == 3
+
+
+def test_eval_rechecks_only_predecessors_of_changed_states(monkeypatch):
+    # A chain c0 -> c1 -> ... -> c{n-1} (deadlock) with p only at the end:
+    # the least fixpoint grows by one state per iteration.
+    import nablamu.logic
+
+    n = 200
+    M = ColoredModel.make(
+        POWERSET,
+        {f"c{i}": fs({f"c{i + 1}"}) if i + 1 < n else fs() for i in range(n)},
+        {f"c{i}": fs({"p"}) if i == n - 1 else fs() for i in range(n)},
+        props=("p",),
+    )
+    calls = [0]
+    real = nablamu.logic.lift_member
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(nablamu.logic, "lift_member", counting)
+    assert eval_formula(M, pf("mu x. (p \\/ nabla {x})")) == fs(M.states)
+    assert calls[0] <= 3 * n
 
 
 # --------------------------------------------------------------------------
