@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from formula_corpus import random_guarded_formula
+from helpers import SHAPES, brute_eval_formula
 from nablamu import (
     BOT,
     MONOTONE,
@@ -33,9 +35,6 @@ from nablamu import (
     validate_monotone,
 )
 from nablamu.parsing import ParseError
-
-from formula_corpus import random_guarded_formula
-from helpers import SHAPES, brute_eval_formula
 
 fs = frozenset
 
