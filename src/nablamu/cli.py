@@ -25,7 +25,7 @@ from .coalgebra import (
     render_model,
 )
 from .functors import DEFAULT_CAP, CapExceeded, functor_tag, parse_functor
-from .interpolation import entails_bounded, uniform_interpolant
+from .interpolation import entails, entails_bounded, uniform_interpolant
 from .laxcheck import check_lax_axioms, check_support_restriction
 from .logic import eval_formula, free_props, parse_formula, render_formula
 from .parsing import ParseError
@@ -185,7 +185,7 @@ def cmd_entails(args) -> int:
     F = parse_functor(args.functor)
     a = parse_formula(args.formula_a, F)
     b = parse_formula(args.formula_b, F)
-    ok, cm = entails_bounded(a, b, args.max_model_size, functor=F)
+    ok, cm = entails(a, b, args.max_model_size, functor=F)
     counter = None if ok else render_model(cm)
     human = (
         f"entailment holds on all models with at most {args.max_model_size} states"
@@ -268,7 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive,
         default=3,
         metavar="N",
-        help="model size bound for entailment sweeps (default: 3)",
+        help="model size bound for entailment sweeps (default: 3); an exact "
+        "entails verdict uses N only to pick the printed countermodel and to "
+        "apply the enumeration cap",
     )
     cap = _flag(
         "--cap",
@@ -350,7 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "entails",
         parents=[fmt, functor, size],
-        help="bounded entailment between two formulas",
+        help="entailment between two formulas",
+        description="Whether formula_a entails formula_b. Exact over powerset "
+        "when a /\\ ~b translates to an automaton: the nonemptiness game "
+        "decides it. A failed entailment prints the first countermodel of at "
+        "most N states, or, if there is none, the game's strategy model, "
+        "which may be larger. Other functors and formulas outside the "
+        "fragment are swept over all models of at most N states.",
     )
     p.add_argument("formula_a", help="antecedent formula text")
     p.add_argument("formula_b", help="consequent formula text")

@@ -264,6 +264,19 @@ def coproduct(models) -> tuple:
 # Enumeration and sampling
 
 
+def check_sweep_cap(F: FunctorDescriptor, props: tuple, n: int) -> None:
+    """Raise CapExceeded if the ``n``-state sweep of :func:`canonical_models`
+    over ``F`` and ``props`` would walk more than ``DEFAULT_CAP`` combinations
+    of successor structures and colorings."""
+    states = frozenset(f"s{i}" for i in range(n))
+    combinations = (len(enumerate_t(F, states)) * 2 ** len(props)) ** n
+    if combinations > DEFAULT_CAP:
+        raise CapExceeded(
+            f"{combinations} {n}-state combinations to sweep exceed the cap "
+            f"{DEFAULT_CAP}"
+        )
+
+
 @lru_cache(maxsize=32)
 def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
     """All ``n``-state models over ``F`` and ``props``, one per isomorphism class.
@@ -280,19 +293,15 @@ def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
     kept iff no state permutation relabels it to a smaller code tuple, i.e.
     iff it is the least relabeling of its class; the codes are walked in
     increasing order, so the result comes out sorted.  Raises CapExceeded
-    when there are more than ``DEFAULT_CAP`` combinations to walk.
+    when there are more than ``DEFAULT_CAP`` combinations to walk
+    (:func:`check_sweep_cap`).
     """
     props = tuple(sorted(props))
+    check_sweep_cap(F, props, n)
     states = tuple(f"s{i}" for i in range(n))
     elems = sorted(enumerate_t(F, frozenset(states)), key=lambda t: render_telem(F, t))
     colorings = sorted(subsets(props), key=sorted)
     width = len(colorings)
-    combinations = (len(elems) * width) ** n
-    if combinations > DEFAULT_CAP:
-        raise CapExceeded(
-            f"{combinations} {n}-state combinations to sweep exceed the cap "
-            f"{DEFAULT_CAP}"
-        )
     rank = {t: r for r, t in enumerate(elems)}
     # Per non-identity permutation π (the first one is the identity): the
     # table c ↦ code of c relabeled by π, and a getter reading, for each

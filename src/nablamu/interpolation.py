@@ -9,18 +9,25 @@ guarded-fragment restrictions of the automaton translation; the projection
 is exact for functors with a functorial lifting, and its realizability
 ``bound`` applies only where a monotone part is present.
 
-``entails_bounded`` is the desk-scale entailment check used to validate
-interpolants: it sweeps all pointed models up to a size bound, smallest
-first, and returns the first countermodel it meets.
+``entails`` decides entailment exactly where it can: over powerset, a ⊨ b
+holds iff the automaton of ``a ∧ ¬b`` accepts nothing, i.e. iff the
+existential player loses its initial state in the nonemptiness game
+(Kupke & Venema, *Coalgebraic automata theory: basic results*, LMCS 2008).
+Elsewhere, and where ``a ∧ ¬b`` falls outside the translatable fragment, it
+is ``entails_bounded``: the desk-scale check that sweeps all pointed models
+up to a size bound, smallest first, and returns the first countermodel it
+meets.  ``entails_bounded`` also validates interpolants and serves as the
+oracle for ``entails``.
 """
 
 from __future__ import annotations
 
-from .coalgebra import PointedModel, canonical_models
+from .automata import nonemptiness_game, normalize, witness_coalgebra
+from .coalgebra import PointedModel, canonical_models, check_sweep_cap
 from .functors import POWERSET, FunctorDescriptor
 from .logic import Formula, eval_formula, free_props, mk_and, mk_neg
 from .projection import project_automaton
-from .translation import automaton_to_formula, formula_to_automaton
+from .translation import UnsupportedFragment, automaton_to_formula, formula_to_automaton
 
 
 def _functor_for(f: Formula, functor=None) -> FunctorDescriptor:
@@ -90,3 +97,49 @@ def entails_bounded(
                 if s in ext:
                     return False, PointedModel(M, s)
     return True, None
+
+
+def entails(
+    a: Formula,
+    b: Formula,
+    max_states: int = 3,
+    functor: FunctorDescriptor = None,
+):
+    """Whether ``a`` entails ``b``; returns ``(True, None)`` or ``(False, countermodel)``.
+
+    Over powerset, when ``a ∧ ¬b`` translates to an automaton, the verdict is
+    exact: the entailment holds iff the existential player loses the initial
+    state of the automaton's nonemptiness game.  Then ``max_states`` bounds
+    only what the answer reports.  A failed entailment returns the countermodel
+    of ``entails_bounded(a, b, max_states)``, or, when no model of at most
+    ``max_states`` states refutes it, the game's strategy model pointed at the
+    initial state, which may be larger.  A holding entailment raises
+    CapExceeded exactly where the sweep would: at the first size up to
+    ``max_states`` past the enumeration cap.
+
+    Every other input (other functors, or ``a ∧ ¬b`` outside the fragment)
+    gets the result of ``entails_bounded``.  Over powerset, a formula whose
+    fixpoint variable occurs negatively raises ValueError, as the
+    translation does.
+    """
+    F = _functor_for(mk_and(a, b), functor)
+    if F != POWERSET:
+        return entails_bounded(a, b, max_states, F)
+    props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
+    witness = mk_and(a, mk_neg(b))
+    try:
+        aut = normalize(formula_to_automaton(witness, functor=F, props=props))
+    except UnsupportedFragment:
+        return entails_bounded(a, b, max_states, F)
+    arena, sol = nonemptiness_game(aut)
+    if arena.index(("state", aut.initial)) not in sol.win_e:
+        for n in range(1, max_states + 1):
+            check_sweep_cap(F, props, n)
+        return True, None
+    ok, cm = entails_bounded(a, b, max_states, F)
+    if not ok:
+        return ok, cm
+    model = witness_coalgebra(aut).model
+    if aut.initial not in eval_formula(model, witness):
+        raise AssertionError("the strategy model does not refute the entailment")
+    return False, PointedModel(model, aut.initial)

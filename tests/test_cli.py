@@ -258,6 +258,18 @@ def test_entails_beyond_the_enumeration_cap_exits_2(capsys):
     assert code == 2 and out == "" and "cap" in err
 
 
+def test_entails_refutes_past_the_max_model_size(capsys):
+    # no countermodel has at most 3 states; the game's strategy model is printed
+    a = "mu x. nu y. nabla {\\/{(p /\\ y), x}, true}"
+    b = "nabla {nabla {p, true}, true}"
+    code, out, _ = run(capsys, "entails", a, b, "--format", "structured")
+    assert code == 1 and '"holds":false' in out
+    cm = parse_model(json.loads(out)["countermodel"])
+    assert len(cm.model.states) > 3
+    assert satisfies(cm, parse_formula(a, POWERSET))
+    assert not satisfies(cm, parse_formula(b, POWERSET))
+
+
 # --------------------------------------------------------------------------
 # selftest and determinism
 

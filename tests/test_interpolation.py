@@ -5,12 +5,16 @@ import itertools
 import pytest
 
 from formula_corpus import TRANSLATION_CORPUS
+from helpers import brute_eval_formula
 
 from nablamu import (
+    IDENTITY,
     MONOTONE,
     POWERSET,
+    CapExceeded,
     canonical_models,
     canonical_pointed_models,
+    eval_formula,
     free_props,
     mk_and,
     mk_neg,
@@ -18,7 +22,12 @@ from nablamu import (
     satisfies,
     up_to_p_bisimilar,
 )
-from nablamu.interpolation import entails_bounded, exists_p, uniform_interpolant
+from nablamu.interpolation import (
+    entails,
+    entails_bounded,
+    exists_p,
+    uniform_interpolant,
+)
 from nablamu.projection import construct_projection_witness
 from nablamu.translation import UnsupportedFragment, formula_to_automaton
 
@@ -156,6 +165,101 @@ def test_entails_bounded_stops_at_the_first_countermodel(monkeypatch):
     assert not ok and cm.model.props == ("p", "q")
     assert satisfies(cm, pf("(q /\\ ~p)"))
     assert sizes == [1]
+
+
+# --------------------------------------------------------------------------
+# Exact entailment by the nonemptiness game
+
+# fails, but only on models of more than 3 states: the 4-state chain
+# s→t→u→v with a loop on v and p true only at v is a countermodel
+DEEP_PAIR = (
+    "mu x. nu y. nabla {\\/{(p /\\ y), x}, true}",
+    "nabla {nabla {p, true}, true}",
+)
+
+
+def refutes(P, a, b) -> bool:
+    """Whether the pointed model satisfies a ∧ ¬b under both evaluators."""
+    witness = mk_and(a, mk_neg(b))
+    return (
+        P.point in eval_formula(P.model, witness)
+        and P.point in brute_eval_formula(P.model, witness)
+    )
+
+
+def test_entails_refutes_beyond_the_sweep():
+    a, b = (pf(src) for src in DEEP_PAIR)
+    # the oracle's known blind spot: no countermodel of at most 3 states
+    assert entails_bounded(a, b, 3) == (True, None)
+    ok, P = entails(a, b, 3)
+    assert not ok and len(P.model.states) > 3
+    assert refutes(P, a, b)
+
+
+def test_entails_agrees_with_the_sweep_on_the_corpus():
+    # every other ordered pair of the translation corpus
+    formulas = [pf(src) for src in TRANSLATION_CORPUS]
+    pairs = list(itertools.product(formulas, repeat=2))[::2]
+    beyond = 0
+    for a, b in pairs:
+        got, oracle = entails(a, b, 2), entails_bounded(a, b, 2)
+        if not oracle[0]:
+            assert got == oracle, (a, b)
+        elif not got[0]:
+            assert refutes(got[1], a, b), (a, b)
+            beyond += 1
+    assert beyond > 0
+
+
+def test_entails_outside_the_fragment_is_the_sweep():
+    untranslatable = [
+        (pf("mu x. (p \\/ nabla {x})"), pf("mu x. (p \\/ nabla {x, true})")),
+        (pf("mu x. (p \\/ nabla {x, true})"), pf("mu x. (q \\/ nabla {x})")),
+        (parse_formula("nabla {{p}}", MONOTONE), parse_formula("p", MONOTONE)),
+        (parse_formula("nabla {{p, q}}", MONOTONE), parse_formula("nabla {{p}}", MONOTONE)),
+        (parse_formula("nabla id: p", IDENTITY), parse_formula("p", IDENTITY)),
+        (
+            parse_formula("mu x. (p \\/ nabla id: x)", IDENTITY),
+            parse_formula("nabla id: p", IDENTITY),
+        ),
+    ]
+    for a, b in untranslatable[:2]:
+        with pytest.raises(UnsupportedFragment):
+            formula_to_automaton(mk_and(a, mk_neg(b)), functor=POWERSET)
+    for a, b in untranslatable:
+        for n in (1, 2):
+            assert entails(a, b, n) == entails_bounded(a, b, n), (a, b, n)
+    # a modality-free pair over a functor given explicitly is swept too
+    a, b = pf("(p \\/ q)"), pf("p")
+    assert entails(a, b, 2, MONOTONE) == entails_bounded(a, b, 2, MONOTONE)
+
+
+def test_exact_holds_sweeps_no_models(monkeypatch):
+    import nablamu.automata as automata
+    import nablamu.coalgebra as coalgebra
+    import nablamu.interpolation as interpolation
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return canonical_models(*args)
+
+    for module in (coalgebra, automata, interpolation):
+        monkeypatch.setattr(module, "canonical_models", counting)
+    a, b = pf("nabla {p}"), pf("mu x. (p \\/ nabla {x, true})")
+    assert entails(a, b, 3) == (True, None)
+    assert calls == []
+
+
+def test_exact_holds_raises_the_sweeps_cap_error():
+    a, b = pf("(p /\\ q)"), pf("p")
+    with pytest.raises(CapExceeded) as swept:
+        entails_bounded(a, b, 4)
+    with pytest.raises(CapExceeded) as exact:
+        entails(a, b, 4)
+    assert str(exact.value) == str(swept.value)
+    assert entails(a, b, 3) == (True, None)
 
 
 # --------------------------------------------------------------------------
