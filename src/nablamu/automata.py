@@ -22,12 +22,12 @@ from .coalgebra import ColoredModel, PointedModel, canonical_models
 from .coalgebra import coproduct as model_coproduct
 from .functors import (
     FunctorDescriptor,
+    Relation,
     base,
     canon_key,
     enumerate_t,
     functor_tag,
     lift_member,
-    minimal_witnesses,
     parse_functor,
     parse_telem,
     render_telem,
@@ -393,10 +393,11 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
 
     Sweeps the canonical models of at most ``bound`` states over the
     automaton's vocabulary once, in order, and maps each element φ to the
-    first ``(M, τ, Z)`` found: ``τ ∈ T(M.states)`` and ``Z`` a minimal
-    witness for ``(τ, φ)`` inside the winning pairs of the acceptance game
-    on ``M``.  Elements no such model realizes map to ``None``.  The sweep
-    stops as soon as every element is realized.
+    first ``(M, τ, Z)`` found: ``τ ∈ T(M.states)`` whose lifting of the
+    winning pairs W of the acceptance game on ``M`` reaches φ, and
+    ``Z = W ∩ (base(τ) × base(φ))``.  By support restriction that Z is a
+    witness for ``(τ, φ)`` inside W.  Elements no such model realizes map to
+    ``None``.  The sweep stops as soon as every element is realized.
 
     Used only for functors with a monotone part, where the nonemptiness game
     is not exact.
@@ -413,10 +414,9 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
             for phi in todo:
                 tau = next((t for t in taus if lift_member(F, W, t, phi)), None)
                 if tau is not None:
-                    Z = next(
-                        z for z in minimal_witnesses(F, tau, phi) if z.pairs <= W
-                    )
-                    found[phi] = (M, tau, Z)
+                    dom, cod = base(F, tau), base(F, phi)
+                    Z = frozenset((t, b) for t, b in W if t in dom and b in cod)
+                    found[phi] = (M, tau, Relation(dom, cod, Z))
             todo = [phi for phi in todo if found[phi] is None]
     return MappingProxyType(found)
 

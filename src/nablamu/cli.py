@@ -27,7 +27,13 @@ from .coalgebra import (
 from .functors import DEFAULT_CAP, CapExceeded, functor_tag, parse_functor
 from .interpolation import entails, entails_bounded, uniform_interpolant
 from .laxcheck import check_lax_axioms, check_support_restriction
-from .logic import eval_formula, free_props, parse_formula, render_formula
+from .logic import (
+    eval_formula,
+    free_props,
+    parse_formula,
+    render_formula,
+    validate_monotone,
+)
 from .parsing import ParseError
 from .projection import project_automaton
 from .translation import UnsupportedFragment, automaton_to_formula, formula_to_automaton
@@ -70,6 +76,7 @@ def _formula_text(args) -> str:
 def cmd_check(args) -> int:
     M, point = _load_model(args.model)
     f = parse_formula(_formula_text(args), M.functor)
+    validate_monotone(f)
     extension = eval_formula(M, f)
     ext = sorted(extension)
     sat = point in extension

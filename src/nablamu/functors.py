@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .parsing import Cursor
 
@@ -358,18 +357,17 @@ def t_map(F: FunctorDescriptor, f, t):
 # Lifting membership
 
 
-class _LiftedPairs:
-    """The lifting of a relation by an inner functor, as a lazy pair container."""
+class _FnPairs:
+    """A lazy pair container whose membership test is a function call."""
 
-    __slots__ = ("functor", "pairs")
+    __slots__ = ("fn",)
 
-    def __init__(self, functor: FunctorDescriptor, pairs):
-        self.functor = functor
-        self.pairs = pairs
+    def __init__(self, fn):
+        self.fn = fn
 
     def __contains__(self, pair) -> bool:
-        u, v = pair
-        return _lift_member(self.functor, self.pairs, u, v)
+        x, y = pair
+        return self.fn(x, y)
 
 
 def _lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
@@ -400,60 +398,14 @@ def _lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
             return False
         return _lift_member(F.parts[0 if t1[0] == "inl" else 1], pairs, t1[1], t2[1])
     outer, inner = F.parts
-    return _lift_member(outer, _LiftedPairs(inner, pairs), t1, t2)
+    return _lift_member(
+        outer, _FnPairs(lambda u, v: _lift_member(inner, pairs, u, v)), t1, t2
+    )
 
 
 def lift_member(F: FunctorDescriptor, R, t1, t2) -> bool:
     """Whether ``(t1, t2)`` belongs to the lifting of ``R`` for functor ``F``."""
     return _lift_member(F, _pairset(R), t1, t2)
-
-
-# --------------------------------------------------------------------------
-# Minimal witnesses
-
-
-def _all_minimal(items: tuple, pred):
-    """All ⊆-minimal subsets of ``items`` satisfying a monotone predicate."""
-    if pred(frozenset()):
-        return [frozenset()]
-    if not items or not pred(frozenset(items)):
-        return []
-    e, rest = items[0], items[1:]
-    out = _all_minimal(rest, pred)
-    single = frozenset((e,))
-    for S in _all_minimal(rest, lambda A: pred(A | single)):
-        if not pred(S):
-            out.append(S | single)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def minimal_witnesses(F: FunctorDescriptor, t1, t2, cap: int = DEFAULT_CAP) -> tuple:
-    """All ⊆-minimal relations ``Z ⊆ base(t1) × base(t2)`` lifting to ``(t1, t2)``.
-
-    Results are cached in a bounded LRU cache: payloads are carrier-free, so
-    the answer depends only on the functor and the two payloads.  Empty iff
-    no witness exists.
-    """
-    dom = base(F, t1)
-    cod = base(F, t2)
-    ground = tuple(sorted(itertools.product(
-        sorted(dom, key=canon_key), sorted(cod, key=canon_key)
-    ), key=canon_key))
-
-    memo: dict = {}
-
-    def pred(S: frozenset) -> bool:
-        got = memo.get(S)
-        if got is None:
-            got = memo[S] = _lift_member(F, S, t1, t2)
-        return got
-
-    found = _all_minimal(ground, pred)
-    if len(found) > cap:
-        raise CapExceeded(f"more than {cap} minimal witnesses")
-    found.sort(key=canon_key)
-    return tuple(Relation(dom, cod, Z) for Z in found)
 
 
 # --------------------------------------------------------------------------

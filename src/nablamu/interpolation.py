@@ -25,7 +25,14 @@ from __future__ import annotations
 from .automata import nonemptiness_game, normalize, witness_coalgebra
 from .coalgebra import PointedModel, canonical_models, check_sweep_cap
 from .functors import POWERSET, FunctorDescriptor
-from .logic import Formula, eval_formula, free_props, mk_and, mk_neg
+from .logic import (
+    Formula,
+    eval_formula,
+    free_props,
+    mk_and,
+    mk_neg,
+    validate_monotone,
+)
 from .projection import project_automaton
 from .translation import UnsupportedFragment, automaton_to_formula, formula_to_automaton
 
@@ -62,8 +69,11 @@ def uniform_interpolant(
     """The strongest consequence of ``f`` using only the propositions in ``keep``.
 
     Exact for functors with a functorial lifting; ``bound`` caps the
-    realizing models only where a monotone part is present.
+    realizing models only where a monotone part is present.  Raises
+    ValueError when a fixpoint variable of ``f`` occurs negatively, even if
+    no proposition is projected.
     """
+    validate_monotone(f)
     F = _functor_for(f, functor)
     out = f
     for p in sorted(set(free_props(f)) - set(keep)):
@@ -118,10 +128,11 @@ def entails(
     ``max_states`` past the enumeration cap.
 
     Every other input (other functors, or ``a ∧ ¬b`` outside the fragment)
-    gets the result of ``entails_bounded``.  Over powerset, a formula whose
-    fixpoint variable occurs negatively raises ValueError, as the
-    translation does.
+    gets the result of ``entails_bounded``.  A formula whose fixpoint
+    variable occurs negatively raises ValueError.
     """
+    validate_monotone(a)
+    validate_monotone(b)
     F = _functor_for(mk_and(a, b), functor)
     if F != POWERSET:
         return entails_bounded(a, b, max_states, F)

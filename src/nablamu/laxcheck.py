@@ -286,8 +286,9 @@ def check_support_restriction(
     """Verify that lifting membership depends only on the supports.
 
     For every relation R and elements τ, ρ: (τ, ρ) ∈ LR iff
-    (τ, ρ) ∈ L(R ∩ (base(τ) × base(ρ))).  This is what makes minimal-witness
-    search over base(τ) × base(ρ) complete.
+    (τ, ρ) ∈ L(R ∩ (base(τ) × base(ρ))).  This is what makes the winning
+    pairs W of an acceptance game, restricted to base(τ) × base(ρ), a
+    witness for every pair (τ, ρ) in the lifting of W.
     """
     telems, index, rows = _tables(F, carrier_bound, cap)
     fail = None

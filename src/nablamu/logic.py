@@ -259,6 +259,10 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
     ``env`` optionally overrides the extension of free atoms (used during
     fixpoint iteration; overriding a proposition is also allowed).
 
+    Precondition: every fixpoint variable of ``f`` occurs only positively
+    (:func:`validate_monotone`).  Otherwise the iteration need not reach a
+    fixpoint and may never terminate.
+
     Fixpoints are computed by Knaster–Tarski iteration, and each ∇ node is
     re-evaluated incrementally.  The node keeps the set ``sat`` of pairs
     ``(t, b)`` (t satisfies the argument b) from its last evaluation

@@ -28,27 +28,14 @@ from .coalgebra import ColoredModel, PointedModel, up_to_p_bisimilar
 from .functors import (
     FunctorDescriptor,
     _antichain_min,
+    _FnPairs,
     _lift_member,
     _pairset,
     base,
     canon_key,
     lift_member,
-    minimal_witnesses,
     t_map,
 )
-
-
-class _FnPairs:
-    """A pair container whose membership test is a function call."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __contains__(self, pair):
-        x, y = pair
-        return self.fn(x, y)
 
 
 def qf_middle(
@@ -258,6 +245,22 @@ def _committed_pairs(arena, strat, j) -> frozenset:
     return frozenset(out)
 
 
+def _shrink_witness(F: FunctorDescriptor, pairs, tau, phi) -> frozenset:
+    """A ⊆-minimal subset of ``pairs`` whose lifting still relates ``tau`` to
+    ``phi``, given that ``pairs`` itself does.
+
+    One pass in ``canon_key`` order drops each pair the lifting can do
+    without.  Every lifting is monotone in the relation, so a pair kept
+    once can never be dropped later, and the result is minimal.
+    """
+    Z = set(pairs)
+    for pair in sorted(pairs, key=canon_key):
+        Z.discard(pair)
+        if not _lift_member(F, Z, tau, phi):
+            Z.add(pair)
+    return frozenset(Z)
+
+
 def construct_projection_witness(
     aut: Automaton, P: PointedModel, p: str, bound: int = 3
 ) -> PointedModel:
@@ -268,10 +271,10 @@ def construct_projection_witness(
     and that is bisimilar to ``P`` up to ``p``.  Its states are the pairs of
     a model state and an automaton state that E's winning strategy reaches
     from the point, plus the witness-coalgebra states their middles mention.
-    At a pair (s, a) the strategy picks an element φ; the relation Z behind
-    the step is the first ⊆-minimal witness for (σ(s), φ) made of pairs the
-    strategy can reach next through the unfolded lifting, so every play the
-    witness allows is one the strategy wins.
+    At a pair (s, a) the strategy picks an element φ.  The pairs the
+    strategy can reach next through the unfolded lifting prove (σ(s), φ), so
+    the relation Z behind the step is a ⊆-minimal subset of them that still
+    does, and every play the witness allows is one the strategy wins.
     Raises ValueError if the projection rejects ``P``; both claims about the
     result are re-verified and failures raise AssertionError.
     """
@@ -313,10 +316,7 @@ def construct_projection_witness(
             _, s, a = tok
             j = strat[arena.index(("state", s, a))]
             _, tau, phi = arena.positions[j]
-            committed = _committed_pairs(arena, strat, j)
-            Zpairs = next(
-                Z.pairs for Z in minimal_witnesses(F, tau, phi) if Z.pairs <= committed
-            )
+            Zpairs = _shrink_witness(F, _committed_pairs(arena, strat, j), tau, phi)
             covered = {t for t, _ in Zpairs}
             Zp = set(Zpairs) | {(t, att) for t in M.states if t not in covered}
             R1 = frozenset((t, ("m", t, b)) for t, b in Zp)

@@ -381,7 +381,6 @@ def brute_build_arena(aut, M, pairs=None):
     """The acceptance game as first defined: at ('elem', τ, φ) the existential
     player picks a ⊆-minimal witness relation Z, at ('rel', Z) the universal
     player picks a pair of Z, which leads to its ('state', t, b) position."""
-    from nablamu import minimal_witnesses
     from nablamu.games import Arena
 
     if pairs is None:
@@ -412,10 +411,8 @@ def brute_build_arena(aut, M, pairs=None):
             succ = [intern(("elem", M.sigma_of(s), phi)) for phi in aut.delta_of(a, c)]
         elif pos[0] == "elem":
             _, tau, phi = pos
-            succ = [
-                intern(("rel", Z.pairs))
-                for Z in minimal_witnesses(aut.functor, tau, phi)
-            ]
+            witnesses = brute_minimal_witnesses(aut.functor, tau, phi)
+            succ = [intern(("rel", Z)) for Z in sorted(witnesses, key=canon_key)]
         else:
             succ = [intern(("state", t, b)) for t, b in sorted(pos[1], key=canon_key)]
         moves[index[pos]] = tuple(succ)

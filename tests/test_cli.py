@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -87,6 +89,24 @@ def test_check_malformed_formula(write, capsys):
     model = write("m.model", LOOP_P)
     code, _, err = run(capsys, "check", model, "p /\\")
     assert code == 2 and err
+
+
+def test_negative_fixpoint_variable_exits_2(write):
+    # such a fixpoint need not exist, and evaluating it would not terminate;
+    # the subprocess timeout turns a hang into a failure
+    model = write("m.model", LOOP_NOP)
+    for argv in (
+        ("check", model, "mu x. (p \\/ ~nabla {x})"),
+        ("entails", "mu x. (p \\/ ~nabla {{x}})", "p", "--functor", "monotone"),
+        ("interpolate", "mu x. (p \\/ ~nabla {x})", "--keep", "p"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "nablamu.cli", *argv],
+            capture_output=True,
+            timeout=30,
+        )
+        assert done.returncode == 2, argv
+        assert b"occurs negatively" in done.stderr, argv
 
 
 def test_check_missing_file(capsys):

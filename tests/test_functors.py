@@ -1,5 +1,6 @@
-"""Functor kernel: enumeration, mapping, support, liftings, minimal witnesses."""
+"""Functor kernel: enumeration, mapping, support, liftings."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,6 @@ from nablamu import (
     enumerate_t,
     functor_tag,
     lift_member,
-    minimal_witnesses,
     parse_functor,
     parse_telem,
     product,
@@ -31,6 +31,7 @@ from nablamu import (
     t_map,
 )
 from nablamu.parsing import Cursor, ParseError
+from nablamu.projection import _shrink_witness
 
 from helpers import (
     CARRIER,
@@ -111,14 +112,6 @@ def test_lift_powerset_example():
     assert lift_member(POWERSET, {}, fs(), fs())
 
 
-def test_minimal_witnesses_values():
-    ws = minimal_witnesses(POWERSET, fs({"x"}), fs({"a", "b"}))
-    assert [w.pairs for w in ws] == [fs({("x", "a"), ("x", "b")})]
-    ws = minimal_witnesses(POWERSET, fs(), fs())
-    assert [w.pairs for w in ws] == [fs()]
-    assert minimal_witnesses(POWERSET, fs(), fs({"a"})) == ()
-
-
 # --------------------------------------------------------------------------
 # Oracle comparisons
 
@@ -134,30 +127,33 @@ def test_base_is_least_support(name):
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
-def test_minimal_witnesses_against_full_search(name):
+def test_shrunk_witness_against_full_search(name):
+    # from base × base and from random supersets that lift, the shrink keeps
+    # a subset of its input that lifts and is a minimal witness
     F = SHAPES[name]
-    xs = ("x", "y")
-    elems = enumerate_t(F, xs)
+    elems = enumerate_t(F, ("x", "y"))
+    rng = random.Random(7)
     if len(elems) <= 8:
         pairs = [(t1, t2) for t1 in elems for t2 in elems]
     else:
-        rng = random.Random(7)
         pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(40)]
+    # a third carrier element gives the shrink more pairs to drop
+    xs = ("x", "y", "z")
+    pairs += [(random_telem(F, xs, rng), random_telem(F, xs, rng)) for _ in range(40)]
     for t1, t2 in pairs:
-        got = {w.pairs for w in minimal_witnesses(F, t1, t2)}
-        want = brute_minimal_witnesses(F, t1, t2)
-        assert got == want, (render_telem(F, t1), render_telem(F, t2))
-
-
-@pytest.mark.parametrize("name", sorted(SHAPES))
-def test_witnesses_lift_and_nothing_smaller_does(name):
-    F = SHAPES[name]
-    for t1 in sample_telems(F, ("x", "y"), 10, seed=3):
-        for t2 in sample_telems(F, ("x", "y"), 10, seed=4):
-            for w in minimal_witnesses(F, t1, t2):
-                assert lift_member(F, w, t1, t2)
-                for p in w.pairs:
-                    assert not lift_member(F, w.pairs - {p}, t1, t2)
+        ground = fs(itertools.product(base(F, t1), base(F, t2)))
+        if not lift_member(F, ground, t1, t2):
+            continue
+        minimal = brute_minimal_witnesses(F, t1, t2)
+        starts = [ground] + [
+            fs(rng.sample(sorted(ground, key=canon_key), k)) | Z
+            for Z in sorted(minimal, key=canon_key)
+            for k in (0, len(ground) // 2)
+        ]
+        for start in starts:
+            Z = _shrink_witness(F, start, t1, t2)
+            assert Z <= start and lift_member(F, Z, t1, t2)
+            assert Z in minimal, (render_telem(F, t1), render_telem(F, t2))
 
 
 # --------------------------------------------------------------------------
