@@ -127,7 +127,7 @@ def test_base_is_least_support(name):
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
-def test_shrunk_witness_against_full_search(name):
+def test_minimal_witnesses_against_full_search(name):
     # from base × base and from random supersets that lift, the shrink keeps
     # a subset of its input that lifts and is a minimal witness
     F = SHAPES[name]
@@ -154,6 +154,22 @@ def test_shrunk_witness_against_full_search(name):
             Z = _shrink_witness(F, start, t1, t2)
             assert Z <= start and lift_member(F, Z, t1, t2)
             assert Z in minimal, (render_telem(F, t1), render_telem(F, t2))
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_witnesses_lift_and_nothing_smaller_does(name):
+    # without the brute-force oracle: the shrink of base × base lifts, and
+    # dropping any one of its pairs breaks the lifting
+    F = SHAPES[name]
+    for t1 in sample_telems(F, ("x", "y"), 10, seed=3):
+        for t2 in sample_telems(F, ("x", "y"), 10, seed=4):
+            ground = fs(itertools.product(base(F, t1), base(F, t2)))
+            if not lift_member(F, ground, t1, t2):
+                continue
+            Z = _shrink_witness(F, ground, t1, t2)
+            assert lift_member(F, Z, t1, t2)
+            for p in Z:
+                assert not lift_member(F, Z - {p}, t1, t2)
 
 
 # --------------------------------------------------------------------------
