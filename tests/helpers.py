@@ -16,12 +16,18 @@ from nablamu import (
     MONOTONE,
     POWERSET,
     FunctorDescriptor,
+    PointedModel,
     base,
     canon_key,
+    canonical_models,
     compose,
     constant,
     coproduct,
+    eval_formula,
+    free_props,
     lift_member,
+    mk_and,
+    mk_neg,
     product,
 )
 
@@ -170,6 +176,25 @@ def brute_canonical_models(F, props, n):
                     best = (key, tuple(new_sigma), tuple(new_gamma))
             out.setdefault(best[0], ColoredModel(F, props, states, best[1], best[2]))
     return tuple(out[k] for k in sorted(out))
+
+
+def brute_entails_bounded(a, b, max_states=3, functor=None):
+    """Bounded entailment by one ``eval_formula`` call per model: the sweep
+    of ``interpolation.entails_bounded`` before it evaluated batches of
+    models on their disjoint union.  Returns ``(True, None)`` or the first
+    countermodel by size, then model order, then state order."""
+    from nablamu.interpolation import _functor_for
+
+    F = _functor_for(mk_and(a, b), functor)
+    props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
+    witness = mk_and(a, mk_neg(b))
+    for n in range(1, max_states + 1):
+        for M in canonical_models(F, props, n):
+            ext = eval_formula(M, witness)
+            for s in M.states:
+                if s in ext:
+                    return False, PointedModel(M, s)
+    return True, None
 
 
 def brute_greatest_bisimulation(M1, M2, Q=None):

@@ -1,17 +1,19 @@
 """Uniform interpolation: projection of formulas, bounded entailment."""
 
 import itertools
+import random
 
 import pytest
 
-from formula_corpus import TRANSLATION_CORPUS
-from helpers import brute_eval_formula
+from formula_corpus import TRANSLATION_CORPUS, random_guarded_formula
+from helpers import SHAPES, brute_entails_bounded, brute_eval_formula
 
 from nablamu import (
     IDENTITY,
     MONOTONE,
     POWERSET,
     CapExceeded,
+    PointedModel,
     canonical_models,
     canonical_pointed_models,
     eval_formula,
@@ -22,6 +24,7 @@ from nablamu import (
     satisfies,
     up_to_p_bisimilar,
 )
+from nablamu.coalgebra import check_sweep_cap
 from nablamu.interpolation import (
     entails,
     entails_bounded,
@@ -165,6 +168,97 @@ def test_entails_bounded_stops_at_the_first_countermodel(monkeypatch):
     assert not ok and cm.model.props == ("p", "q")
     assert satisfies(cm, pf("(q /\\ ~p)"))
     assert sizes == [1]
+
+
+def _largest_swept_size(F, props):
+    n = 1
+    while True:
+        try:
+            check_sweep_cap(F, props, n + 1)
+        except CapExceeded:
+            return n
+        n += 1
+
+
+def test_entails_bounded_matches_per_model_sweep():
+    # every 7th ordered corpus pair at 3 states; two-prop slices of that
+    # size hold 5,728 models, so a holding pair sweeps 179 batches
+    formulas = [pf(src) for src in TRANSLATION_CORPUS]
+    held_two_prop = failed = 0
+    for a, b in list(itertools.product(formulas, repeat=2))[::7]:
+        got = entails_bounded(a, b, 3)
+        assert got == brute_entails_bounded(a, b, 3), (a, b)
+        held_two_prop += got[0] and len(set(free_props(a)) | set(free_props(b))) == 2
+        failed += not got[0]
+    assert held_two_prop > 0 and failed > 0
+    # random guarded formulas over every shape, swept to the largest size
+    # under the cap; const gets two props, because with one it allows 9
+    # states, whose enumeration alone takes about a minute
+    rng = random.Random(10)
+    for name, F in SHAPES.items():
+        props = ("p", "q") if name == "const" else ("p",)
+        n = _largest_swept_size(F, props)
+        for _ in range(10):
+            a = random_guarded_formula(rng, F, props, 3)
+            b = random_guarded_formula(rng, F, props, 3)
+            got = entails_bounded(a, b, n, F)
+            assert got == brute_entails_bounded(a, b, n, F), (name, a, b)
+
+
+def test_entails_bounded_batch_boundaries(monkeypatch):
+    import helpers
+    import nablamu.interpolation as interpolation
+
+    K = interpolation._BATCH
+    a, b = pf("q"), pf("(p /\\ q)")
+    witness = mk_and(a, mk_neg(b))
+    models = canonical_models(POWERSET, ("p", "q"), 3)
+    holding = [M for M in models if not eval_formula(M, witness)]
+    # refuted at its last state only, so the point must be mapped back right
+    counter = next(M for M in models if eval_formula(M, witness) == {M.states[-1]})
+    fill = holding[: 3 * K + 4]
+    for j in (0, K - 1, K, K + 1, len(fill)):
+        models_slice = tuple(fill[:j] + [counter] + fill[j:])
+        evaluated = []
+
+        def fake(F, props, n):
+            return models_slice
+
+        def counting(M, f):
+            evaluated.append(len(M.states))
+            return eval_formula(M, f)
+
+        monkeypatch.setattr(interpolation, "canonical_models", fake)
+        monkeypatch.setattr(helpers, "canonical_models", fake)
+        monkeypatch.setattr(interpolation, "eval_formula", counting)
+        got = entails_bounded(a, b, 1)
+        assert got == (False, PointedModel(counter, counter.states[-1])), j
+        assert got[1].model is counter
+        assert got == brute_entails_bounded(a, b, 1), j
+        # whole batches up to the countermodel's, and none after it
+        assert len(evaluated) == j // K + 1, j
+        assert sum(evaluated) == 3 * min((j // K + 1) * K, len(models_slice)), j
+
+
+def test_entails_bounded_evaluates_each_batch_once(monkeypatch):
+    import nablamu.interpolation as interpolation
+
+    sizes, calls = [], []
+
+    def enumerating(F, props, n):
+        sizes.append(n)
+        return canonical_models(F, props, n)
+
+    def counting(M, f):
+        calls.append(sizes[-1])
+        return eval_formula(M, f)
+
+    monkeypatch.setattr(interpolation, "canonical_models", enumerating)
+    monkeypatch.setattr(interpolation, "eval_formula", counting)
+    assert entails_bounded(pf("nabla {p}"), pf("nabla {p, true}"), 3) == (True, None)
+    K = interpolation._BATCH
+    batches = [-(-len(canonical_models(POWERSET, ("p",), n)) // K) for n in (1, 2, 3)]
+    assert [calls.count(n) for n in (1, 2, 3)] == batches
 
 
 # --------------------------------------------------------------------------
