@@ -253,80 +253,146 @@ def subst(f: Formula, var: str, repl: Formula) -> Formula:
 # Semantics
 
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _MaskPairs:
+    """The pairs ``(t, b)`` with state t in the extension of argument b, read
+    from the arguments' bitsets: the relation a ∇ node hands to the lifting."""
+
+    __slots__ = ("index", "masks")
+
+    def __init__(self, index: dict, masks: dict):
+        self.index = index
+        self.masks = masks
+
+    def __contains__(self, pair) -> bool:
+        t, b = pair
+        return self.masks[b] >> self.index[t] & 1
+
+
 def eval_formula(M, f: Formula, env=None) -> frozenset:
     """The set of states of ``M`` satisfying ``f``.
 
     ``env`` optionally overrides the extension of free atoms (used during
-    fixpoint iteration; overriding a proposition is also allowed).
+    fixpoint iteration; overriding a proposition is also allowed).  An
+    extension naming something that is not a state of ``M`` raises
+    ValueError.
 
     Precondition: every fixpoint variable of ``f`` occurs only positively
     (:func:`validate_monotone`).  Otherwise the iteration need not reach a
     fixpoint and may never terminate.
 
-    Fixpoints are computed by Knaster–Tarski iteration, and each ∇ node is
-    re-evaluated incrementally.  The node keeps the set ``sat`` of pairs
-    ``(t, b)`` (t satisfies the argument b) from its last evaluation
-    together with the states it found.  Whether s lies in ∇α depends only on
-    the pairs ``(t, b)`` with t ∈ base(σ(s)): the lifting of every functor
-    kind reads no other pair.  So when ``sat`` changes, only the
-    predecessors of the states in the symmetric difference are re-checked,
-    and every other state keeps its verdict.  This compares the two ``sat``
-    sets only, so it is exact whatever the direction of the iteration
-    (ν is encoded as ¬μ¬) and under ``env`` overrides.
-    """
-    states = frozenset(M.states)
-    memo: dict = {}
-    last: dict = {}
-    preds = None  # t ↦ [s | t ∈ base(σ(s))], built at the first re-check
-    env = {k: frozenset(v) for k, v in (env or {}).items()}
+    State sets are Python ints used as bitsets: bit i stands for
+    ``M.states[i]``.  ¬, ⋁ and the fixpoint test are ``^``, ``|`` and
+    ``==`` on ints, and a node's memo key is the node with the bitsets of
+    its free names.  Fixpoints are computed by Knaster–Tarski iteration.
 
-    def ev(g: Formula, env: dict) -> frozenset:
-        nonlocal preds
-        key = (
-            g,
-            tuple(sorted((v, env[v]) for v in free_props(g) if v in env)),
-        )
+    A powerset ∇α is decided by the Egli–Milner lifting on bitsets: with
+    ``succ`` the bitset of σ(s), s ∈ ∇α iff ``succ`` lies inside the union
+    of the arguments' extensions and meets the extension of every argument.
+    Every other functor asks :func:`lift_member` with the pairs ``(t, b)``
+    read from the arguments' bitsets.
+
+    Each ∇ node is re-evaluated incrementally.  The node keeps its
+    arguments' extensions and the states it found at its last evaluation.
+    Whether s lies in ∇α depends only on whether t satisfies b for
+    t ∈ base(σ(s)) and b ∈ base(α): the lifting of every functor kind reads
+    no other pair.  So when the arguments' extensions change, only the
+    predecessors of the states whose membership changed in some argument
+    are re-checked, and every other state keeps its verdict.  This compares
+    the old and new extensions only, so it is exact whatever the direction
+    of the iteration (ν is encoded as ¬μ¬) and under ``env`` overrides.
+    """
+    states = M.states
+    index = {s: i for i, s in enumerate(states)}
+    full = (1 << len(states)) - 1
+    masks = {}
+    for name, ext in (env or {}).items():
+        mask = 0
+        for s in ext:
+            if s not in index:
+                raise ValueError(
+                    f"env extension of {name!r} names {s!r}, which is not a "
+                    f"state of the model"
+                )
+            mask |= 1 << index[s]
+        masks[name] = mask
+    names: dict = {}  # node ↦ its free names, sorted
+    memo: dict = {}
+    last: dict = {}  # ∇ node ↦ (argument bitsets, result) of its last evaluation
+    succ = None  # bitsets of the bases of the successor structures
+    preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, built at the first re-check
+
+    def ev(g: Formula, env: dict) -> int:
+        nonlocal succ, preds
+        free = names.get(g)
+        if free is None:
+            free = names[g] = tuple(sorted(free_props(g)))
+        key = (g, tuple(map(env.get, free)))
         got = memo.get(key)
         if got is not None:
             return got
         if isinstance(g, Atom):
-            if g.name in env:
-                out = env[g.name]
-            else:
-                out = frozenset(s for s in M.states if g.name in M.gamma_of(s))
+            out = env.get(g.name)
+            if out is None:
+                out = 0
+                for i, colors in enumerate(M.gamma):
+                    if g.name in colors:
+                        out |= 1 << i
         elif isinstance(g, Neg):
-            out = states - ev(g.sub, env)
+            out = full ^ ev(g.sub, env)
         elif isinstance(g, Or):
-            out = frozenset()
+            out = 0
             for p in g.parts:
                 out |= ev(p, env)
         elif isinstance(g, Nabla):
-            if g.functor != M.functor:
+            F = g.functor
+            if F != M.functor:
                 raise ValueError("modality functor differs from the model functor")
-            sat = frozenset(
-                (s, b)
-                for b in base(g.functor, g.payload)
-                for s in ev(b, env)
-            )
+            args = {b: ev(b, env) for b in base(F, g.payload)}
+            if succ is None:
+                succ = [
+                    sum(1 << index[t] for t in base(F, sigma)) for sigma in M.sigma
+                ]
             if g in last:
                 if preds is None:
-                    preds = {}
-                    for s in M.states:
-                        for t in base(M.functor, M.sigma_of(s)):
-                            preds.setdefault(t, []).append(s)
-                old_sat, old_out = last[g]
-                todo = {s for t, _ in sat ^ old_sat for s in preds.get(t, ())}
-                kept = old_out - todo
+                    preds = [0] * len(states)
+                    for s, bits in enumerate(succ):
+                        for t in _bits(bits):
+                            preds[t] |= 1 << s
+                old_args, out = last[g]
+                changed = 0
+                for b, mask in args.items():
+                    changed |= mask ^ old_args[b]
+                todo = 0
+                for t in _bits(changed):
+                    todo |= preds[t]
+                out &= ~todo
             else:
-                todo, kept = M.states, frozenset()
-            out = kept | frozenset(
-                s
-                for s in todo
-                if lift_member(g.functor, sat, M.sigma_of(s), g.payload)
-            )
-            last[g] = (sat, out)
+                todo, out = full, 0
+            if F.kind == "powerset":
+                outside = full
+                for mask in args.values():
+                    outside &= ~mask
+                needed = tuple(args.values())
+                for s in _bits(todo):
+                    bits = succ[s]
+                    if not bits & outside and all(bits & mask for mask in needed):
+                        out |= 1 << s
+            else:
+                pairs = _MaskPairs(index, args)
+                for s in _bits(todo):
+                    if lift_member(F, pairs, M.sigma[s], g.payload):
+                        out |= 1 << s
+            last[g] = (args, out)
         else:
-            cur = frozenset()
+            cur = 0
             while True:
                 env2 = dict(env)
                 env2[g.var] = cur
@@ -338,7 +404,7 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
         memo[key] = out
         return out
 
-    return ev(f, env)
+    return frozenset(states[i] for i in _bits(ev(f, masks)))
 
 
 def satisfies(P, f: Formula) -> bool:

@@ -283,6 +283,86 @@ def test_eval_rechecks_only_predecessors_of_changed_states(monkeypatch):
     assert calls[0] <= 3 * n
 
 
+def test_eval_rechecks_only_predecessors_of_changed_states_monotone(monkeypatch):
+    # The chain above over monotone neighbourhoods, c_i -> {{c_(i+1)}}: a
+    # powerset ∇ is decided on bitsets without lift_member, so the bound on
+    # re-checks is kept on a functor that still asks the lifting.
+    import nablamu.logic
+
+    n = 200
+    M = ColoredModel.make(
+        MONOTONE,
+        {f"c{i}": fs({fs({f"c{i + 1}"})}) if i + 1 < n else fs() for i in range(n)},
+        {f"c{i}": fs({"p"}) if i == n - 1 else fs() for i in range(n)},
+        props=("p",),
+    )
+    calls = [0]
+    real = nablamu.logic.lift_member
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(nablamu.logic, "lift_member", counting)
+    assert eval_formula(M, pf("mu x. (p \\/ nabla {{x}})", MONOTONE)) == fs(M.states)
+    assert n <= calls[0] <= 3 * n
+
+
+def _kripke_model(rng, n):
+    """A powerset model on n states with deadlocks (s0 among them) and
+    self-loops (s1 among them)."""
+    states = [f"s{i}" for i in range(n)]
+    sigma = {}
+    for i, s in enumerate(states):
+        if i == 0 or rng.random() < 0.15:
+            sigma[s] = fs()
+            continue
+        succ = set(rng.sample(states, rng.randint(1, 3)))
+        if i == 1 or rng.random() < 0.3:
+            succ.add(s)
+        sigma[s] = fs(succ)
+    gamma = {s: fs(x for x in ("p", "q") if rng.random() < 0.4) for s in states}
+    return ColoredModel.make(POWERSET, sigma, gamma, props=("p", "q"), states=states)
+
+
+# ∇ of no argument, arguments with equal extensions (distinct nodes), and
+# alternating fixpoints over both.
+POWERSET_KERNEL_FORMULAS = [
+    "nabla {}",
+    "(p \\/ nabla {})",
+    "nabla {p, ~~p, \\/{p, false}}",
+    "mu x. \\/{nabla {}, nabla {x, ~~x}}",
+    "nu x. (q /\\ nabla {x, (x /\\ true), true})",
+    "mu x. nu y. \\/{(p /\\ nabla {x, true}), (q /\\ nabla {y}), nabla {}}",
+    "nu x. mu y. ((p /\\ nabla {x, \\/{x, false}}) \\/ nabla {y, true})",
+    "nu x. mu y. nu z. \\/{(p /\\ nabla {x, true}), (q /\\ nabla {y, true}), nabla {z, true}}",
+]
+
+
+def test_powerset_kernel_matches_brute_evaluator_on_larger_models():
+    rng = random.Random(11)
+    formulas = [pf(text) for text in POWERSET_KERNEL_FORMULAS]
+    formulas += [random_guarded_formula(rng, POWERSET, ("p", "q"), 4) for _ in range(12)]
+    for _ in range(6):
+        M = _kripke_model(rng, rng.randint(20, 60))
+        for f in formulas:
+            assert eval_formula(M, f) == brute_eval_formula(M, f), render_formula(f)
+            env = {"p": fs(s for s in M.states if rng.random() < 0.5)}
+            assert eval_formula(M, f, env) == brute_eval_formula(M, f, env)
+            for g in subformulas(f):
+                if isinstance(g, Mu):
+                    env = {g.var: fs(s for s in M.states if rng.random() < 0.5)}
+                    assert eval_formula(M, g.body, env) == brute_eval_formula(
+                        M, g.body, env
+                    )
+
+
+def test_eval_rejects_env_naming_non_states():
+    M = ColoredModel.make(POWERSET, {"a": fs()}, {"a": fs()}, props=("p",))
+    with pytest.raises(ValueError, match="'zz'"):
+        eval_formula(M, pf("(p \\/ ~p)"), env={"p": {"zz"}})
+
+
 # --------------------------------------------------------------------------
 # Guarding
 
