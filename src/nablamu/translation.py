@@ -8,10 +8,12 @@ the transition structure of an equivalent automaton.  The converse direction
 reads an automaton as an equation system and eliminates variables by
 Gaussian substitution.
 
-Conjunctions of modal obligations only distribute over the Moss modality for
-the powerset lifting, and negated modalities only have a positive rewriting
-there; inputs outside the supported fragment raise
-:class:`UnsupportedFragment`.
+Conjunctions of modal obligations distribute over the Moss modality for every
+lifting that preserves weak pullbacks, i.e. every functor without a monotone
+neighborhood part.  :class:`UnsupportedFragment` is raised for a negated
+modality outside powerset, for two modal obligations meeting in a conjunction
+over a lifting with a monotone part, and for a conjunction the construction
+splits while more than one of its conjuncts carries bound fixpoint variables.
 """
 
 from __future__ import annotations
@@ -317,90 +319,62 @@ class _System:
         return res
 
 
-def _check_fragment(system: _System):
-    """Reject inputs whose conjunctions the one-step construction cannot split.
+def _couplings(F: FunctorDescriptor, a, b, join) -> tuple:
+    """The elements γ of ``T Z`` with ``T(π₁)γ = a`` and ``T(π₂)γ = b``.
 
-    Any conjunction may couple at most one subformula containing fixpoint
-    variables (priorities of merged traces could not be attributed
-    otherwise), and for liftings without a distributive law over the Moss
-    modality at most one conjunct may produce a modal obligation.
+    ``Z`` is spanned by ``join(x, y)``, which lists the carrier elements
+    projecting to ``x`` and ``y``.  For a composition the outer couplings are
+    taken over the inner ones.
     """
-    F = system.F
-    produces: dict = {}
-
-    def producing(g) -> bool:
-        if isinstance(g, NNabla):
-            return True
-        if isinstance(g, (NAnd, NOr)):
-            return any(producing(p) for p in g.parts)
-        if isinstance(g, NVar):
-            if g.var not in produces:
-                produces[g.var] = False  # guarded systems unfold acyclically
-                produces[g.var] = producing(system.rhs[g.var])
-            return produces[g.var]
-        return False
-
-    def has_var(g) -> bool:
-        return bool(nnf_free_vars(g))
-
-    seen = set()
-
-    def check(g):
-        if g in seen:
-            return
-        seen.add(g)
-        if isinstance(g, (NAnd, NOr)):
-            if isinstance(g, NAnd):
-                busy = [p for p in g.parts if has_var(p)]
-                if len(busy) > 1:
-                    raise UnsupportedFragment(
-                        "a conjunction couples two fixpoint computations: "
-                        f"{len(busy)} conjuncts carry bound variables"
-                    )
-                if F.kind != "powerset":
-                    modal = [p for p in g.parts if producing(p)]
-                    if len(modal) > 1:
-                        raise UnsupportedFragment(
-                            "a conjunction of modal obligations needs a "
-                            "distributive law available only for the "
-                            "powerset lifting"
-                        )
-            for p in g.parts:
-                check(p)
-        elif isinstance(g, NNabla):
-            for p in _payload_children(g.payload):
-                check(p)
-
-    for g in [system.root, *system.rhs.values()]:
-        check(g)
+    kind = F.kind
+    if kind == "identity":
+        return join(a, b)
+    if kind == "const":
+        return (a,) if a == b else ()
+    if kind == "product":
+        return tuple(
+            itertools.product(
+                _couplings(F.parts[0], a[0], b[0], join),
+                _couplings(F.parts[1], a[1], b[1], join),
+            )
+        )
+    if kind == "coproduct":
+        if a[0] != b[0]:
+            return ()
+        part = F.parts[0 if a[0] == "inl" else 1]
+        return tuple((a[0], g) for g in _couplings(part, a[1], b[1], join))
+    if kind == "comp":
+        outer, inner = F.parts
+        return _couplings(outer, a, b, lambda u, v: _couplings(inner, u, v, join))
+    # powerset: every set of joined cells whose projections cover both sides
+    cells = [(x, y, z) for x in a for y in b for z in join(x, y)]
+    out = []
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        Z = [cell for cell, keep in zip(cells, bits) if keep]
+        if {x for x, _, _ in Z} == a and {y for _, y, _ in Z} == b:
+            out.append(frozenset(z for _, _, z in Z))
+    return tuple(out)
 
 
 def _merge_pair(F: FunctorDescriptor, x, y):
-    """All one-step elements covering the conjunction of two obligations."""
+    """All one-step elements covering the conjunction of two obligations.
+
+    Uses the distributive law ∇α ∧ ∇β ≡ ⋁{∇T(∧)γ : T(π₁)γ = α, T(π₂)γ = β},
+    which holds for every lifting that preserves weak pullbacks (Kupke, Kurz
+    and Venema, LMCS 2012).
+    """
     if x == TRUE:
         return (y,)
     if y == TRUE:
         return (x,)
-    if F.kind != "powerset":
+    if not F.has_functorial_lifting:
         raise UnsupportedFragment(
-            "conjunction of two modal obligations outside the powerset lifting"
+            "a conjunction of modal obligations needs a distributive law, "
+            "which a lifting with a monotone neighborhood part lacks"
         )
-    alpha = sorted(x.payload, key=canon_key)
-    beta = sorted(y.payload, key=canon_key)
-    grid = list(itertools.product(range(len(alpha)), range(len(beta))))
-    out = []
-    seen = set()
-    for bits in itertools.product((False, True), repeat=len(grid)):
-        Z = [ab for ab, keep in zip(grid, bits) if keep]
-        if {a for a, _ in Z} != set(range(len(alpha))):
-            continue
-        if {b for _, b in Z} != set(range(len(beta))):
-            continue
-        payload = frozenset(nand((alpha[a], beta[b])) for a, b in Z)
-        if payload not in seen:
-            seen.add(payload)
-            out.append(NNabla(payload))
-    return tuple(sorted(out, key=canon_key))
+    couplings = _couplings(F, x.payload, y.payload, lambda a, b: ((a, b),))
+    merged = {NNabla(t_map(F, nand, g)) for g in couplings}
+    return tuple(sorted(merged, key=canon_key))
 
 
 class _Decomposer:
@@ -430,6 +404,12 @@ class _Decomposer:
         elif isinstance(g, NOr):
             res = frozenset().union(*(self.run(p, c) for p in g.parts)) if g.parts else frozenset()
         elif isinstance(g, NAnd):
+            busy = sum(1 for p in g.parts if nnf_free_vars(p))
+            if busy > 1:
+                raise UnsupportedFragment(
+                    "a conjunction couples two fixpoint computations: "
+                    f"{busy} conjuncts carry bound variables"
+                )
             res = set()
             pools = [sorted(self.run(p, c), key=canon_key) for p in g.parts]
             for combo in itertools.product(*pools):
@@ -454,8 +434,11 @@ def formula_to_automaton(
 
     The formula must be monotone; unguarded fixpoints are rewritten by
     :func:`nablamu.logic.guard` first.  Raises :class:`UnsupportedFragment`
-    for conjunction or negation patterns the one-step construction cannot
-    express over the given lifting.
+    on a negated modality outside powerset, on a conjunction of two modal
+    obligations over a lifting with a monotone part, and on a conjunction
+    whose decomposition couples two fixpoint computations (more than one
+    conjunct carries bound variables).  Only conjunctions the construction
+    actually splits are checked.
     """
     validate_monotone(f)
     F = _infer_functor(f, functor)
@@ -468,7 +451,6 @@ def formula_to_automaton(
     if not is_guarded(f):
         f = guard(f)
     system = _System(F, to_nnf(f, F))
-    _check_fragment(system)
     dec = _Decomposer(system)
 
     true_state = (TRUE, 0)
@@ -526,7 +508,7 @@ def _simp(F: FunctorDescriptor, g, memo=None):
             res = _simp(F, res, memo)
     elif isinstance(g, NNabla):
         payload = t_map(F, lambda h: _simp(F, h, memo), g.payload)
-        if F.kind == "powerset" and FALSE in payload:
+        if F.has_functorial_lifting and FALSE in base(F, payload):
             res = FALSE  # some successor would have to satisfy falsity
         else:
             res = NNabla(payload)

@@ -573,3 +573,27 @@ def random_automaton(F, props, rng, max_states=3, max_priority=3, max_base=2):
                 elems.add(random_telem(F, pool, rng))
             delta[(a, frozenset(c))] = elems
     return Automaton.make(F, props, states, states[0], omega, delta)
+
+
+def brute_merge_pair(x, y):
+    """The powerset conjunction of two one-step obligations, by enumerating
+    every relation on the grid of their leaves whose projections are full
+    (the enumeration before the generic distributive law)."""
+    from nablamu.translation import TRUE, NNabla, nand
+
+    if x == TRUE:
+        return (y,)
+    if y == TRUE:
+        return (x,)
+    alpha = sorted(x.payload, key=canon_key)
+    beta = sorted(y.payload, key=canon_key)
+    grid = list(itertools.product(range(len(alpha)), range(len(beta))))
+    out = set()
+    for bits in itertools.product((False, True), repeat=len(grid)):
+        Z = [ab for ab, keep in zip(grid, bits) if keep]
+        if {a for a, _ in Z} != set(range(len(alpha))):
+            continue
+        if {b for _, b in Z} != set(range(len(beta))):
+            continue
+        out.add(NNabla(frozenset(nand((alpha[a], beta[b])) for a, b in Z)))
+    return tuple(sorted(out, key=canon_key))

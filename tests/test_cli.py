@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from nablamu import (
+    IDENTITY,
     MONOTONE,
     POWERSET,
     canonical_pointed_models,
@@ -36,6 +37,16 @@ TRUE_AUT = Automaton.make(
 )
 
 EMPTY_AUT = Automaton.make(POWERSET, ("p",), ("a",), "a", {"a": 1}, {})
+
+# The initial state's only successor element points at a state with no cells.
+DEAD_STEP_AUT = Automaton.make(
+    IDENTITY,
+    (),
+    ("a0", "a1"),
+    "a0",
+    {"a0": 0, "a1": 0},
+    {("a0", frozenset()): ("a1",)},
+)
 
 CELL_AUT = Automaton.make(
     POWERSET,
@@ -200,6 +211,15 @@ def test_automaton_to_formula_empty_is_false(write, capsys):
         assert not satisfies(pm, f)
 
 
+def test_automaton_to_formula_drops_a_step_into_falsity(write, capsys):
+    # ∇ id:false holds nowhere, like a ∇ with a false leaf over any
+    # lifting that preserves weak pullbacks
+    aut = write("d.aut", render_automaton(DEAD_STEP_AUT))
+    code, out, _ = run(capsys, "automaton", "to-formula", aut)
+    assert code == 0
+    assert out.strip() == "false"
+
+
 def test_automaton_normalize_roundtrips(write, capsys):
     aut = write("e.aut", render_automaton(CELL_AUT))
     code, out, _ = run(capsys, "automaton", "normalize", aut)
@@ -257,6 +277,35 @@ def test_interpolate_unsupported_fragment(capsys):
         "monotone",
     )
     assert code == 3 and err
+
+
+def test_interpolate_splits_a_product_conjunction(capsys):
+    code, out, _ = run(
+        capsys,
+        "interpolate",
+        "(nabla ({p}, const:a) /\\ nabla ({q, true}, const:a))",
+        "--keep",
+        "{q}",
+        "--functor",
+        "product(powerset,const(a,b))",
+        "--format",
+        "structured",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["vocabulary"] == ["q"] and data["entailment_verified"] is True
+
+
+def test_to_automaton_splits_a_comp_conjunction(capsys):
+    code, out, _ = run(
+        capsys,
+        "to-automaton",
+        "(nabla {{p, true}} /\\ nabla {{q}, {true}})",
+        "--functor",
+        "comp(powerset,powerset)",
+    )
+    assert code == 0
+    assert parse_automaton(out).props == ("p", "q")
 
 
 def test_entails_yes_and_no(capsys):

@@ -1,23 +1,29 @@
 """Formula ⇄ automaton translation: NNF, fragment limits, equivalence."""
 
 import random
+import time
 
 import pytest
 
-from helpers import random_automaton
+from formula_corpus import random_guarded_formula
+from helpers import SHAPES, brute_eval_formula, brute_merge_pair, random_automaton
 
 from nablamu import (
     MONOTONE,
     POWERSET,
     ColoredModel,
     PointedModel,
+    canonical_models,
     canonical_pointed_models,
+    eval_formula,
     is_guarded,
     parse_formula,
+    render_formula,
     satisfies,
+    translation,
     validate_monotone,
 )
-from nablamu.automata import accepts
+from nablamu.automata import accepts, winning_pairs
 from nablamu.translation import (
     FALSE,
     TRUE,
@@ -28,6 +34,7 @@ from nablamu.translation import (
     NOr,
     NVar,
     UnsupportedFragment,
+    _merge_pair,
     automaton_to_formula,
     formula_to_automaton,
     nand,
@@ -154,6 +161,112 @@ def test_powerset_modal_conjunction_is_distributed():
         accepts(aut, P) == satisfies(P, f)
         for P in canonical_pointed_models(POWERSET, ("p", "q"), 2)
     )
+
+
+MERGE_LEAVES = [
+    TRUE,
+    FALSE,
+    NLit("p", True),
+    NLit("p", False),
+    NLit("q", True),
+    NAnd(frozenset((NLit("p", True), NLit("q", False)))),
+]
+
+
+def test_powerset_merge_pair_matches_grid_oracle():
+    # leaves are drawn with replacement, so payloads share and repeat leaves
+    rng = random.Random(5)
+    for _ in range(300):
+        x, y = (
+            NNabla(
+                frozenset(rng.choice(MERGE_LEAVES) for _ in range(rng.randint(0, 3)))
+            )
+            for _ in range(2)
+        )
+        assert _merge_pair(POWERSET, x, y) == brute_merge_pair(x, y), (x, y)
+        for psi in (x, TRUE):
+            assert _merge_pair(POWERSET, TRUE, psi) == brute_merge_pair(TRUE, psi)
+            assert _merge_pair(POWERSET, psi, TRUE) == brute_merge_pair(psi, TRUE)
+
+
+def _agrees_with_evaluation(aut, f, models):
+    """Acceptance from the initial state equals both evaluators' extensions."""
+    for M in models:
+        won = winning_pairs(aut, M)
+        ext = eval_formula(M, f)
+        assert ext == brute_eval_formula(M, f), render_formula(f)
+        for s in M.states:
+            assert ((s, aut.initial) in won) == (s in ext), (render_formula(f), s)
+
+
+def _small_models(F, props, sample=None, seed=0):
+    """Every model of at most 2 states; ``sample`` caps the 2-state ones."""
+    twos = list(canonical_models(F, props, 2))
+    if sample is not None and len(twos) > sample:
+        twos = random.Random(seed).sample(twos, sample)
+    return list(canonical_models(F, props, 1)) + twos
+
+
+def test_modal_conjunctions_distribute_over_functorial_liftings(monkeypatch):
+    # Random formulas whose translation splits a conjunction of two ∇
+    # obligations: before the generic distributive law, every such formula
+    # was rejected outside powerset.
+    split = []
+    couplings = translation._couplings
+
+    def counted(*args):
+        split.append(args)
+        return couplings(*args)
+
+    monkeypatch.setattr(translation, "_couplings", counted)
+    props = ("p", "q")
+    for name in ("identity", "const", "product", "coproduct", "comp"):
+        F = SHAPES[name]
+        rng = random.Random(7)
+        found = []
+        for _ in range(300):
+            f = random_guarded_formula(rng, F, props, 4)
+            split.clear()
+            try:
+                aut = formula_to_automaton(f, F, props)
+            except UnsupportedFragment:
+                continue
+            if split:
+                found.append((f, aut))
+        assert len(found) >= 10, name
+        models = _small_models(F, props, sample=100 if name == "comp" else None)
+        for f, aut in found:
+            _agrees_with_evaluation(aut, f, models)
+
+
+COMP_CONJUNCTIONS = [
+    "(nabla {{p, q}} /\\ nabla {{p}, {q}})",
+    "(nabla {{p, q}, {~p}} /\\ nabla {{p}, {q}})",
+    "(nabla {{p, true}} /\\ nabla {{q}, {true}})",
+]
+
+
+def test_comp_conjunctions_split_by_nested_couplings():
+    F = SHAPES["comp"]
+    models = _small_models(F, ("p", "q"), sample=40)
+    for src in COMP_CONJUNCTIONS:
+        f = parse_formula(src, F)
+        start = time.perf_counter()
+        aut = formula_to_automaton(f, F, ("p", "q"))
+        assert time.perf_counter() - start < 1.0, src
+        _agrees_with_evaluation(aut, f, models)
+
+
+def test_monotone_conjunction_without_a_modal_merge_translates():
+    # the two modal conjuncts never hold under the same color, so no
+    # distributive law is needed
+    f = mf("(((p /\\ nabla {{q}}) \\/ ~p) /\\ ((~p /\\ nabla {{p}}) \\/ p))")
+    aut = formula_to_automaton(f, MONOTONE)
+    models = canonical_pointed_models(MONOTONE, ("p", "q"), 2)
+    assert len(models) == 612
+    for P in models:
+        ext = eval_formula(P.model, f)
+        assert accepts(aut, P) == (P.point in ext), P.point
 
 
 # --------------------------------------------------------------------------
