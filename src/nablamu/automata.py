@@ -22,7 +22,6 @@ from .coalgebra import ColoredModel, PointedModel, canonical_models
 from .coalgebra import coproduct as model_coproduct
 from .functors import (
     FunctorDescriptor,
-    Relation,
     base,
     canon_key,
     enumerate_t,
@@ -134,7 +133,7 @@ def build_arena(aut: Automaton, M: ColoredModel, pairs=None) -> Arena:
     ('state', s, a) is owned by E with priority Ω(a); E moves to
     ('elem', σ(s), φ) for some φ ∈ Δ(a, c), c the color of s.  From there
     the players evaluate ``(σ(s), φ) ∈ L(Z)`` one quantifier at a time,
-    following :func:`~nablamu.functors._lift_member` with Z left open: A owns
+    following :func:`~nablamu.functors.lift_member` with Z left open: A owns
     each ``all``, E each ``any``, and the atom ``(t, b) ∈ Z`` is the position
     ('state', t, b).  An empty ``all`` leaves A stuck, an empty ``any`` E.
     For powerset, ('elem', τ, φ) is A's: A picks t ∈ τ, at
@@ -395,9 +394,10 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
     automaton's vocabulary once, in order, and maps each element φ to the
     first ``(M, τ, Z)`` found: ``τ ∈ T(M.states)`` whose lifting of the
     winning pairs W of the acceptance game on ``M`` reaches φ, and
-    ``Z = W ∩ (base(τ) × base(φ))``.  By support restriction that Z is a
-    witness for ``(τ, φ)`` inside W.  Elements no such model realizes map to
-    ``None``.  The sweep stops as soon as every element is realized.
+    ``Z = W ∩ (base(τ) × base(φ))``, a frozenset of (model state, automaton
+    state) pairs.  By support restriction that Z is a witness for ``(τ, φ)``
+    inside W.  Elements no such model realizes map to ``None``.  The sweep
+    stops as soon as every element is realized.
 
     Used only for functors with a monotone part, where the nonemptiness game
     is not exact.
@@ -416,7 +416,7 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
                 if tau is not None:
                     dom, cod = base(F, tau), base(F, phi)
                     Z = frozenset((t, b) for t, b in W if t in dom and b in cod)
-                    found[phi] = (M, tau, Relation(dom, cod, Z))
+                    found[phi] = (M, tau, Z)
             todo = [phi for phi in todo if found[phi] is None]
     return MappingProxyType(found)
 
@@ -539,7 +539,7 @@ def _swept_witnesses(aut: Automaton, bound: int) -> WitnessCoalgebra:
     for phi, (M, tau, Z) in realizations.items():
         inj = inj_of[id(M)]
         tau_of[phi] = t_map(aut.functor, inj, tau)
-        winning |= {(inj[t], b) for t, b in Z.pairs}
+        winning |= {(inj[t], b) for t, b in Z}
     # the injected pairs must stay winning in the coproduct — acceptance is
     # invariant under the injections, which are embeddings
     W = winning_pairs(aut, big)

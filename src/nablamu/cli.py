@@ -34,7 +34,7 @@ from .logic import (
     render_formula,
     validate_monotone,
 )
-from .parsing import ParseError
+from .parsing import Cursor, ParseError
 from .projection import project_automaton
 from .translation import UnsupportedFragment, automaton_to_formula, formula_to_automaton
 
@@ -98,8 +98,8 @@ def cmd_bisim(args) -> int:
     if args.disregard is not None:
         Q = Q - {args.disregard}
     R = greatest_bisimulation(A, B, Q)
-    pairs = sorted(R.pairs)
-    related = (pa, pb) in R.pairs
+    pairs = sorted(R)
+    related = (pa, pb) in R
     human = "\n".join(f"{x} ~ {y}" for x, y in pairs) or "(empty relation)"
     human += f"\npoints {pa}, {pb}: " + ("related" if related else "not related")
     _emit(
@@ -153,11 +153,12 @@ def cmd_to_automaton(args) -> int:
     return 0
 
 
-def _parse_keep(text: str):
-    text = text.strip()
-    if text.startswith("{") and text.endswith("}"):
-        text = text[1:-1]
-    return tuple(sorted({w.strip() for w in text.split(",") if w.strip()}))
+def _parse_keep(text: str) -> tuple:
+    """Comma-separated proposition names, optionally in braces."""
+    cur = Cursor(text if text.lstrip().startswith("{") else "{" + text + "}")
+    names = cur.ident_set()
+    cur.expect_end()
+    return tuple(sorted(names))
 
 
 def cmd_interpolate(args) -> int:

@@ -18,7 +18,6 @@ from .functors import (
     DEFAULT_CAP,
     CapExceeded,
     FunctorDescriptor,
-    Relation,
     base,
     canon_key,
     enumerate_t,
@@ -133,29 +132,30 @@ def is_morphism(f, M1: ColoredModel, M2: ColoredModel, preserve_colors: bool = T
 def is_bisimulation(R, M1: ColoredModel, M2: ColoredModel, Q=None) -> bool:
     """Whether ``R`` is a bisimulation between the models, over propositions Q.
 
-    ``Q`` defaults to every proposition of either model.  Because the lifting
-    commutes with converses, the single lifting condition already implies its
-    mirror image.
+    ``R`` is a set of (M1 state, M2 state) pairs.  ``Q`` defaults to every
+    proposition of either model.  Because the lifting commutes with
+    converses, the single lifting condition already implies its mirror
+    image.
     """
     F = _same_functor(M1, M2)
-    pairs = R.pairs if isinstance(R, Relation) else frozenset(R)
     Q = (
         frozenset(M1.props) | frozenset(M2.props)
         if Q is None
         else frozenset(Q)
     )
-    for s, s2 in pairs:
+    for s, s2 in R:
         if s not in M1._index or s2 not in M2._index:
             return False
         if M1.gamma_of(s) & Q != M2.gamma_of(s2) & Q:
             return False
-        if not lift_member(F, pairs, M1.sigma_of(s), M2.sigma_of(s2)):
+        if not lift_member(F, R, M1.sigma_of(s), M2.sigma_of(s2)):
             return False
     return True
 
 
 def greatest_bisimulation(M1: ColoredModel, M2: ColoredModel, Q=None, with_steps: bool = False):
-    """The largest bisimulation between two models, by partition refinement.
+    """The largest bisimulation between two models, by partition refinement,
+    as a frozenset of (M1 state, M2 state) pairs.
 
     Refines a partition of the disjoint union of the models.  Its states are
     numbered, ``M1``'s first, so states the two models share by name stay
@@ -204,8 +204,7 @@ def greatest_bisimulation(M1: ColoredModel, M2: ColoredModel, Q=None, with_steps
     pairs = frozenset(
         (s, t) for t, b in zip(M2.states, block[n1:]) for s in left.get(b, ())
     )
-    rel = Relation(M1.state_set, M2.state_set, pairs)
-    return (rel, steps) if with_steps else rel
+    return (pairs, steps) if with_steps else pairs
 
 
 def project_model(M: ColoredModel, Q) -> ColoredModel:

@@ -165,74 +165,6 @@ def parse_functor(text_or_cursor) -> FunctorDescriptor:
 
 
 # --------------------------------------------------------------------------
-# Relations
-
-
-@dataclass(frozen=True)
-class Relation:
-    """A finite relation with explicit domain and codomain."""
-
-    domain: frozenset
-    codomain: frozenset
-    pairs: frozenset
-
-    def __post_init__(self):
-        for x, y in self.pairs:
-            if x not in self.domain or y not in self.codomain:
-                raise ValueError(f"pair {(x, y)!r} outside domain × codomain")
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def converse(self) -> "Relation":
-        return Relation(self.codomain, self.domain, frozenset((y, x) for x, y in self.pairs))
-
-    def compose(self, other: "Relation") -> "Relation":
-        by_mid: dict = {}
-        for x, y in self.pairs:
-            by_mid.setdefault(y, []).append(x)
-        pairs = set()
-        for y, z in other.pairs:
-            for x in by_mid.get(y, ()):
-                pairs.add((x, z))
-        return Relation(self.domain, other.codomain, frozenset(pairs))
-
-    def restrict(self, A, B) -> "Relation":
-        A, B = frozenset(A), frozenset(B)
-        return Relation(
-            self.domain & A,
-            self.codomain & B,
-            frozenset((x, y) for x, y in self.pairs if x in A and y in B),
-        )
-
-    @staticmethod
-    def diagonal(X) -> "Relation":
-        X = frozenset(X)
-        return Relation(X, X, frozenset((x, x) for x in X))
-
-    @staticmethod
-    def graph(f: dict, codomain=None) -> "Relation":
-        dom = frozenset(f)
-        cod = frozenset(f.values()) if codomain is None else frozenset(codomain)
-        return Relation(dom, cod, frozenset(f.items()))
-
-    @staticmethod
-    def of(pairs, domain=None, codomain=None) -> "Relation":
-        pairs = frozenset(pairs)
-        dom = frozenset(x for x, _ in pairs) if domain is None else frozenset(domain)
-        cod = frozenset(y for _, y in pairs) if codomain is None else frozenset(codomain)
-        return Relation(dom, cod, pairs)
-
-
-def _pairset(R):
-    """Accept a Relation, a set of pairs, or any lazy pair container."""
-    return R.pairs if isinstance(R, Relation) else R
-
-
-# --------------------------------------------------------------------------
 # Enumeration, mapping, support
 
 
@@ -370,7 +302,12 @@ class _FnPairs:
         return self.fn(x, y)
 
 
-def _lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
+def lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
+    """Whether ``(t1, t2)`` belongs to the lifting of a relation for functor ``F``.
+
+    ``pairs`` is the relation: any container of pairs that answers
+    ``(x, y) in pairs``, such as a frozenset or a lazy container.
+    """
     kind = F.kind
     if kind == "powerset":
         return all(any((x, y) in pairs for y in t2) for x in t1) and all(
@@ -390,22 +327,17 @@ def _lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
     if kind == "const":
         return t1 == t2
     if kind == "product":
-        return _lift_member(F.parts[0], pairs, t1[0], t2[0]) and _lift_member(
+        return lift_member(F.parts[0], pairs, t1[0], t2[0]) and lift_member(
             F.parts[1], pairs, t1[1], t2[1]
         )
     if kind == "coproduct":
         if t1[0] != t2[0]:
             return False
-        return _lift_member(F.parts[0 if t1[0] == "inl" else 1], pairs, t1[1], t2[1])
+        return lift_member(F.parts[0 if t1[0] == "inl" else 1], pairs, t1[1], t2[1])
     outer, inner = F.parts
-    return _lift_member(
-        outer, _FnPairs(lambda u, v: _lift_member(inner, pairs, u, v)), t1, t2
+    return lift_member(
+        outer, _FnPairs(lambda u, v: lift_member(inner, pairs, u, v)), t1, t2
     )
-
-
-def lift_member(F: FunctorDescriptor, R, t1, t2) -> bool:
-    """Whether ``(t1, t2)`` belongs to the lifting of ``R`` for functor ``F``."""
-    return _lift_member(F, _pairset(R), t1, t2)
 
 
 # --------------------------------------------------------------------------

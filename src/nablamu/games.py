@@ -53,26 +53,19 @@ class Arena:
 
 
 @dataclass(frozen=True)
-class Strategy:
-    """A positional strategy: a move choice at each covered position index."""
-
-    player: str
-    choice: dict
-
-    def __contains__(self, v) -> bool:
-        return v in self.choice
-
-    def __getitem__(self, v) -> int:
-        return self.choice[v]
-
-
-@dataclass(frozen=True)
 class ParitySolution:
+    """The winning regions of both players and a positional strategy for each.
+
+    ``strategy_e`` and ``strategy_a`` are dicts from position index to the
+    index of the chosen successor.  Each covers its player's own positions in
+    their winning region, and every choice stays inside that region.
+    """
+
     arena: Arena
     win_e: frozenset
     win_a: frozenset
-    strategy_e: Strategy
-    strategy_a: Strategy
+    strategy_e: dict
+    strategy_a: dict
 
     def winner(self, v: int) -> str:
         return "E" if v in self.win_e else "A"
@@ -174,6 +167,6 @@ def solve_parity(arena: Arena) -> ParitySolution:
         arena,
         frozenset(we & real),
         frozenset(wa & real),
-        Strategy("E", {v: w for v, w in se.items() if v < n and w < n}),
-        Strategy("A", {v: w for v, w in sa.items() if v < n and w < n}),
+        {v: w for v, w in se.items() if v < n and w < n},
+        {v: w for v, w in sa.items() if v < n and w < n},
     )

@@ -29,8 +29,6 @@ from .functors import (
     FunctorDescriptor,
     _antichain_min,
     _FnPairs,
-    _lift_member,
-    _pairset,
     base,
     canon_key,
     lift_member,
@@ -43,30 +41,29 @@ def qf_middle(
 ):
     """A middle element for a lifted composite.
 
-    Given ``(tau, rho)`` in the lifting of ``R1 ; R2``, returns ``m`` with
-    ``(tau, m)`` in the lifting of ``R1`` and ``(m, rho)`` in the lifting of
-    ``R2``.  Lax layers (the monotone lifting) additionally need a
-    ``dom_witness`` — an element related to ``tau`` under ``R1`` — and an
-    ``rng_witness`` — one related to ``rho`` under ``R2`` — to anchor the
-    construction; functorial layers ignore them.
+    ``R1`` and ``R2`` are sets of pairs.  Given ``(tau, rho)`` in the
+    lifting of ``R1 ; R2``, returns ``m`` with ``(tau, m)`` in the lifting
+    of ``R1`` and ``(m, rho)`` in the lifting of ``R2``.  Lax layers (the
+    monotone lifting) additionally need a ``dom_witness`` — an element
+    related to ``tau`` under ``R1`` — and an ``rng_witness`` — one related
+    to ``rho`` under ``R2`` — to anchor the construction; functorial layers
+    ignore them.
     """
-    pairs1 = _pairset(R1)
-    pairs2 = _pairset(R2)
     succ2: dict = {}
-    for u, y in pairs2:
+    for u, y in R2:
         succ2.setdefault(u, []).append(y)
     med_map: dict = {}
-    for x, u in pairs1:
+    for x, u in R1:
         for y in succ2.get(u, ()):
             cur = med_map.get((x, y))
             if cur is None or canon_key(u) < canon_key(cur):
                 med_map[(x, y)] = u
 
     def rel1(x, u):
-        return (x, u) in pairs1
+        return (x, u) in R1
 
     def rel2(u, y):
-        return (u, y) in pairs2
+        return (u, y) in R2
 
     def med(x, y):
         return med_map.get((x, y))
@@ -121,14 +118,14 @@ def _qf(F, tau, rho, rel1, rel2, med, dom_w, rng_w):
     outer, inner = F.parts
 
     def rel1_lifted(xe, ue):
-        return _lift_member(inner, _FnPairs(rel1), xe, ue)
+        return lift_member(inner, _FnPairs(rel1), xe, ue)
 
     def rel2_lifted(ue, ye):
-        return _lift_member(inner, _FnPairs(rel2), ue, ye)
+        return lift_member(inner, _FnPairs(rel2), ue, ye)
 
     def med_lifted(xe, ye):
         composable = _FnPairs(lambda x, y: med(x, y) is not None)
-        if not _lift_member(inner, composable, xe, ye):
+        if not lift_member(inner, composable, xe, ye):
             return None
         return _qf(inner, xe, ye, rel1, rel2, med, None, None)
 
@@ -256,7 +253,7 @@ def _shrink_witness(F: FunctorDescriptor, pairs, tau, phi) -> frozenset:
     Z = set(pairs)
     for pair in sorted(pairs, key=canon_key):
         Z.discard(pair)
-        if not _lift_member(F, Z, tau, phi):
+        if not lift_member(F, Z, tau, phi):
             Z.add(pair)
     return frozenset(Z)
 

@@ -165,10 +165,15 @@ def _infer_functor(f: Formula, functor=None) -> FunctorDescriptor:
 
 
 def to_nnf(f: Formula, functor: FunctorDescriptor = None):
-    """Negation normal form with freshly named, pairwise distinct binders.
+    """Negation normal form with freshly named binders.
 
-    Negated modalities are rewritten positively — possible only for the
-    powerset lifting, where ¬∇α is a disjunction of box and diamond steps.
+    Binders are named in a fixed order: ∨-parts and ∇-payload leaves are
+    visited in ``canon_key`` order, so the names never depend on hash seeds.
+    A leaf that occurs more than once in one ∇ payload is translated once,
+    so its copies share their binders; all other binders are pairwise
+    distinct.  Negated modalities are rewritten positively — possible only
+    for the powerset lifting, where ¬∇α is a disjunction of box and diamond
+    steps.
     """
     F = _infer_functor(f, functor)
     used = _used_names(f)
@@ -189,9 +194,10 @@ def to_nnf(f: Formula, functor: FunctorDescriptor = None):
         if isinstance(g, Neg):
             return neg(g.sub, env)
         if isinstance(g, Or):
-            return nor(pos(p, env) for p in g.parts)
+            return nor(pos(p, env) for p in sorted(g.parts, key=canon_key))
         if isinstance(g, Nabla):
-            return NNabla(t_map(F, lambda h: pos(h, env), g.payload))
+            leaves = sorted(base(F, g.payload), key=canon_key)
+            return NNabla(t_map(F, {h: pos(h, env) for h in leaves}, g.payload))
         if isinstance(g, Mu):
             v = fresh()
             return NFix("mu", v, pos(g.body, {**env, g.var: v}))
@@ -207,18 +213,19 @@ def to_nnf(f: Formula, functor: FunctorDescriptor = None):
         if isinstance(g, Neg):
             return pos(g.sub, env)
         if isinstance(g, Or):
-            return nand(neg(p, env) for p in g.parts)
+            return nand(neg(p, env) for p in sorted(g.parts, key=canon_key))
         if isinstance(g, Nabla):
             if F.kind != "powerset":
                 raise UnsupportedFragment(
                     "negated modal steps are only expressible over the "
                     "powerset lifting"
                 )
+            leaves = sorted(g.payload, key=canon_key)
             parts = [
                 nor((NNabla(frozenset()), NNabla(frozenset((neg(b, env),)))))
-                for b in g.payload
+                for b in leaves
             ]
-            conj = nand(neg(b, env) for b in g.payload)
+            conj = nand(neg(b, env) for b in leaves)
             parts.append(NNabla(frozenset((conj, TRUE))))
             return nor(parts)
         if isinstance(g, Mu):

@@ -202,8 +202,6 @@ def brute_greatest_bisimulation(M1, M2, Q=None):
     start from every pair whose colors agree on ``Q`` (default: every
     proposition of either model) and drop pairs whose successor structures
     the lifting of the current relation does not relate, until none drops."""
-    from nablamu import Relation
-
     Q = frozenset(M1.props) | frozenset(M2.props) if Q is None else frozenset(Q)
     R = {
         (s, t)
@@ -218,7 +216,7 @@ def brute_greatest_bisimulation(M1, M2, Q=None):
             if lift_member(M1.functor, R, M1.sigma_of(s), M2.sigma_of(t))
         }
         if keep == R:
-            return Relation(M1.state_set, M2.state_set, frozenset(R))
+            return frozenset(R)
         R = keep
 
 
@@ -376,7 +374,7 @@ def validate_parity_solution(arena, sol):
         for v in region:
             if arena.owner[v] == player:
                 assert arena.moves[v], f"winner stuck at own position {v}"
-                assert v in strat.choice, f"no strategy at won position {v}"
+                assert v in strat, f"no strategy at won position {v}"
                 assert strat[v] in arena.moves[v]
                 assert strat[v] in region, "strategy leaves the winning region"
             else:
@@ -461,7 +459,7 @@ def reference_solve_parity(arena):
     """Zielonka's algorithm as first written, whose attractors count every
     position's in-subgame moves up front; the library solver must return the
     same regions and strategies."""
-    from nablamu.games import ParitySolution, Strategy
+    from nablamu.games import ParitySolution
 
     n = len(arena.positions)
     # totalize: position n is a sink winning for A (odd self-loop, reached by
@@ -548,8 +546,8 @@ def reference_solve_parity(arena):
         arena,
         frozenset(we & real),
         frozenset(wa & real),
-        Strategy("E", {v: w for v, w in se.items() if v < n and w < n}),
-        Strategy("A", {v: w for v, w in sa.items() if v < n and w < n}),
+        {v: w for v, w in se.items() if v < n and w < n},
+        {v: w for v, w in sa.items() if v < n and w < n},
     )
 
 

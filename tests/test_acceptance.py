@@ -177,7 +177,7 @@ def test_bisimulation_invariance_sampled():
             R = greatest_bisimulation(M1, M2, ("p", "q"))
             ext1 = eval_formula(M1, f)
             ext2 = eval_formula(M2, f)
-            for s, t in R.pairs:
+            for s, t in R:
                 assert (s in ext1) == (t in ext2), (f, s, t)
             checked += 1
     assert checked >= 200
@@ -543,6 +543,16 @@ def _cli_scenarios(tmp_path):
         (0, ("automaton", "project", au, "p") + fmt),
         (0, ("automaton", "normalize", au) + fmt),
         (0, ("to-automaton", "mu x. (p \\/ nabla {x, true})") + fmt),
+        (
+            0,
+            (
+                "to-automaton",
+                "nabla {{nabla {{}}, nu z1. false}, {nu z1. false}}",
+                "--functor",
+                "comp(powerset,powerset)",
+            )
+            + fmt,
+        ),
         (0, ("interpolate", "(p /\\ q)", "--keep", "q") + fmt),
         (0, ("entails", "(p /\\ q)", "q") + fmt),
         (1, ("entails", "q", "(p /\\ q)") + fmt),

@@ -316,13 +316,13 @@ def test_acceptance_is_bisimulation_invariant():
             M1 = random_model(F, ("p",), rng.randint(1, 3), rng)
             M2 = random_model(F, ("p",), rng.randint(1, 3), rng)
             B = greatest_bisimulation(M1, M2)
-            if not B.pairs:
+            if not B:
                 continue
             done += 1
             aut = random_automaton(F, ("p",), rng)
             W1 = winning_pairs(aut, M1)
             W2 = winning_pairs(aut, M2)
-            for s, t in B.pairs:
+            for s, t in B:
                 for a in aut.states:
                     assert ((s, a) in W1) == ((t, a) in W2)
 
@@ -376,7 +376,7 @@ def test_element_satisfiable_finds_witness():
     assert got is not None
     M, tau, Z = got
     assert lift_member(POWERSET, Z, tau, frozenset(("tt",)))
-    assert Z.pairs <= winning_pairs(A_P, M)
+    assert Z <= winning_pairs(A_P, M)
 
 
 def test_element_unsatisfiable_when_state_rejects_everything():

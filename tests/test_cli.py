@@ -266,6 +266,22 @@ def test_interpolate_keep_all_echoes(capsys):
     assert f"interpolant: {rendered}" in out
 
 
+@pytest.mark.parametrize(
+    "keep, want", [("q", ["q"]), ("{q}", ["q"]), ("{p,q}", ["p", "q"]), ("{}", [])]
+)
+def test_interpolate_keep_forms(capsys, keep, want):
+    code, out, _ = run(
+        capsys, "interpolate", "(p /\\ q)", "--keep", keep, "--format", "structured"
+    )
+    assert code == 0 and json.loads(out)["keep"] == want
+
+
+@pytest.mark.parametrize("keep", ["{q r}", "{q; p}", "{{q}"])
+def test_interpolate_rejects_malformed_keep(capsys, keep):
+    code, out, err = run(capsys, "interpolate", "(p /\\ q)", "--keep", keep)
+    assert code == 2 and not out and err
+
+
 def test_interpolate_unsupported_fragment(capsys):
     code, _, err = run(
         capsys,

@@ -12,7 +12,6 @@ from nablamu import (
     POWERSET,
     CapExceeded,
     FunctorDescriptor,
-    Relation,
     base,
     canon_key,
     check_lax_axioms,
@@ -247,29 +246,6 @@ def test_lift_monotone_in_relation_monotone(R, S, t1, t2):
 
 
 # --------------------------------------------------------------------------
-# Relations
-
-
-def test_relation_ops():
-    R = Relation.of({("x", "u"), ("y", "v")}, domain={"x", "y"}, codomain={"u", "v"})
-    assert ("x", "u") in R
-    assert ("x", "v") not in R
-    assert R.converse().pairs == {("u", "x"), ("v", "y")}
-    S = Relation.of({("u", "1"), ("v", "2")})
-    assert R.compose(S).pairs == {("x", "1"), ("y", "2")}
-    assert R.restrict({"x"}, {"u", "v"}).pairs == {("x", "u")}
-    assert Relation.diagonal({"a", "b"}).pairs == {("a", "a"), ("b", "b")}
-    g = Relation.graph({"x": "u", "y": "u"}, codomain={"u", "v"})
-    assert g.pairs == {("x", "u"), ("y", "u")}
-    assert g.codomain == {"u", "v"}
-
-
-def test_relation_validates_pairs():
-    with pytest.raises(ValueError):
-        Relation(fs({"x"}), fs({"u"}), fs({("x", "z")}))
-
-
-# --------------------------------------------------------------------------
 # Descriptors and text formats
 
 
@@ -338,6 +314,40 @@ def test_lax_axioms_small(name):
 def test_support_restriction_small(name):
     report = check_support_restriction(SHAPES[name], carrier_bound=2)
     assert report.ok, str(report)
+
+
+# Broken powerset liftings patched into the checker: each must trip its check.
+
+
+def _forward_only(F, pairs, t1, t2):
+    """The forward half of Egli–Milner alone."""
+    return all(any((x, y) in pairs for y in t2) for x in t1)
+
+
+def _ignores_relation(F, pairs, t1, t2):
+    """Egli–Milner over the total relation, whatever ``pairs`` holds."""
+    return bool(t1) == bool(t2)
+
+
+def _reads_outside_supports(F, pairs, t1, t2):
+    """Egli–Milner, or the pair (0, 0) whether or not 0 is in the supports."""
+    return lift_member(F, pairs, t1, t2) or (0, 0) in pairs
+
+
+@pytest.mark.parametrize(
+    "broken, check, name",
+    [
+        (_forward_only, check_lax_axioms, "converse"),
+        (_ignores_relation, check_lax_axioms, "diagonal"),
+        (_reads_outside_supports, check_support_restriction, "support-restriction"),
+    ],
+)
+def test_lax_checks_fail_on_broken_liftings(monkeypatch, broken, check, name):
+    monkeypatch.setattr("nablamu.laxcheck.lift_member", broken)
+    report = check(POWERSET, carrier_bound=2)
+    passed, witness = report.checks[name]
+    assert not passed and not report.ok
+    assert witness
 
 
 def test_canon_key_orders_mixed_payloads():
