@@ -25,13 +25,13 @@ from nablamu import (
 )
 
 CATALOG = [
-    (POWERSET, None),
-    (MONOTONE, None),
-    (IDENTITY, None),
-    (constant(("a", "b")), None),
-    (product(POWERSET, IDENTITY), None),
-    (coproduct(POWERSET, constant(("a",))), None),
-    (compose(POWERSET, POWERSET), None),
+    POWERSET,
+    MONOTONE,
+    IDENTITY,
+    constant(("a", "b")),
+    product(POWERSET, IDENTITY),
+    coproduct(POWERSET, constant(("a",))),
+    compose(POWERSET, POWERSET),
 ]
 
 
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     all_ok = True
-    for F, _ in CATALOG:
+    for F in CATALOG:
         bound = args.powerset_bound if F is POWERSET else args.carrier_bound
         start = time.monotonic()
         axioms = check_lax_axioms(F, carrier_bound=bound)

@@ -20,6 +20,7 @@ from nablamu import (
     render_model,
     uniform_interpolant,
 )
+from nablamu.parsing import parse_keep
 
 
 def main(argv=None) -> int:
@@ -30,7 +31,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--keep",
         default="q",
-        help="comma-separated vocabulary the interpolant may use (default q)",
+        type=parse_keep,
+        help="comma-separated vocabulary the interpolant may use, optionally "
+        "in braces (default q)",
     )
     parser.add_argument(
         "--against",
@@ -43,7 +46,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     F = parse_functor(args.functor)
-    keep = tuple(sorted(q for q in args.keep.split(",") if q))
+    keep = args.keep
     a = parse_formula(args.formula, F)
     b = parse_formula(args.against, F)
 

@@ -34,7 +34,7 @@ from .logic import (
     render_formula,
     validate_monotone,
 )
-from .parsing import Cursor, ParseError
+from .parsing import ParseError, parse_keep
 from .projection import project_automaton
 from .translation import UnsupportedFragment, automaton_to_formula, formula_to_automaton
 
@@ -153,18 +153,10 @@ def cmd_to_automaton(args) -> int:
     return 0
 
 
-def _parse_keep(text: str) -> tuple:
-    """Comma-separated proposition names, optionally in braces."""
-    cur = Cursor(text if text.lstrip().startswith("{") else "{" + text + "}")
-    names = cur.ident_set()
-    cur.expect_end()
-    return tuple(sorted(names))
-
-
 def cmd_interpolate(args) -> int:
     F = parse_functor(args.functor)
     f = parse_formula(_formula_text(args), F)
-    keep = _parse_keep(args.keep)
+    keep = parse_keep(args.keep)
     g = uniform_interpolant(f, keep, bound=args.witness_bound, functor=F)
     ok, cm = entails_bounded(f, g, args.max_model_size, functor=F)
     text = render_formula(g)
@@ -361,12 +353,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "entails",
         parents=[fmt, functor, size],
         help="entailment between two formulas",
-        description="Whether formula_a entails formula_b. Exact over powerset "
-        "when a /\\ ~b translates to an automaton: the nonemptiness game "
-        "decides it. A failed entailment prints the first countermodel of at "
-        "most N states, or, if there is none, the game's strategy model, "
-        "which may be larger. Other functors and formulas outside the "
-        "fragment are swept over all models of at most N states.",
+        description="Whether formula_a entails formula_b. Exact over every "
+        "functor without a monotone part when a /\\ ~b translates to an "
+        "automaton: the nonemptiness game decides it. A failed entailment "
+        "prints the first countermodel of at most N states, or, if there is "
+        "none, the game's strategy model, which may be larger. Functors with a "
+        "monotone part and formulas outside the fragment (a negated modality "
+        "outside powerset among them) are swept over all models of at most N "
+        "states.",
     )
     p.add_argument("formula_a", help="antecedent formula text")
     p.add_argument("formula_b", help="consequent formula text")

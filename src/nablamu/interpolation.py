@@ -9,12 +9,13 @@ guarded-fragment restrictions of the automaton translation; the projection
 is exact for functors with a functorial lifting, and its realizability
 ``bound`` applies only where a monotone part is present.
 
-``entails`` decides entailment exactly where it can: over powerset, a ⊨ b
-holds iff the automaton of ``a ∧ ¬b`` accepts nothing, i.e. iff the
-existential player loses its initial state in the nonemptiness game
-(Kupke & Venema, *Coalgebraic automata theory: basic results*, LMCS 2008).
-Elsewhere, and where ``a ∧ ¬b`` falls outside the translatable fragment, it
-is ``entails_bounded``: the desk-scale check that sweeps all pointed models
+``entails`` decides entailment exactly where it can: over every functor with
+a functorial lifting, a ⊨ b holds iff the automaton of ``a ∧ ¬b`` accepts
+nothing, i.e. iff the existential player loses its initial state in the
+nonemptiness game (Kupke & Venema, *Coalgebraic automata theory: basic
+results*, LMCS 2008).  Where a monotone part is present, and where
+``a ∧ ¬b`` falls outside the translatable fragment, it is
+``entails_bounded``: the desk-scale check that sweeps all pointed models
 up to a size bound, smallest first, and returns the first countermodel it
 meets.  The sweep evaluates ``a ∧ ¬b`` once per batch of models, on their
 disjoint union; the injections are coalgebra morphisms, so each state of
@@ -137,8 +138,9 @@ def entails(
 ):
     """Whether ``a`` entails ``b``; returns ``(True, None)`` or ``(False, countermodel)``.
 
-    Over powerset, when ``a ∧ ¬b`` translates to an automaton, the verdict is
-    exact: the entailment holds iff the existential player loses the initial
+    Over a functor with a functorial lifting (every functor without a
+    monotone part), when ``a ∧ ¬b`` translates to an automaton, the verdict
+    is exact: the entailment holds iff the existential player loses the initial
     state of the automaton's nonemptiness game.  Then ``max_states`` bounds
     only what the answer reports.  A failed entailment returns the countermodel
     of ``entails_bounded(a, b, max_states)``, or, when no model of at most
@@ -147,14 +149,15 @@ def entails(
     CapExceeded exactly where the sweep would: at the first size up to
     ``max_states`` past the enumeration cap.
 
-    Every other input (other functors, or ``a ∧ ¬b`` outside the fragment)
-    gets the result of ``entails_bounded``.  A formula whose fixpoint
+    Every other input (a functor with a monotone part, or ``a ∧ ¬b`` outside
+    the fragment, which holds every negated modality outside powerset) gets
+    the result of ``entails_bounded``.  A formula whose fixpoint
     variable occurs negatively raises ValueError.
     """
     validate_monotone(a)
     validate_monotone(b)
     F = _functor_for(mk_and(a, b), functor)
-    if F != POWERSET:
+    if not F.has_functorial_lifting:
         return entails_bounded(a, b, max_states, F)
     props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
     witness = mk_and(a, mk_neg(b))

@@ -13,6 +13,10 @@ relevant):
 * ``diagonal`` — L(Δ_X) ⊆ Δ_TX;
 * ``functions`` — L(graph f) = graph(T f).
 
+Monotonicity is checked on single-pair extensions, LR ⊆ L(R ∪ {(x, y)}): any
+S ⊇ R is reached from R by adding the pairs of S − R one at a time, so
+LR ⊆ LS follows by transitivity of ⊆.
+
 All checks are exhaustive at the given bound, so a ``CheckReport`` with every
 entry passing is a finite proof for those carrier sizes.
 """
@@ -31,6 +35,10 @@ from .functors import (
     lift_member,
     render_telem,
     t_map,
+)
+
+_LAX_CHECKS = (
+    "monotone", "composition", "quasi-functorial", "converse", "diagonal", "functions"
 )
 
 
@@ -54,230 +62,168 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _fmt_rel(mask: int, m: int, k: int) -> str:
-    ps = [(i, j) for i in range(m) for j in range(k) if (mask >> (i * k + j)) & 1]
-    return "{" + ", ".join(f"({i},{j})" for i, j in ps) + "}"
-
-
-def _mask_pairs(mask: int, m: int, k: int) -> frozenset:
-    return frozenset(
-        (i, j) for i in range(m) for j in range(k) if (mask >> (i * k + j)) & 1
+def _report(F: FunctorDescriptor, bound: int, names, failures) -> CheckReport:
+    """Keep the first description per check name; stop once every name failed."""
+    found = {}
+    for name, why in failures:
+        found.setdefault(name, why)
+        if len(found) == len(names):
+            break
+    return CheckReport(
+        functor_tag(F), bound, {n: (n not in found, found.get(n)) for n in names}
     )
+
+
+def _pairs(mask: int, m: int, k: int) -> list:
+    """The pairs (i, j) ∈ m × k of the relation encoded by bit i·k + j of ``mask``."""
+    return [(i, j) for i in range(m) for j in range(k) if mask >> (i * k + j) & 1]
+
+
+def _fmt_rel(mask: int, m: int, k: int) -> str:
+    return "{" + ", ".join(f"({i},{j})" for i, j in _pairs(mask, m, k)) + "}"
+
+
+class _Unions(dict):
+    """A mask of row indices ↦ the union of those rows, filled as it is read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self[0] = 0
+
+    def __missing__(self, bits: int) -> int:
+        low = bits & -bits
+        self[bits] = union = self[bits ^ low] | self.rows[low.bit_length() - 1]
+        return union
 
 
 def _tables(F: FunctorDescriptor, bound: int, cap: int):
     """Tabulate the lifting of every relation between carriers up to ``bound``.
 
-    Returns ``(telems, index, rows)`` where ``rows[(m, k)][mask][ti]`` is the
+    Returns ``(telems, rows)`` where ``rows[(m, k)][mask][ti]`` is the
     bitmask over ``telems[k]`` of elements related to ``telems[m][ti]`` by the
     lifting of the relation encoded by ``mask``.
     """
     telems = {n: enumerate_t(F, frozenset(range(n)), cap) for n in range(bound + 1)}
-    index = {n: {t: i for i, t in enumerate(ts)} for n, ts in telems.items()}
     rows = {}
-    for m in range(bound + 1):
-        for k in range(bound + 1):
-            TX, TY = telems[m], telems[k]
-            table = []
-            for mask in range(1 << (m * k)):
-                pairs = _mask_pairs(mask, m, k)
-                trows = []
-                for t1 in TX:
-                    bits = 0
-                    for jj, t2 in enumerate(TY):
-                        if lift_member(F, pairs, t1, t2):
-                            bits |= 1 << jj
-                    trows.append(bits)
-                table.append(tuple(trows))
-            rows[(m, k)] = table
-    return telems, index, rows
+    for m, k in itertools.product(telems, repeat=2):
+        table = rows[(m, k)] = []
+        for mask in range(1 << (m * k)):
+            pairs = frozenset(_pairs(mask, m, k))
+            trows = []
+            for t1 in telems[m]:
+                bits = 0
+                for jj, t2 in enumerate(telems[k]):
+                    if lift_member(F, pairs, t1, t2):
+                        bits |= 1 << jj
+                trows.append(bits)
+            table.append(tuple(trows))
+    return telems, rows
+
+
+def _lax_failures(F, telems, rows):
+    """Yield ``(check name, description)`` for every violation, check by check."""
+    # monotone: LR ⊆ L(R ∪ {pair}) for every pair (see the module docstring).
+    for (m, k), table in rows.items():
+        for mask, lrows in enumerate(table):
+            for bit in range(m * k):
+                bigger = mask | 1 << bit
+                for ti, (r, s) in enumerate(zip(lrows, table[bigger])):
+                    if r & ~s:
+                        yield "monotone", (
+                            f"L{_fmt_rel(mask, m, k)} ⊄ L{_fmt_rel(bigger, m, k)} at "
+                            f"τ={render_telem(F, telems[m][ti])}, "
+                            f"ρ={render_telem(F, telems[k][(r & ~s).bit_length() - 1])}"
+                        )
+
+    # composition: LR;LS ⊆ L(R;S); quasi-functorial: equality on dom(LR) × rng(LS).
+    for m, k, j in itertools.product(telems, repeat=3):
+        Rtab, Stab, Ctab = rows[(m, k)], rows[(k, j)], rows[(m, j)]
+        TX, TZ = telems[m], telems[j]
+        for Smask, Srows in enumerate(Stab):
+            lifted = _Unions(Srows)  # LR;LS at τ is the union of LS over τ's LR-row
+            rng_mask = lifted[(1 << len(Srows)) - 1]
+            # R;S for every R: the union, over the pairs (x, y) of R, of {x} × S(y).
+            composed = [0]
+            for x, y in itertools.product(range(m), range(k)):
+                zs = (Smask >> (y * j) & ((1 << j) - 1)) << (x * j)
+                composed += [rs | zs for rs in composed]
+            for Rmask, Rrows in enumerate(Rtab):
+                Crows = Ctab[composed[Rmask]]
+                for ti, rb in enumerate(Rrows):
+                    # LR;LS ⊆ rng(LS), so a composition failure fails this test too.
+                    if rb and lifted[rb] != Crows[ti] & rng_mask:
+                        comp, full = lifted[rb], Crows[ti]
+                        pair = f"R={_fmt_rel(Rmask, m, k)}, S={_fmt_rel(Smask, k, j)}"
+                        if comp & ~full:
+                            yield "composition", (
+                                f"LR;LS ⊄ L(R;S) for {pair} at τ={render_telem(F, TX[ti])}, "
+                                f"ρ={render_telem(F, TZ[(comp & ~full).bit_length() - 1])}"
+                            )
+                        yield "quasi-functorial", (
+                            f"no middle element for {pair} at τ={render_telem(F, TX[ti])}, "
+                            f"ρ={render_telem(F, TZ[(full & rng_mask & ~comp).bit_length() - 1])} "
+                            f"despite τ ∈ dom(LR), ρ ∈ rng(LS)"
+                        )
+
+    # converse: L(R°) = (LR)°.
+    for (m, k), table in rows.items():
+        for mask, frows in enumerate(table):
+            brows = rows[(k, m)][sum(1 << (j * m + i) for i, j in _pairs(mask, m, k))]
+            for ti, tj in itertools.product(range(len(telems[m])), range(len(telems[k]))):
+                if (frows[ti] >> tj & 1) != (brows[tj] >> ti & 1):
+                    yield "converse", (
+                        f"L(R°) ≠ (LR)° for R={_fmt_rel(mask, m, k)} at "
+                        f"τ={render_telem(F, telems[m][ti])}, "
+                        f"ρ={render_telem(F, telems[k][tj])}"
+                    )
+
+    # diagonal: L(Δ_X) ⊆ Δ_TX.
+    for m, TX in telems.items():
+        for ti, row in enumerate(rows[(m, m)][sum(1 << (i * m + i) for i in range(m))]):
+            if row & ~(1 << ti):
+                yield "diagonal", (
+                    f"L(Δ) relates distinct elements {render_telem(F, TX[ti])} "
+                    f"and {render_telem(F, TX[(row & ~(1 << ti)).bit_length() - 1])}"
+                )
+
+    # functions: L(graph f) = graph(T f), in particular Δ_TX ⊆ L(Δ_X).
+    for m, k in itertools.product(telems, repeat=2):
+        for fvals in itertools.product(range(k), repeat=m):
+            gmask = sum(1 << (i * k + fi) for i, fi in enumerate(fvals))
+            fmap = dict(enumerate(fvals))
+            for t1, row in zip(telems[m], rows[(m, k)][gmask]):
+                want = 1 << telems[k].index(t_map(F, fmap, t1))
+                if row != want:
+                    yield "functions", (
+                        f"L(graph f) ≠ T f for f={fvals} at τ={render_telem(F, t1)}: "
+                        f"related-set mask {row:#x}, expected {want:#x}"
+                    )
 
 
 def check_lax_axioms(
     F: FunctorDescriptor, carrier_bound: int = 2, cap: int = DEFAULT_CAP
 ) -> CheckReport:
     """Exhaustively verify all lax-extension axioms at small carriers."""
-    telems, index, rows = _tables(F, carrier_bound, cap)
-    b = carrier_bound
-    checks = {}
+    failures = _lax_failures(F, *_tables(F, carrier_bound, cap))
+    return _report(F, carrier_bound, _LAX_CHECKS, failures)
 
-    def render(n, t):
-        return render_telem(F, t)
 
-    # monotone: R ⊆ S implies LR ⊆ LS, via submask enumeration.
-    fail = None
-    for (m, k), table in sorted(rows.items()):
-        if fail:
-            break
+def _support_failures(F, telems, rows):
+    for (m, k), table in rows.items():
         TX, TY = telems[m], telems[k]
-        for smask in range(len(table)):
-            sub = smask
-            while True:
-                srow, rrow = table[smask], table[sub]
-                for ti in range(len(TX)):
-                    extra = rrow[ti] & ~srow[ti]
-                    if extra:
-                        tj = extra.bit_length() - 1
-                        fail = (
-                            f"L{_fmt_rel(sub, m, k)} ⊄ L{_fmt_rel(smask, m, k)} at "
-                            f"τ={render(m, TX[ti])}, ρ={render(k, TY[tj])}"
+        supports = [
+            [sum(1 << (i * k + j) for i in base(F, t1) for j in base(F, t2)) for t2 in TY]
+            for t1 in TX
+        ]
+        for mask, lrows in enumerate(table):
+            for ti, row in enumerate(lrows):
+                for tj, support in enumerate(supports[ti]):
+                    if (row ^ table[mask & support][ti]) >> tj & 1:
+                        yield "support-restriction", (
+                            f"lifting of R={_fmt_rel(mask, m, k)} at "
+                            f"τ={render_telem(F, TX[ti])}, ρ={render_telem(F, TY[tj])} "
+                            f"changes when R is restricted to the supports"
                         )
-                        break
-                if fail or sub == 0:
-                    break
-                sub = (sub - 1) & smask
-            if fail:
-                break
-    checks["monotone"] = (fail is None, fail)
-
-    # composition (LR;LS ⊆ L(R;S)) and quasi-functoriality, per carrier triple.
-    l2fail = qffail = None
-    for m in range(b + 1):
-        for k in range(b + 1):
-            for j in range(b + 1):
-                if l2fail and qffail:
-                    break
-                Rtab, Stab, Ctab = rows[(m, k)], rows[(k, j)], rows[(m, j)]
-                TX, TY, TZ = telems[m], telems[k], telems[j]
-                kbits = (1 << k) - 1
-                ny = len(TY)
-                for Smask in range(len(Stab)):
-                    if l2fail and qffail:
-                        break
-                    Srows = Stab[Smask]
-                    rng_mask = 0
-                    for r in Srows:
-                        rng_mask |= r
-                    yrow = [(Smask >> (y * j)) & ((1 << j) - 1) for y in range(k)]
-                    zrow_of = [0] * (1 << k)
-                    for v in range(1, 1 << k):
-                        lb = v & -v
-                        zrow_of[v] = zrow_of[v ^ lb] | yrow[lb.bit_length() - 1]
-                    if ny <= 12:
-                        or_of = [0] * (1 << ny)
-                        for v in range(1, 1 << ny):
-                            lb = v & -v
-                            or_of[v] = or_of[v ^ lb] | Srows[lb.bit_length() - 1]
-                    else:
-                        or_of = None
-                    for Rmask in range(len(Rtab)):
-                        Rrows = Rtab[Rmask]
-                        rs = 0
-                        for x in range(m):
-                            rs |= zrow_of[(Rmask >> (x * k)) & kbits] << (x * j)
-                        Crows = Ctab[rs]
-                        for ti in range(len(TX)):
-                            rb = Rrows[ti]
-                            if or_of is not None:
-                                comp = or_of[rb]
-                            else:
-                                comp = 0
-                                bits = rb
-                                while bits:
-                                    lb = bits & -bits
-                                    bits ^= lb
-                                    comp |= Srows[lb.bit_length() - 1]
-                            if l2fail is None:
-                                extra = comp & ~Crows[ti]
-                                if extra:
-                                    tz = extra.bit_length() - 1
-                                    l2fail = (
-                                        f"LR;LS ⊄ L(R;S) for R={_fmt_rel(Rmask, m, k)}, "
-                                        f"S={_fmt_rel(Smask, k, j)} at "
-                                        f"τ={render(m, TX[ti])}, ρ={render(j, TZ[tz])}"
-                                    )
-                            if qffail is None and rb:
-                                want = Crows[ti] & rng_mask
-                                if comp != want:
-                                    tz = (want & ~comp).bit_length() - 1
-                                    qffail = (
-                                        f"no middle element for R={_fmt_rel(Rmask, m, k)}, "
-                                        f"S={_fmt_rel(Smask, k, j)} at "
-                                        f"τ={render(m, TX[ti])}, ρ={render(j, TZ[tz])} "
-                                        f"despite τ ∈ dom(LR), ρ ∈ rng(LS)"
-                                    )
-    checks["composition"] = (l2fail is None, l2fail)
-    checks["quasi-functorial"] = (qffail is None, qffail)
-
-    # converse: L(R°) = (LR)°.
-    fail = None
-    for m in range(b + 1):
-        if fail:
-            break
-        for k in range(b + 1):
-            if fail:
-                break
-            TX, TY = telems[m], telems[k]
-            fwd, bwd = rows[(m, k)], rows[(k, m)]
-            for mask in range(len(fwd)):
-                conv = 0
-                for (i, j) in _mask_pairs(mask, m, k):
-                    conv |= 1 << (j * m + i)
-                frows, brows = fwd[mask], bwd[conv]
-                for ti in range(len(TX)):
-                    for tj in range(len(TY)):
-                        if ((frows[ti] >> tj) & 1) != ((brows[tj] >> ti) & 1):
-                            fail = (
-                                f"L(R°) ≠ (LR)° for R={_fmt_rel(mask, m, k)} at "
-                                f"τ={render(m, TX[ti])}, ρ={render(k, TY[tj])}"
-                            )
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
-    checks["converse"] = (fail is None, fail)
-
-    # diagonal: L(Δ_X) ⊆ Δ_TX.
-    fail = None
-    for m in range(b + 1):
-        if fail:
-            break
-        TX = telems[m]
-        diag = 0
-        for i in range(m):
-            diag |= 1 << (i * m + i)
-        drows = rows[(m, m)][diag]
-        for ti in range(len(TX)):
-            extra = drows[ti] & ~(1 << ti)
-            if extra:
-                tj = extra.bit_length() - 1
-                fail = (
-                    f"L(Δ) relates distinct elements "
-                    f"{render(m, TX[ti])} and {render(m, TX[tj])}"
-                )
-                break
-    checks["diagonal"] = (fail is None, fail)
-
-    # functions: L(graph f) = graph(T f), in particular Δ_TX ⊆ L(Δ_X).
-    fail = None
-    for m in range(b + 1):
-        if fail:
-            break
-        for k in range(b + 1):
-            if fail:
-                break
-            TX = telems[m]
-            idx = index[k]
-            for fvals in itertools.product(range(k), repeat=m):
-                gmask = 0
-                for i, fi in enumerate(fvals):
-                    gmask |= 1 << (i * k + fi)
-                grows = rows[(m, k)][gmask]
-                fmap = dict(enumerate(fvals))
-                for ti, t1 in enumerate(TX):
-                    want = 1 << idx[t_map(F, fmap, t1)]
-                    if grows[ti] != want:
-                        fail = (
-                            f"L(graph f) ≠ T f for f={fvals} at τ={render(m, t1)}: "
-                            f"related-set mask {grows[ti]:#x}, expected {want:#x}"
-                        )
-                        break
-                if fail:
-                    break
-    checks["functions"] = (fail is None, fail)
-
-    return CheckReport(functor_tag(F), carrier_bound, checks)
 
 
 def check_support_restriction(
@@ -290,42 +236,5 @@ def check_support_restriction(
     pairs W of an acceptance game, restricted to base(τ) × base(ρ), a
     witness for every pair (τ, ρ) in the lifting of W.
     """
-    telems, index, rows = _tables(F, carrier_bound, cap)
-    fail = None
-    for m in range(carrier_bound + 1):
-        if fail:
-            break
-        for k in range(carrier_bound + 1):
-            if fail:
-                break
-            TX, TY = telems[m], telems[k]
-            table = rows[(m, k)]
-            basemask = {}
-            for ti, t1 in enumerate(TX):
-                bx = base(F, t1)
-                for tj, t2 in enumerate(TY):
-                    by = base(F, t2)
-                    pm = 0
-                    for i in bx:
-                        for j in by:
-                            pm |= 1 << (i * k + j)
-                    basemask[(ti, tj)] = pm
-            for mask in range(len(table)):
-                for ti in range(len(TX)):
-                    row = table[mask][ti]
-                    for tj in range(len(TY)):
-                        restricted = table[mask & basemask[(ti, tj)]][ti]
-                        if ((row >> tj) & 1) != ((restricted >> tj) & 1):
-                            fail = (
-                                f"lifting of R={_fmt_rel(mask, m, k)} at "
-                                f"τ={render_telem(F, TX[ti])}, ρ={render_telem(F, TY[tj])} "
-                                f"changes when R is restricted to the supports"
-                            )
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
-    return CheckReport(
-        functor_tag(F), carrier_bound, {"support-restriction": (fail is None, fail)}
-    )
+    failures = _support_failures(F, *_tables(F, carrier_bound, cap))
+    return _report(F, carrier_bound, ("support-restriction",), failures)

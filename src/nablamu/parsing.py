@@ -110,3 +110,11 @@ class Cursor:
             self.error("expected a number")
         self.pos = j
         return int(text[i:j])
+
+
+def parse_keep(text: str) -> tuple:
+    """Comma-separated proposition names, optionally in braces, sorted."""
+    cur = Cursor(text if text.lstrip().startswith("{") else "{" + text + "}")
+    names = cur.ident_set()
+    cur.expect_end()
+    return tuple(sorted(names))

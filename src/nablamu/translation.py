@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import logic
-from .automata import Automaton
+from .automata import Automaton, find_true_state
 from .functors import FunctorDescriptor, base, canon_key, enumerate_t, subsets, t_map
 from .logic import (
     Atom,
@@ -588,7 +588,8 @@ def automaton_to_formula(aut: Automaton) -> Formula:
 
     States become fixpoint variables (μ at odd priority, ν at even), ordered
     innermost-first by ascending priority, and are eliminated by Gaussian
-    substitution.
+    substitution.  The universally accepting state that ``find_true_state``
+    finds becomes ``true``.
     """
     F = aut.functor
     reach = _reachable_states(aut)
@@ -601,8 +602,12 @@ def automaton_to_formula(aut: Automaton) -> Formula:
             if v not in used:
                 names[a] = v
                 break
+    true_state = find_true_state(aut)
     rhs = {}
     for a in reach:
+        if a == true_state:
+            rhs[names[a]] = TRUE
+            continue
         choices = []
         for c in subsets(aut.props):
             cell = aut.delta_of(a, c)

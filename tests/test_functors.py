@@ -334,12 +334,31 @@ def _reads_outside_supports(F, pairs, t1, t2):
     return lift_member(F, pairs, t1, t2) or (0, 0) in pairs
 
 
+def _negated(F, pairs, t1, t2):
+    """The complement of Egli–Milner: adding pairs removes related elements."""
+    return not lift_member(F, pairs, t1, t2)
+
+
+def _needs_pairs(F, pairs, t1, t2):
+    """Egli–Milner, except that the empty relation lifts to nothing."""
+    return bool(pairs) and lift_member(F, pairs, t1, t2)
+
+
+def _equal_sizes(F, pairs, t1, t2):
+    """Egli–Milner between sets of equal size only: T f may merge elements."""
+    return len(t1) == len(t2) and lift_member(F, pairs, t1, t2)
+
+
 @pytest.mark.parametrize(
     "broken, check, name",
     [
         (_forward_only, check_lax_axioms, "converse"),
         (_ignores_relation, check_lax_axioms, "diagonal"),
         (_reads_outside_supports, check_support_restriction, "support-restriction"),
+        (_negated, check_lax_axioms, "monotone"),
+        (_needs_pairs, check_lax_axioms, "composition"),
+        (_needs_pairs, check_lax_axioms, "quasi-functorial"),
+        (_equal_sizes, check_lax_axioms, "functions"),
     ],
 )
 def test_lax_checks_fail_on_broken_liftings(monkeypatch, broken, check, name):

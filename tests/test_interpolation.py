@@ -16,6 +16,7 @@ from nablamu import (
     PointedModel,
     canonical_models,
     canonical_pointed_models,
+    compose,
     eval_formula,
     free_props,
     mk_and,
@@ -311,7 +312,7 @@ def test_entails_outside_the_fragment_is_the_sweep():
         (pf("mu x. (p \\/ nabla {x, true})"), pf("mu x. (q \\/ nabla {x})")),
         (parse_formula("nabla {{p}}", MONOTONE), parse_formula("p", MONOTONE)),
         (parse_formula("nabla {{p, q}}", MONOTONE), parse_formula("nabla {{p}}", MONOTONE)),
-        (parse_formula("nabla id: p", IDENTITY), parse_formula("p", IDENTITY)),
+        (parse_formula("p", IDENTITY), parse_formula("nabla id: p", IDENTITY)),
         (
             parse_formula("mu x. (p \\/ nabla id: x)", IDENTITY),
             parse_formula("nabla id: p", IDENTITY),
@@ -326,6 +327,22 @@ def test_entails_outside_the_fragment_is_the_sweep():
     # a modality-free pair over a functor given explicitly is swept too
     a, b = pf("(p \\/ q)"), pf("p")
     assert entails(a, b, 2, MONOTONE) == entails_bounded(a, b, 2, MONOTONE)
+
+
+def test_entails_is_exact_for_every_functorial_lifting():
+    comp = compose(POWERSET, POWERSET)
+    cases = [
+        # a is satisfiable, but only in models of at least four states
+        (comp, "nabla {{nabla {{nabla {}, true}}, nu z. nabla {{z}}}}", "p", 2),
+        # every identity model of nabla id: p /\ ~p has two states
+        (IDENTITY, "nabla id: p", "p", 1),
+    ]
+    for F, a_src, b_src, n in cases:
+        a, b = parse_formula(a_src, F), parse_formula(b_src, F)
+        assert entails_bounded(a, b, n, F) == (True, None)
+        ok, P = entails(a, b, n, F)
+        assert not ok and len(P.model.states) > n
+        assert refutes(P, a, b), F
 
 
 def test_exact_holds_sweeps_no_models(monkeypatch):

@@ -24,3 +24,10 @@ def _load(name):
 @pytest.mark.parametrize("name", sorted(SMALL_ARGS))
 def test_script_exits_zero(name):
     assert _load(name).main(SMALL_ARGS[name]) == 0
+
+
+@pytest.mark.parametrize("keep, hidden", [("q, p", "[]"), ("{q}", "['p']")])
+def test_interpolation_demo_reads_keep_like_the_cli(capsys, keep, hidden):
+    args = ["--keep", keep, "--max-model-size", "2"]
+    assert _load("interpolation_demo").main(args) == 0
+    assert f"hiding         {hidden}\n" in capsys.readouterr().out
