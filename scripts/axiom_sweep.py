@@ -15,14 +15,13 @@ from nablamu import (
     IDENTITY,
     MONOTONE,
     POWERSET,
-    check_lax_axioms,
-    check_support_restriction,
     compose,
     constant,
     coproduct,
     functor_tag,
     product,
 )
+from nablamu.laxcheck import _selftest_reports
 
 CATALOG = [
     POWERSET,
@@ -55,8 +54,7 @@ def main(argv=None) -> int:
     for F in CATALOG:
         bound = args.powerset_bound if F is POWERSET else args.carrier_bound
         start = time.monotonic()
-        axioms = check_lax_axioms(F, carrier_bound=bound)
-        support = check_support_restriction(F, carrier_bound=bound)
+        axioms, support = _selftest_reports(F, bound)
         elapsed = time.monotonic() - start
         verdict = "ok" if axioms.ok and support.ok else "FAILED"
         print(f"== {functor_tag(F)} (carriers <= {bound}, {elapsed:.1f}s): {verdict}")

@@ -406,11 +406,12 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
     found = dict.fromkeys(_elements(aut))
     todo = list(found)
     for n in range(1, bound + 1):
+        # every n-state canonical model has the states s0 … s{n−1}
+        taus = enumerate_t(F, frozenset(f"s{i}" for i in range(n)))
         for M in canonical_models(F, aut.props, n):
             if not todo:
                 return MappingProxyType(found)
             W = winning_pairs(aut, M)
-            taus = enumerate_t(F, M.state_set)
             for phi in todo:
                 tau = next((t for t in taus if lift_member(F, W, t, phi)), None)
                 if tau is not None:

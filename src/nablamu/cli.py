@@ -26,7 +26,7 @@ from .coalgebra import (
 )
 from .functors import DEFAULT_CAP, CapExceeded, functor_tag, parse_functor
 from .interpolation import entails, entails_bounded, uniform_interpolant
-from .laxcheck import check_lax_axioms, check_support_restriction
+from .laxcheck import _selftest_reports
 from .logic import (
     eval_formula,
     free_props,
@@ -207,8 +207,7 @@ def cmd_entails(args) -> int:
 
 def cmd_selftest(args) -> int:
     F = parse_functor(args.functor)
-    axioms = check_lax_axioms(F, args.carrier_bound, args.cap)
-    support = check_support_restriction(F, args.carrier_bound, args.cap)
+    axioms, support = _selftest_reports(F, args.carrier_bound, args.cap)
     ok = axioms.ok and support.ok
     _emit(
         args,

@@ -8,7 +8,6 @@ and the solver returns one for each player on their winning region.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -119,54 +118,51 @@ def solve_parity(arena: Arena) -> ParitySolution:
         return frozenset(attr), strat
 
     def zielonka(sub: frozenset):
-        """Returns (win_e, win_a, strat_e, strat_a) for the total subgame."""
-        if not sub:
-            return frozenset(), frozenset(), {}, {}
-        d = max(map(priority.__getitem__, sub))
-        player = "E" if d % 2 == 0 else "A"
-        Z = frozenset([v for v in sub if priority[v] == d])
-        A, strat_attr = attractor(Z, player, sub)
-        we, wa, se, sa = zielonka(sub - A)
-        win_mine, win_other = (we, wa) if player == "E" else (wa, we)
-        st_mine = se if player == "E" else sa
-        st_other = sa if player == "E" else se
-        if not win_other:
-            # the favored player wins the whole subgame: recurse-region
-            # strategy inside sub∖A, attractor strategy on A∖Z, and any
-            # in-subgame move on the top-priority positions themselves.
-            st = dict(st_mine)
-            st.update(strat_attr)
-            for v in Z:
-                if owner[v] == player:
-                    st[v] = next(w for w in moves[v] if w in sub)
-            if player == "E":
-                return frozenset(sub), frozenset(), st, {}
-            return frozenset(), frozenset(sub), {}, st
-        other = "A" if player == "E" else "E"
-        B, strat_b = attractor(win_other, other, sub)
-        we2, wa2, se2, sa2 = zielonka(sub - B)
-        st_o = dict(st_other)
-        st_o.update(strat_b)
-        if player == "E":
-            st_o.update(sa2)
-            return we2, frozenset(wa2 | B), se2, st_o
-        st_o.update(se2)
-        return frozenset(we2 | B), wa2, st_o, sa2
+        """Returns ({player: winning region}, {player: strategy}) for the
+        total subgame.
 
-    # recursion depth is bounded by the number of positions; the caller's
-    # limit comes back however the solver exits
-    limit = sys.getrecursionlimit()
-    try:
-        if limit < 2 * n + 200:
-            sys.setrecursionlimit(2 * n + 200)
-        we, wa, se, sa = zielonka(frozenset(range(n + 2)))
-    finally:
-        sys.setrecursionlimit(limit)
+        The call on ``sub ∖ A`` recurses; A holds the top priority, so the
+        depth is at most the number of priorities.  The call on ``sub ∖ B``
+        is a loop: each round peels the opponent's attractor B off ``sub``,
+        and the peeled regions are joined back innermost first.
+        """
+        peeled = []
+        while sub:
+            d = max(map(priority.__getitem__, sub))
+            player, other = ("E", "A") if d % 2 == 0 else ("A", "E")
+            Z = frozenset([v for v in sub if priority[v] == d])
+            A, strat_attr = attractor(Z, player, sub)
+            win, strat = zielonka(sub - A)
+            if not win[other]:
+                # the favored player wins the whole subgame: recurse-region
+                # strategy inside sub∖A, attractor strategy on A∖Z, and any
+                # in-subgame move on the top-priority positions themselves.
+                st = dict(strat[player])
+                st.update(strat_attr)
+                for v in Z:
+                    if owner[v] == player:
+                        st[v] = next(w for w in moves[v] if w in sub)
+                win = {player: frozenset(sub), other: frozenset()}
+                strat = {player: st, other: {}}
+                break
+            B, strat_b = attractor(win[other], other, sub)
+            st = dict(strat[other])
+            st.update(strat_b)
+            peeled.append((other, B, st))
+            sub = sub - B
+        else:
+            win, strat = {"E": frozenset(), "A": frozenset()}, {"E": {}, "A": {}}
+        for other, B, st in reversed(peeled):
+            st.update(strat[other])
+            win[other], strat[other] = frozenset(win[other] | B), st
+        return win, strat
+
+    win, strat = zielonka(frozenset(range(n + 2)))
     real = set(range(n))
     return ParitySolution(
         arena,
-        frozenset(we & real),
-        frozenset(wa & real),
-        {v: w for v, w in se.items() if v < n and w < n},
-        {v: w for v, w in sa.items() if v < n and w < n},
+        frozenset(win["E"] & real),
+        frozenset(win["A"] & real),
+        {v: w for v, w in strat["E"].items() if v < n and w < n},
+        {v: w for v, w in strat["A"].items() if v < n and w < n},
     )

@@ -238,3 +238,15 @@ def check_support_restriction(
     """
     failures = _support_failures(F, *_tables(F, carrier_bound, cap))
     return _report(F, carrier_bound, ("support-restriction",), failures)
+
+
+def _selftest_reports(F: FunctorDescriptor, carrier_bound: int, cap: int = DEFAULT_CAP):
+    """The reports of :func:`check_lax_axioms` and
+    :func:`check_support_restriction`, from one tabulation of the lifting."""
+    telems, rows = _tables(F, carrier_bound, cap)
+    axioms = _lax_failures(F, telems, rows)
+    support = _support_failures(F, telems, rows)
+    return (
+        _report(F, carrier_bound, _LAX_CHECKS, axioms),
+        _report(F, carrier_bound, ("support-restriction",), support),
+    )

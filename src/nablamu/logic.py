@@ -416,30 +416,18 @@ def satisfies(P, f: Formula) -> bool:
 # Guarding
 
 
-def _has_unguarded(x: str, f: Formula) -> bool:
-    """An occurrence of ``x`` reachable without crossing a modality."""
-    if isinstance(f, Atom):
-        return f.name == x
-    if isinstance(f, Neg):
-        return _has_unguarded(x, f.sub)
-    if isinstance(f, Or):
-        return any(_has_unguarded(x, p) for p in f.parts)
-    if isinstance(f, Nabla):
-        return False
-    return f.var != x and _has_unguarded(x, f.body)
-
-
-def _has_unguarded_under_binder(x: str, f: Formula, inside: bool = False) -> bool:
-    """An unguarded occurrence of ``x`` lying inside some inner fixpoint."""
+def _has_unguarded(x: str, f: Formula, inside: bool = True) -> bool:
+    """An occurrence of ``x`` reachable without crossing a modality; with
+    ``inside=False``, only one lying inside some inner fixpoint."""
     if isinstance(f, Atom):
         return inside and f.name == x
     if isinstance(f, Neg):
-        return _has_unguarded_under_binder(x, f.sub, inside)
+        return _has_unguarded(x, f.sub, inside)
     if isinstance(f, Or):
-        return any(_has_unguarded_under_binder(x, p, inside) for p in f.parts)
+        return any(_has_unguarded(x, p, inside) for p in f.parts)
     if isinstance(f, Nabla):
         return False
-    return f.var != x and _has_unguarded_under_binder(x, f.body, True)
+    return f.var != x and _has_unguarded(x, f.body, True)
 
 
 def _unfold_inner_binders(x: str, f: Formula) -> Formula:
@@ -520,7 +508,7 @@ def _guard(f: Formula) -> Formula:
         return mk_nabla(f.functor, t_map(f.functor, _guard, f.payload))
     x = f.var
     body = _guard(f.body)
-    while _has_unguarded_under_binder(x, body):
+    while _has_unguarded(x, body, inside=False):
         body = _unfold_inner_binders(x, body)
     if _has_unguarded(x, body):
         xa = mk_atom(x)

@@ -47,7 +47,11 @@ def qf_middle(
     monotone lifting) additionally need a ``dom_witness`` — an element
     related to ``tau`` under ``R1`` — and an ``rng_witness`` — one related
     to ``rho`` under ``R2`` — to anchor the construction; functorial layers
-    ignore them.
+    ignore them.  The monotone middle has one generator per generator of
+    ``tau``, anchored in ``dom_witness``, and one per generator of ``rho``,
+    anchored in ``rng_witness``.  One helper builds both mirrored halves:
+    the second swaps ``tau`` and ``rho`` and reads ``R2`` and the mediator
+    backwards.
     """
     succ2: dict = {}
     for u, y in R2:
@@ -59,20 +63,20 @@ def qf_middle(
             if cur is None or canon_key(u) < canon_key(cur):
                 med_map[(x, y)] = u
 
-    def rel1(x, u):
-        return (x, u) in R1
-
-    def rel2(u, y):
-        return (u, y) in R2
-
     def med(x, y):
         return med_map.get((x, y))
 
-    return _qf(F, tau, rho, rel1, rel2, med, dom_witness, rng_witness)
+    return _qf(F, tau, rho, R1, R2, med, dom_witness, rng_witness)
 
 
-def _qf(F, tau, rho, rel1, rel2, med, dom_w, rng_w):
+def _qf(F, tau, rho, R1, R2, med, dom_w, rng_w):
     kind = F.kind
+
+    def part(G, k):
+        """The middle of component ``k`` of the payloads and the witnesses."""
+        ws = (None if w is None else w[k] for w in (dom_w, rng_w))
+        return _qf(G, tau[k], rho[k], R1, R2, med, *ws)
+
     if kind == "const":
         if tau != rho:
             raise ValueError("constant payloads of a lifted pair must agree")
@@ -91,104 +95,58 @@ def _qf(F, tau, rho, rel1, rel2, med, dom_w, rng_w):
                     out.add(u)
         return frozenset(out)
     if kind == "monotone":
-        return _qf_monotone(tau, rho, rel1, rel2, med, dom_w, rng_w)
+        if dom_w is None or rng_w is None:
+            raise ValueError(
+                "the monotone lifting needs domain and range witnesses to mediate"
+            )
+        gens = _qf_monotone_half(tau, rho, R1, med, dom_w) + _qf_monotone_half(
+            rho, tau, _FnPairs(lambda y, u: (u, y) in R2), lambda y, x: med(x, y), rng_w
+        )
+        return _antichain_min(frozenset(gens))
     if kind == "product":
-        left = _qf(
-            F.parts[0], tau[0], rho[0], rel1, rel2, med,
-            None if dom_w is None else dom_w[0],
-            None if rng_w is None else rng_w[0],
-        )
-        right = _qf(
-            F.parts[1], tau[1], rho[1], rel1, rel2, med,
-            None if dom_w is None else dom_w[1],
-            None if rng_w is None else rng_w[1],
-        )
-        return (left, right)
+        return (part(F.parts[0], 0), part(F.parts[1], 1))
     if kind == "coproduct":
         if tau[0] != rho[0]:
             raise ValueError("mismatched coproduct tags in a lifted pair")
-        part = F.parts[0 if tau[0] == "inl" else 1]
-        inner = _qf(
-            part, tau[1], rho[1], rel1, rel2, med,
-            None if dom_w is None else dom_w[1],
-            None if rng_w is None else rng_w[1],
-        )
-        return (tau[0], inner)
+        return (tau[0], part(F.parts[0 if tau[0] == "inl" else 1], 1))
     # composite: mediate at the outer level, over elements of the inner layer
     outer, inner = F.parts
-
-    def rel1_lifted(xe, ue):
-        return lift_member(inner, _FnPairs(rel1), xe, ue)
-
-    def rel2_lifted(ue, ye):
-        return lift_member(inner, _FnPairs(rel2), ue, ye)
 
     def med_lifted(xe, ye):
         composable = _FnPairs(lambda x, y: med(x, y) is not None)
         if not lift_member(inner, composable, xe, ye):
             return None
-        return _qf(inner, xe, ye, rel1, rel2, med, None, None)
+        return _qf(inner, xe, ye, R1, R2, med, None, None)
 
-    return _qf(outer, tau, rho, rel1_lifted, rel2_lifted, med_lifted, dom_w, rng_w)
+    lifted1 = _FnPairs(lambda xe, ue: lift_member(inner, R1, xe, ue))
+    lifted2 = _FnPairs(lambda ue, ye: lift_member(inner, R2, ue, ye))
+    return _qf(outer, tau, rho, lifted1, lifted2, med_lifted, dom_w, rng_w)
 
 
-def _qf_monotone(tau, rho, rel1, rel2, med, dom_w, rng_w):
-    """The constructive middle for the monotone neighborhood lifting.
+def _qf_monotone_half(tau, rho, rel, med, anchor) -> list:
+    """One candidate generator of the monotone middle per generator A of ``tau``.
 
-    Builds one candidate generator per generator of ``tau`` (anchored in the
-    domain witness) and per generator of ``rho`` (anchored in the range
-    witness), then minimizes.
+    The candidate is the first generator of ``anchor`` whose every member is
+    ``rel``-related to some x ∈ A, joined with ``med(x, y)`` for each y of the
+    first generator of ``rho`` that A mediates onto, x being the first member
+    of A with a mediator to y.  "First" is always in ``canon_key`` order.
     """
-    if dom_w is None or rng_w is None:
-        raise ValueError(
-            "the monotone lifting needs domain and range witnesses to mediate"
-        )
 
-    def srt(fam):
-        return sorted(fam, key=canon_key)
+    def first(items, test):
+        return next((i for i in sorted(items, key=canon_key) if test(i)), None)
 
     gens = []
-    for A in srt(tau):
-        B_A = next(
-            (
-                H
-                for H in srt(rho)
-                if all(any(med(x, y) is not None for x in A) for y in H)
-            ),
-            None,
-        )
-        U_A = next(
-            (H for H in srt(dom_w) if all(any(rel1(x, u) for x in A) for u in H)),
-            None,
-        )
-        if B_A is None or U_A is None:
+    for A in sorted(tau, key=canon_key):
+        B = first(rho, lambda H: all(any(med(x, y) is not None for x in A) for y in H))
+        U = first(anchor, lambda H: all(any((x, u) in rel for x in A) for u in H))
+        if B is None or U is None:
             raise ValueError("monotone mediation lost a generator witness")
-        mids = set()
-        for y in srt(B_A):
-            x_y = next(x for x in srt(A) if med(x, y) is not None)
-            mids.add(med(x_y, y))
-        gens.append(frozenset(U_A | mids))
-    for B in srt(rho):
-        A_B = next(
-            (
-                G
-                for G in srt(tau)
-                if all(any(med(x, y) is not None for y in B) for x in G)
-            ),
-            None,
-        )
-        V_B = next(
-            (G for G in srt(rng_w) if all(any(rel2(u, y) for y in B) for u in G)),
-            None,
-        )
-        if A_B is None or V_B is None:
-            raise ValueError("monotone mediation lost a generator witness")
-        mids = set()
-        for x in srt(A_B):
-            y_x = next(y for y in srt(B) if med(x, y) is not None)
-            mids.add(med(x, y_x))
-        gens.append(frozenset(V_B | mids))
-    return _antichain_min(frozenset(gens))
+        mids = {
+            med(first(A, lambda x: med(x, y) is not None), y)
+            for y in sorted(B, key=canon_key)
+        }
+        gens.append(frozenset(U | mids))
+    return gens
 
 
 # --------------------------------------------------------------------------

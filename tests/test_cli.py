@@ -380,6 +380,22 @@ def test_selftest_passes(capsys, functor, bound):
     assert all(data["axioms"].values()) and all(data["support"].values())
 
 
+def test_selftest_tabulates_the_lifting_once(capsys, monkeypatch):
+    import nablamu.laxcheck as laxcheck
+
+    calls = []
+    tables = laxcheck._tables
+
+    def counted(*args):
+        calls.append(args)
+        return tables(*args)
+
+    monkeypatch.setattr(laxcheck, "_tables", counted)
+    code, _, _ = run(capsys, "selftest", "--functor", "monotone", "--carrier-bound", "2")
+    assert code == 0
+    assert len(calls) == 1
+
+
 DETERMINISM_RUNS = [
     ("to-automaton", "mu x. (p \\/ nabla {x})", "--format", "structured"),
     ("interpolate", "(p /\\ q)", "--keep", "{q}", "--format", "structured"),

@@ -142,3 +142,15 @@ def test_solve_parity_restores_recursion_limit():
     sol = solve_parity(ring)
     assert sol.win_e == frozenset(range(n))
     assert sys.getrecursionlimit() == before
+
+
+def test_solve_parity_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("solve_parity changed the recursion limit")
+
+    # as many positions as the recursion limit allows frames
+    n = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    ring = arena("E" * n, [i % 3 for i in range(n)], [((i + 1) % n,) for i in range(n)])
+    sol = solve_parity(ring)
+    assert sol.win_e == frozenset(range(n))
