@@ -608,14 +608,9 @@ def parse_automaton(text: str) -> Automaton:
             a = cur.ident("state name")
             c = cur.ident_set()
             cur.expect(":")
-            cur.expect("[")
-            elems = []
-            if not cur.take("]"):
-                while True:
-                    elems.append(parse_telem(cur, F, lambda cc: cc.ident("state name")))
-                    if cur.take("]"):
-                        break
-                    cur.expect(",")
+            elems = cur.items(
+                "[", "]", lambda cc: parse_telem(cc, F, lambda c: c.ident("state name"))
+            )
             cur.expect(";")
             if (a, frozenset(c)) in delta:
                 cur.error(f"duplicate cell for state {a!r}")

@@ -56,6 +56,8 @@ def _load_model(path: str):
     parsed = parse_model(_read(path))
     if isinstance(parsed, PointedModel):
         return parsed.model, parsed.point
+    if not parsed.states:
+        raise ValueError("model declares no states")
     return parsed, parsed.states[0]
 
 

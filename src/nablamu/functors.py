@@ -376,32 +376,9 @@ def parse_telem(cur: Cursor, F: FunctorDescriptor, parse_leaf):
         outer, inner = F.parts
         return parse_telem(cur, outer, lambda c: parse_telem(c, inner, parse_leaf))
     if kind == "powerset":
-        cur.expect("{")
-        items = []
-        if not cur.take("}"):
-            while True:
-                items.append(parse_leaf(cur))
-                if cur.take("}"):
-                    break
-                cur.expect(",")
-        return frozenset(items)
+        return frozenset(cur.items("{", "}", parse_leaf))
     if kind == "monotone":
-        cur.expect("{")
-        gens = []
-        if not cur.take("}"):
-            while True:
-                cur.expect("{")
-                G = []
-                if not cur.take("}"):
-                    while True:
-                        G.append(parse_leaf(cur))
-                        if cur.take("}"):
-                            break
-                        cur.expect(",")
-                gens.append(frozenset(G))
-                if cur.take("}"):
-                    break
-                cur.expect(",")
+        gens = cur.items("{", "}", lambda c: frozenset(c.items("{", "}", parse_leaf)))
         return _antichain_min(gens)
     if kind == "identity":
         cur.expect_word("id")

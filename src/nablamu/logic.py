@@ -11,6 +11,9 @@ fixpoints are definable and the printer recognizes their encodings:
 Formula objects are hash-consed: structurally equal formulas are the same
 object, so equality and hashing are O(1) even on heavily shared DAGs.
 Always build formulas through the ``mk_*`` factories.
+
+The structural walks read a node's subformulas through :func:`_children` and
+rebuild it through :func:`_rebuild`, so a new node kind must be added to both.
 """
 
 from __future__ import annotations
@@ -127,22 +130,43 @@ def mk_nu(var: str, body: Formula) -> Formula:
 # --------------------------------------------------------------------------
 # Structural queries
 
+
+def _children(f: Formula):
+    """The immediate subformulas of ``f``; a ∇ node's are its payload's base."""
+    if isinstance(f, Neg):
+        return (f.sub,)
+    if isinstance(f, Or):
+        return f.parts
+    if isinstance(f, Nabla):
+        return base(f.functor, f.payload)
+    if isinstance(f, Mu):
+        return (f.body,)
+    return ()
+
+
+def _rebuild(f: Formula, fn) -> Formula:
+    """``f`` with ``fn`` applied to each immediate subformula; atoms unchanged."""
+    if isinstance(f, Neg):
+        return mk_neg(fn(f.sub))
+    if isinstance(f, Or):
+        return mk_or(fn(p) for p in f.parts)
+    if isinstance(f, Nabla):
+        return mk_nabla(f.functor, t_map(f.functor, fn, f.payload))
+    if isinstance(f, Mu):
+        return mk_mu(f.var, fn(f.body))
+    return f
+
+
 def free_props(f: Formula) -> frozenset:
     """Atoms not bound by any enclosing fixpoint (propositions and free variables)."""
     if f._free is not None:
         return f._free
     if isinstance(f, Atom):
         out = frozenset((f.name,))
-    elif isinstance(f, Neg):
-        out = free_props(f.sub)
-    elif isinstance(f, Or):
-        out = frozenset().union(*(free_props(p) for p in f.parts)) if f.parts else frozenset()
-    elif isinstance(f, Nabla):
-        out = frozenset().union(
-            frozenset(), *(free_props(b) for b in base(f.functor, f.payload))
-        )
-    else:
+    elif isinstance(f, Mu):
         out = free_props(f.body) - {f.var}
+    else:
+        out = frozenset().union(*map(free_props, _children(f)))
     f._free = out
     return out
 
@@ -156,14 +180,7 @@ def subformulas(f: Formula) -> frozenset:
         if g in seen:
             continue
         seen.add(g)
-        if isinstance(g, Neg):
-            stack.append(g.sub)
-        elif isinstance(g, Or):
-            stack.extend(g.parts)
-        elif isinstance(g, Nabla):
-            stack.extend(base(g.functor, g.payload))
-        elif isinstance(g, Mu):
-            stack.append(g.body)
+        stack.extend(_children(g))
     return frozenset(seen)
 
 
@@ -171,16 +188,9 @@ def _polarities(f: Formula, x: str, pol: bool, out: set):
     if isinstance(f, Atom):
         if f.name == x:
             out.add(pol)
-    elif isinstance(f, Neg):
-        _polarities(f.sub, x, not pol, out)
-    elif isinstance(f, Or):
-        for p in f.parts:
-            _polarities(p, x, pol, out)
-    elif isinstance(f, Nabla):
-        for b in base(f.functor, f.payload):
-            _polarities(b, x, pol, out)
-    elif f.var != x:
-        _polarities(f.body, x, pol, out)
+    elif not (isinstance(f, Mu) and f.var == x):
+        for g in _children(f):
+            _polarities(g, x, pol != isinstance(f, Neg), out)
 
 
 def validate_monotone(f: Formula):
@@ -202,14 +212,11 @@ def is_guarded(f: Formula) -> bool:
     def walk(g: Formula, pending: frozenset) -> bool:
         if isinstance(g, Atom):
             return g.name not in pending
-        if isinstance(g, Neg):
-            return walk(g.sub, pending)
-        if isinstance(g, Or):
-            return all(walk(p, pending) for p in g.parts)
         if isinstance(g, Nabla):
-            empty = frozenset()
-            return all(walk(b, empty) for b in base(g.functor, g.payload))
-        return walk(g.body, pending | {g.var})
+            pending = frozenset()
+        elif isinstance(g, Mu):
+            pending = pending | {g.var}
+        return all(walk(h, pending) for h in _children(g))
 
     return walk(f, frozenset())
 
@@ -230,23 +237,14 @@ def subst(f: Formula, var: str, repl: Formula) -> Formula:
     if var not in free_props(f):
         return f
     if isinstance(f, Atom):
-        return repl if f.name == var else f
-    if isinstance(f, Neg):
-        return mk_neg(subst(f.sub, var, repl))
-    if isinstance(f, Or):
-        return mk_or(frozenset(subst(p, var, repl) for p in f.parts))
-    if isinstance(f, Nabla):
-        return mk_nabla(
-            f.functor, t_map(f.functor, lambda b: subst(b, var, repl), f.payload)
-        )
-    if f.var == var:
-        return f
-    if f.var in free_props(repl):
-        avoid = free_props(f.body) | free_props(repl) | {var}
-        z = _fresh(f.var, avoid)
-        body = subst(f.body, f.var, mk_atom(z))
-        return mk_mu(z, subst(body, var, repl))
-    return mk_mu(f.var, subst(f.body, var, repl))
+        return repl  # the atom is ``var`` itself, since ``var`` is free in it
+    if not isinstance(f, Mu):
+        return _rebuild(f, lambda g: subst(g, var, repl))
+    z, body = f.var, f.body  # z ≠ var, since ``var`` is free in f
+    if z in free_props(repl):
+        z = _fresh(f.var, free_props(body) | free_props(repl) | {var})
+        body = subst(body, f.var, mk_atom(z))
+    return mk_mu(z, subst(body, var, repl))
 
 
 # --------------------------------------------------------------------------
@@ -421,26 +419,21 @@ def _has_unguarded(x: str, f: Formula, inside: bool = True) -> bool:
     ``inside=False``, only one lying inside some inner fixpoint."""
     if isinstance(f, Atom):
         return inside and f.name == x
-    if isinstance(f, Neg):
-        return _has_unguarded(x, f.sub, inside)
-    if isinstance(f, Or):
-        return any(_has_unguarded(x, p, inside) for p in f.parts)
-    if isinstance(f, Nabla):
+    if isinstance(f, Nabla) or (isinstance(f, Mu) and f.var == x):
         return False
-    return f.var != x and _has_unguarded(x, f.body, True)
+    inside = inside or isinstance(f, Mu)
+    return any(_has_unguarded(x, g, inside) for g in _children(f))
 
 
 def _unfold_inner_binders(x: str, f: Formula) -> Formula:
     """Unfold every modality-free inner fixpoint that holds ``x`` unguarded."""
-    if isinstance(f, (Atom, Nabla)):
+    if isinstance(f, Nabla):
         return f
-    if isinstance(f, Neg):
-        return mk_neg(_unfold_inner_binders(x, f.sub))
-    if isinstance(f, Or):
-        return mk_or(frozenset(_unfold_inner_binders(x, p) for p in f.parts))
-    if f.var != x and _has_unguarded(x, f.body):
-        return subst(f.body, f.var, f)
-    return f
+    if isinstance(f, Mu):
+        if f.var != x and _has_unguarded(x, f.body):
+            return subst(f.body, f.var, f)
+        return f
+    return _rebuild(f, lambda g: _unfold_inner_binders(x, g))
 
 
 def _dnf(f: Formula, positive: bool):
@@ -498,14 +491,8 @@ def guard(f: Formula) -> Formula:
 
 
 def _guard(f: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Neg):
-        return mk_neg(_guard(f.sub))
-    if isinstance(f, Or):
-        return mk_or(frozenset(_guard(p) for p in f.parts))
-    if isinstance(f, Nabla):
-        return mk_nabla(f.functor, t_map(f.functor, _guard, f.payload))
+    if not isinstance(f, Mu):
+        return _rebuild(f, _guard)
     x = f.var
     body = _guard(f.body)
     while _has_unguarded(x, body, inside=False):
@@ -561,50 +548,29 @@ def _render_neg(f: Neg) -> str:
             )
             return f"({left} /\\ {right})"
     if isinstance(g, Mu) and isinstance(g.body, Neg):
-        inner = _strip_one_negation(g.var, g.body.sub)
+        try:
+            inner = _strip_one_negation(g.var, g.body.sub)
+        except _NotStrippable:
+            inner = None
         if inner is not None and mk_nu(g.var, inner) is f:
             return f"nu {g.var}. " + render_formula(inner)
     return "~" + render_formula(g)
-
-
-def _strip_one_negation(x: str, f: Formula):
-    """Undo the substitution x ↦ ¬x: drop one negation from each chain over x."""
-    if isinstance(f, Atom):
-        return None if f.name == x else f
-    if isinstance(f, Neg):
-        if f.sub is mk_atom(x):
-            return f.sub
-        inner = _strip_one_negation(x, f.sub)
-        return None if inner is None else mk_neg(inner)
-    if isinstance(f, Or):
-        parts = []
-        for p in f.parts:
-            q = _strip_one_negation(x, p)
-            if q is None:
-                return None
-            parts.append(q)
-        return mk_or(frozenset(parts))
-    if isinstance(f, Nabla):
-        try:
-            payload = t_map(f.functor, lambda b: _must_strip(x, b), f.payload)
-        except _NotStrippable:
-            return None
-        return mk_nabla(f.functor, payload)
-    if f.var == x:
-        return f
-    inner = _strip_one_negation(x, f.body)
-    return None if inner is None else mk_mu(f.var, inner)
 
 
 class _NotStrippable(Exception):
     pass
 
 
-def _must_strip(x: str, f: Formula) -> Formula:
-    out = _strip_one_negation(x, f)
-    if out is None:
+def _strip_one_negation(x: str, f: Formula) -> Formula:
+    """Undo the substitution x ↦ ¬x: drop one negation from each chain over x.
+    Raises :class:`_NotStrippable` on a free occurrence of x that is not negated."""
+    if isinstance(f, Atom) and f.name == x:
         raise _NotStrippable
-    return out
+    if isinstance(f, Neg) and f.sub is mk_atom(x):
+        return f.sub
+    if isinstance(f, Mu) and f.var == x:
+        return f
+    return _rebuild(f, lambda g: _strip_one_negation(x, g))
 
 
 # --------------------------------------------------------------------------
@@ -640,15 +606,7 @@ def _parse(cur: Cursor, F: FunctorDescriptor) -> Formula:
         payload = parse_telem(cur, F, lambda c: _parse(c, F))
         return mk_nabla(F, payload)
     if cur.take("\\/"):
-        cur.expect("{")
-        parts = []
-        if not cur.take("}"):
-            while True:
-                parts.append(_parse(cur, F))
-                if cur.take("}"):
-                    break
-                cur.expect(",")
-        return mk_or(frozenset(parts))
+        return mk_or(cur.items("{", "}", lambda c: _parse(c, F)))
     if cur.take("("):
         left = _parse(cur, F)
         if cur.take("\\/"):

@@ -88,17 +88,21 @@ class Cursor:
         if not self.take_word(word):
             self.error(f"expected {word!r}")
 
-    def ident_set(self) -> frozenset:
-        """Consume a braced, comma-separated set of identifiers."""
-        self.expect("{")
-        items = []
-        if not self.take("}"):
+    def items(self, open: str, close: str, item) -> list:
+        """Consume ``open``, comma-separated ``item(self)`` results, ``close``."""
+        self.expect(open)
+        out = []
+        if not self.take(close):
             while True:
-                items.append(self.ident("name"))
-                if self.take("}"):
+                out.append(item(self))
+                if self.take(close):
                     break
                 self.expect(",")
-        return frozenset(items)
+        return out
+
+    def ident_set(self) -> frozenset:
+        """Consume a braced, comma-separated set of identifiers."""
+        return frozenset(self.items("{", "}", lambda c: c.ident("name")))
 
     def int_lit(self) -> int:
         self.skip_ws()

@@ -152,6 +152,11 @@ def _used_names(f: Formula) -> set:
     return names
 
 
+def _fresh_names(avoid):
+    """The names ``x0, x1, …`` that are not in ``avoid``, in that order."""
+    return (v for v in map("x{}".format, itertools.count()) if v not in avoid)
+
+
 def _infer_functor(f: Formula, functor=None) -> FunctorDescriptor:
     for g in subformulas(f):
         if isinstance(g, Nabla):
@@ -176,15 +181,7 @@ def to_nnf(f: Formula, functor: FunctorDescriptor = None):
     steps.
     """
     F = _infer_functor(f, functor)
-    used = _used_names(f)
-    counter = itertools.count()
-
-    def fresh() -> str:
-        while True:
-            v = f"x{next(counter)}"
-            if v not in used:
-                used.add(v)
-                return v
+    fresh = _fresh_names(_used_names(f)).__next__
 
     def pos(g, env):
         if isinstance(g, Atom):
@@ -276,6 +273,21 @@ def nnf_free_vars(g) -> frozenset:
     return frozenset()
 
 
+def _nmap(F: FunctorDescriptor, g, fn):
+    """``g`` with ``fn`` applied to each immediate subformula, the junctions
+    re-normalized by :func:`nand` and :func:`nor`; literals and variables
+    are returned unchanged."""
+    if isinstance(g, NAnd):
+        return nand(fn(p) for p in g.parts)
+    if isinstance(g, NOr):
+        return nor(fn(p) for p in g.parts)
+    if isinstance(g, NNabla):
+        return NNabla(t_map(F, fn, g.payload))
+    if isinstance(g, NFix):
+        return NFix(g.kind, g.var, fn(g.body))
+    return g
+
+
 # --------------------------------------------------------------------------
 # Hierarchical equation systems
 
@@ -312,16 +324,7 @@ class _System:
         got = self._flat.get(g)
         if got is not None:
             return got
-        if isinstance(g, NFix):
-            res = NVar(g.var)
-        elif isinstance(g, NAnd):
-            res = nand(self.flatten(p) for p in g.parts)
-        elif isinstance(g, NOr):
-            res = nor(self.flatten(p) for p in g.parts)
-        elif isinstance(g, NNabla):
-            res = NNabla(t_map(self.F, self.flatten, g.payload))
-        else:
-            res = g
+        res = NVar(g.var) if isinstance(g, NFix) else _nmap(self.F, g, self.flatten)
         self._flat[g] = res
         return res
 
@@ -505,30 +508,18 @@ def _simp(F: FunctorDescriptor, g, memo=None):
     got = memo.get(g)
     if got is not None:
         return got
-    if isinstance(g, NAnd):
-        res = nand(_simp(F, p, memo) for p in g.parts)
-        if isinstance(res, NAnd) and g.parts != res.parts:
-            res = _simp(F, res, memo)
-    elif isinstance(g, NOr):
-        res = nor(_simp(F, p, memo) for p in g.parts)
-        if isinstance(res, NOr) and g.parts != res.parts:
+    res = _nmap(F, g, lambda h: _simp(F, h, memo))
+    if isinstance(g, (NAnd, NOr)):
+        if type(res) is type(g) and g.parts != res.parts:
             res = _simp(F, res, memo)
     elif isinstance(g, NNabla):
-        payload = t_map(F, lambda h: _simp(F, h, memo), g.payload)
-        if F.has_functorial_lifting and FALSE in base(F, payload):
+        if F.has_functorial_lifting and FALSE in base(F, res.payload):
             res = FALSE  # some successor would have to satisfy falsity
-        else:
-            res = NNabla(payload)
     elif isinstance(g, NFix):
-        body = _simp(F, g.body, memo)
-        if body == NVar(g.var):
+        if res.body == NVar(g.var):
             res = FALSE if g.kind == "mu" else TRUE
-        elif g.var not in nnf_free_vars(body):
-            res = body
-        else:
-            res = NFix(g.kind, g.var, body)
-    else:
-        res = g
+        elif g.var not in nnf_free_vars(res.body):
+            res = res.body
     memo[g] = res
     return res
 
@@ -538,16 +529,9 @@ def _nsubst(F: FunctorDescriptor, g, mapping: dict):
         return g
     if isinstance(g, NVar):
         return mapping.get(g.var, g)
-    if isinstance(g, NAnd):
-        return nand(_nsubst(F, p, mapping) for p in g.parts)
-    if isinstance(g, NOr):
-        return nor(_nsubst(F, p, mapping) for p in g.parts)
-    if isinstance(g, NNabla):
-        return NNabla(t_map(F, lambda h: _nsubst(F, h, mapping), g.payload))
     if isinstance(g, NFix):
-        inner = {v: h for v, h in mapping.items() if v != g.var}
-        return NFix(g.kind, g.var, _nsubst(F, g.body, inner))
-    return g
+        mapping = {v: h for v, h in mapping.items() if v != g.var}
+    return _nmap(F, g, lambda h: _nsubst(F, h, mapping))
 
 
 def nnf_to_formula(F: FunctorDescriptor, g) -> Formula:
@@ -593,15 +577,7 @@ def automaton_to_formula(aut: Automaton) -> Formula:
     """
     F = aut.functor
     reach = _reachable_states(aut)
-    used = set(aut.props)
-    names = {}
-    counter = itertools.count()
-    for a in reach:
-        while True:
-            v = f"x{next(counter)}"
-            if v not in used:
-                names[a] = v
-                break
+    names = dict(zip(reach, _fresh_names(set(aut.props))))
     true_state = find_true_state(aut)
     rhs = {}
     for a in reach:

@@ -172,6 +172,18 @@ def test_bisim_functor_mismatch(write, capsys):
     assert code == 2 and err
 
 
+def test_model_without_states_is_an_input_error(write, capsys):
+    empty = write("e.model", "functor powerset; props {p};")
+    aut = write("t.aut", render_automaton(TRUE_AUT))
+    for argv in (
+        ("check", empty, "p"),
+        ("bisim", empty, empty),
+        ("automaton", "accept", aut, empty),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.startswith("error:"), argv
+
+
 # --------------------------------------------------------------------------
 # automaton
 

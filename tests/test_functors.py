@@ -22,7 +22,10 @@ from nablamu import (
     enumerate_t,
     functor_tag,
     lift_member,
+    parse_automaton,
+    parse_formula,
     parse_functor,
+    parse_model,
     parse_telem,
     product,
     random_telem,
@@ -302,6 +305,51 @@ def test_monotone_text_canonicalizes_to_antichain():
 
 # --------------------------------------------------------------------------
 # Axiom sweeps (small bounds; the full-depth sweeps live in the acceptance suite)
+
+
+_LIST_MODEL = "functor powerset;\nprops {P};\nstate s0; sigma {s0}; gamma {p};\n"
+_LIST_AUT = "functor powerset;\nprops {p};\ninitial a;\nstate a priority 0;\ndelta a {}: E;\n"
+_LIST_PARSERS = {
+    "formula": parse_formula,
+    "monotone": lambda text: parse_formula(text, MONOTONE),
+    "model": parse_model,
+    "automaton": parse_automaton,
+}
+
+
+@pytest.mark.parametrize(
+    "parser, text, message, line, column",
+    [
+        # \/{…}
+        ("formula", "\\/{p q}", "expected ','", 1, 6),
+        ("formula", "\\/{p, q,}", "expected formula", 1, 9),
+        ("formula", "\\/{p, q", "expected ','", 1, 8),
+        # a powerset payload
+        ("formula", "nabla {p q}", "expected ','", 1, 10),
+        ("formula", "nabla {p,}", "expected formula", 1, 10),
+        ("formula", "nabla {p, q", "expected ','", 1, 12),
+        # a monotone payload, outer level
+        ("monotone", "nabla {{p} {q}}", "expected ','", 1, 12),
+        ("monotone", "nabla {{p},}", "expected '{'", 1, 12),
+        ("monotone", "nabla {{p}, {q}", "expected ','", 1, 16),
+        # a monotone payload, inner level
+        ("monotone", "nabla {{p q}}", "expected ','", 1, 11),
+        ("monotone", "nabla {{p,}}", "expected formula", 1, 11),
+        ("monotone", "nabla {{p, q", "expected ','", 1, 13),
+        # a props {…} set
+        ("model", _LIST_MODEL.replace("P", "p q"), "expected ','", 2, 10),
+        ("model", _LIST_MODEL.replace("P", "p,"), "expected name", 2, 10),
+        ("model", _LIST_MODEL.replace("{P}", "{p"), "expected ','", 2, 9),
+        # an automaton's […] element list
+        ("automaton", _LIST_AUT.replace("E", "[{a} {}]"), "expected ','", 5, 18),
+        ("automaton", _LIST_AUT.replace("E", "[{a},]"), "expected '{'", 5, 18),
+        ("automaton", _LIST_AUT.replace("E", "[{a}"), "expected ','", 5, 17),
+    ],
+)
+def test_list_parse_errors_name_the_position(parser, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        _LIST_PARSERS[parser](text)
+    assert str(err.value).startswith(f"{message} (line {line}, column {column}, near ")
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
