@@ -1,11 +1,12 @@
-"""Cursor-based recursive-descent parsing helpers shared by the text formats."""
+"""A regex token stream and its list reader, shared by the text-format parsers."""
 
 from __future__ import annotations
 
-import string
+import re
 
-_IDENT_START = set(string.ascii_letters)
-_IDENT_CHARS = set(string.ascii_letters + string.digits + "_")
+# Identifiers, decimal numbers, the junction signs and any other single
+# non-space character; whitespace (exactly ``str.isspace``) separates tokens.
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|/\\|\\/|\S")
 
 
 class ParseError(ValueError):
@@ -22,71 +23,54 @@ class ParseError(ValueError):
 
 
 class Cursor:
-    """A position in a text, with helpers to consume tokens."""
+    """A position in a text's tokens, with helpers to consume them.
+
+    ``after`` records whether the last step consumed a token.  An error is
+    placed at the end of that token if so, and otherwise at the start of
+    the next one (or at the end of the text).
+    """
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")  # the end: no literal, word or number equals it
+        self.i = 0
+        self.after = True
 
     def error(self, message: str):
-        raise ParseError(message, self.text, self.pos)
-
-    def skip_ws(self):
-        text, n = self.text, len(self.text)
-        while self.pos < n and text[self.pos].isspace():
-            self.pos += 1
+        n = len(self.text)
+        spans = [(0, 0), *(m.span() for m in _TOKEN.finditer(self.text)), (n, n)]
+        pos = spans[self.i][1] if self.after else spans[self.i + 1][0]
+        raise ParseError(message, self.text, pos)
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        self.after = False
+        return not self.toks[self.i]
 
     def expect_end(self):
         if not self.at_end():
             self.error("unexpected trailing input")
 
-    def peek(self, literal: str) -> bool:
-        """True if the next non-whitespace input starts with `literal`."""
-        self.skip_ws()
-        return self.text.startswith(literal, self.pos)
-
     def take(self, literal: str) -> bool:
-        """Consume `literal` (a symbol, not a word) if it is next."""
-        if self.peek(literal):
-            self.pos += len(literal)
-            return True
-        return False
+        """Consume the token `literal` (a symbol or a word) if it is next."""
+        self.after = self.toks[self.i] == literal
+        self.i += self.after
+        return self.after
 
     def expect(self, literal: str):
         if not self.take(literal):
             self.error(f"expected {literal!r}")
 
-    def peek_ident(self) -> str | None:
-        self.skip_ws()
-        text, i = self.text, self.pos
-        if i >= len(text) or text[i] not in _IDENT_START:
-            return None
-        j = i + 1
-        while j < len(text) and text[j] in _IDENT_CHARS:
-            j += 1
-        return text[i:j]
+    take_word = take
+    expect_word = expect
 
     def ident(self, what: str = "identifier") -> str:
-        word = self.peek_ident()
-        if word is None:
+        tok = self.toks[self.i]
+        self.after = tok[:1].isalpha() and tok.isascii()
+        if not self.after:
             self.error(f"expected {what}")
-        self.pos += len(word)
-        return word
-
-    def take_word(self, word: str) -> bool:
-        """Consume `word` only if it is a whole identifier token."""
-        if self.peek_ident() == word:
-            self.pos += len(word)
-            return True
-        return False
-
-    def expect_word(self, word: str):
-        if not self.take_word(word):
-            self.error(f"expected {word!r}")
+        self.i += 1
+        return tok
 
     def items(self, open: str, close: str, item) -> list:
         """Consume ``open``, comma-separated ``item(self)`` results, ``close``."""
@@ -105,15 +89,12 @@ class Cursor:
         return frozenset(self.items("{", "}", lambda c: c.ident("name")))
 
     def int_lit(self) -> int:
-        self.skip_ws()
-        text, i = self.text, self.pos
-        j = i
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        if j == i:
+        tok = self.toks[self.i]
+        self.after = tok.isdecimal()
+        if not self.after:
             self.error("expected a number")
-        self.pos = j
-        return int(text[i:j])
+        self.i += 1
+        return int(tok)
 
 
 def parse_keep(text: str) -> tuple:

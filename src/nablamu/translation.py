@@ -259,18 +259,23 @@ def _payload_children(payload):
     return out
 
 
+def _nchildren(g):
+    """The immediate subformulas of an NNF node: a junction's parts, the
+    leaves of a ∇'s payload, or a binder's body."""
+    if isinstance(g, (NAnd, NOr)):
+        return g.parts
+    if isinstance(g, NNabla):
+        return _payload_children(g.payload)
+    if isinstance(g, NFix):
+        return (g.body,)
+    return ()
+
+
 def nnf_free_vars(g) -> frozenset:
     if isinstance(g, NVar):
         return frozenset((g.var,))
-    if isinstance(g, (NAnd, NOr)):
-        return frozenset().union(*(nnf_free_vars(p) for p in g.parts))
-    if isinstance(g, NNabla):
-        return frozenset().union(
-            *(nnf_free_vars(p) for p in _payload_children(g.payload))
-        )
-    if isinstance(g, NFix):
-        return nnf_free_vars(g.body) - frozenset((g.var,))
-    return frozenset()
+    out = frozenset().union(*map(nnf_free_vars, _nchildren(g)))
+    return out - frozenset((g.var,)) if isinstance(g, NFix) else out
 
 
 def _nmap(F: FunctorDescriptor, g, fn):
@@ -303,13 +308,9 @@ class _System:
         def walk(g, d):
             if isinstance(g, NFix):
                 fixes.append((g, d))
-                walk(g.body, d + 1)
-            elif isinstance(g, (NAnd, NOr)):
-                for p in g.parts:
-                    walk(p, d)
-            elif isinstance(g, NNabla):
-                for p in _payload_children(g.payload):
-                    walk(p, d)
+                d += 1
+            for p in _nchildren(g):
+                walk(p, d)
 
         walk(root, 0)
         maxd = max((d for _, d in fixes), default=0)

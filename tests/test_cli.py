@@ -184,6 +184,13 @@ def test_model_without_states_is_an_input_error(write, capsys):
         assert code == 2 and not out and err.startswith("error:"), argv
 
 
+def test_deeply_nested_formula_is_an_input_error(write, capsys):
+    model = write("m.model", LOOP_P)
+    for text in ("~" * 1200 + "p", "\\/{" * 1200 + "p" + "}" * 1200):
+        code, out, err = run(capsys, "check", model, text)
+        assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
 # --------------------------------------------------------------------------
 # automaton
 
