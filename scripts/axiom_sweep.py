@@ -4,7 +4,8 @@
 Runs the exhaustive relation-lifting checks (order/composition laws, converse
 compatibility, quasi-functoriality, graph restriction) and the support
 restriction for every built-in functor shape, printing one report block per
-functor.  Exit status 0 iff every check passes.
+functor.  Exit status 0 iff every check passes, and 2 with an ``error:``
+line on stderr when a sweep would exceed the enumeration cap.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from nablamu import (
     IDENTITY,
     MONOTONE,
     POWERSET,
+    CapExceeded,
     compose,
     constant,
     coproduct,
@@ -54,7 +56,11 @@ def main(argv=None) -> int:
     for F in CATALOG:
         bound = args.powerset_bound if F is POWERSET else args.carrier_bound
         start = time.monotonic()
-        axioms, support = _selftest_reports(F, bound)
+        try:
+            axioms, support = _selftest_reports(F, bound)
+        except CapExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         elapsed = time.monotonic() - start
         verdict = "ok" if axioms.ok and support.ok else "FAILED"
         print(f"== {functor_tag(F)} (carriers <= {bound}, {elapsed:.1f}s): {verdict}")

@@ -32,6 +32,7 @@ from .functors import (
     render_telem,
     subsets,
     t_map,
+    unfold_lifting,
 )
 from .games import Arena, ParitySolution, solve_parity
 from .parsing import Cursor
@@ -119,33 +120,22 @@ class Automaton:
 # Acceptance games
 
 
-@lru_cache(maxsize=4096)
-def _members(t) -> tuple:
-    """The members of a payload in canonical order (sorted once per payload,
-    not once per position that reads it)."""
-    return tuple(sorted(t, key=canon_key))
-
-
 def build_arena(aut: Automaton, M: ColoredModel, pairs=None) -> Arena:
     """The acceptance game arena restricted to positions reachable from
     ``pairs`` (default: every model-state/automaton-state pair).
 
     ('state', s, a) is owned by E with priority Ω(a); E moves to
     ('elem', σ(s), φ) for some φ ∈ Δ(a, c), c the color of s.  From there
-    the players evaluate ``(σ(s), φ) ∈ L(Z)`` one quantifier at a time,
-    following :func:`~nablamu.functors.lift_member` with Z left open: A owns
-    each ``all``, E each ``any``, and the atom ``(t, b) ∈ Z`` is the position
-    ('state', t, b).  An empty ``all`` leaves A stuck, an empty ``any`` E.
-    For powerset, ('elem', τ, φ) is A's: A picks t ∈ τ, at
-    ('fwd', (), t, φ), where E answers with some b ∈ φ, or b ∈ φ, at
-    ('bwd', (), τ, b), where E answers with some t ∈ τ.  The atoms of a
-    composition's outer lifting are positions of its inner lifting.
+    the players evaluate ``(σ(s), φ) ∈ L(Z)`` one quantifier at a time, by
+    :func:`~nablamu.functors.unfold_lifting` with Z left open: its 'A' and
+    'E' nodes are positions of their owners, and the atom ``(t, b) ∈ Z`` is
+    the position ('state', t, b).  An empty 'A' node leaves A stuck, an empty
+    'E' node E.
 
-    Positions between 'elem' and 'state' have priority 0.  Each is labeled
-    by its clause, the path to its sub-functor and the payloads it reads, so
-    elements share them (every τ containing t shares ('fwd', (), t, φ)).  An
-    element whose lifting is a single atom (identity) gets an E position
-    with that one move.
+    Positions between 'elem' and 'state' have priority 0.  Their labels name
+    the clause and the payloads it reads, so elements share them (every τ
+    containing t shares ('fwd', (), t, φ)).  An element whose lifting is a
+    single atom (identity) gets an E position with that one move.
 
     Every lifting here is monotone in Z, so E wins ('elem', τ, φ) iff the
     pairs E wins lift to (τ, φ): the winners are those of the game where E
@@ -163,101 +153,33 @@ def build_arena(aut: Automaton, M: ColoredModel, pairs=None) -> Arena:
     moves = []
     todo = []
 
-    def add(label, who, k=0):
-        i = index[label] = len(positions)
-        positions.append(label)
-        owner.append(who)
-        priority.append(k)
-        moves.append(())
-        return i
-
-    def node(label, who, xs, sub):
-        """The position ``label``: ``who`` picks x ∈ xs and moves to sub(x)."""
+    def node(label, who, succ, k=0):
+        """The position ``label``, where ``who`` picks one of ``succ``."""
         i = index.get(label)
         if i is None:
-            i = add(label, who)
-            moves[i] = tuple([sub(x) for x in xs])
+            i = index[label] = len(positions)
+            positions.append(label)
+            owner.append(who)
+            priority.append(k)
+            moves.append(())
+            moves[i] = tuple(succ)
         return i
 
     def state(s, a):
         label = ("state", s, a)
         i = index.get(label)
         if i is None:
-            i = add(label, "E", aut.omega_of(a))
+            i = node(label, "E", (), aut.omega_of(a))
             todo.append(i)
-        return i
-
-    def lift(G, path, t1, t2, atom, label):
-        """The position ``label`` deciding (t1, t2) ∈ L_G(R), where
-        ``atom(x, y)`` is the position deciding (x, y) ∈ R."""
-        kind = G.kind
-        if kind == "identity":
-            return atom(t1, t2)
-        if kind == "coproduct" and t1[0] == t2[0]:
-            k = 0 if t1[0] == "inl" else 1
-            return lift(G.parts[k], path + (k,), t1[1], t2[1], atom, label)
-        if kind == "comp":
-            outer, inner = G.parts
-            p0, p1 = path + (0,), path + (1,)
-
-            def inner_atom(u, v):
-                return lift(inner, p1, u, v, atom, ("lift", p1, u, v))
-
-            return lift(outer, p0, t1, t2, inner_atom, label)
-        i = index.get(label)
-        if i is not None:
-            return i
-        if kind == "const":
-            return add(label, "A" if t1 == t2 else "E")
-        if kind == "coproduct":  # mismatched tags
-            return add(label, "E")
-        i = add(label, "A")
-        if kind == "product":
-            succ = [
-                lift(G.parts[k], path + (k,), t1[k], t2[k], atom,
-                     ("lift", path + (k,), t1[k], t2[k]))
-                for k in (0, 1)
-            ]
-        elif kind == "powerset":
-            xs, ys = _members(t1), _members(t2)
-            succ = [
-                node(("fwd", path, x, t2), "E", ys, lambda y, x=x: atom(x, y))
-                for x in xs
-            ] + [
-                node(("bwd", path, t1, y), "E", xs, lambda x, y=y: atom(x, y))
-                for y in ys
-            ]
-        else:  # monotone: generators of t1 cover onto t2, those of t2 are reached
-
-            def cover(G1, H):  # every y ∈ H has some x ∈ G1
-                return node(("cover", path, G1, H), "A", _members(H), lambda y: node(
-                    ("bwd", path, G1, y), "E", _members(G1), lambda x: atom(x, y)
-                ))
-
-            def reach(G1, H):  # every x ∈ G1 has some y ∈ H
-                return node(("reach", path, G1, H), "A", _members(G1), lambda x: node(
-                    ("fwd", path, x, H), "E", _members(H), lambda y: atom(x, y)
-                ))
-
-            gs, hs = _members(t1), _members(t2)
-            succ = [
-                node(("covered", path, G1, t2), "E", hs, lambda H, G1=G1: cover(G1, H))
-                for G1 in gs
-            ] + [
-                node(("reached", path, t1, H), "E", gs, lambda G1, H=H: reach(G1, H))
-                for H in hs
-            ]
-        moves[i] = tuple(succ)
         return i
 
     def elem(tau, phi):
         label = ("elem", tau, phi)
         i = index.get(label)
         if i is None:
-            i = lift(aut.functor, (), tau, phi, state, label)
-            if label not in index:
-                j, i = i, add(label, "E")
-                moves[i] = (j,)
+            i = unfold_lifting(aut.functor, tau, phi, state, node, (), label)
+            if label not in index:  # a lone atom (identity): E moves to it
+                i = node(label, "E", (i,))
         return i
 
     for s, a in pairs:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
 
 from .parsing import Cursor
 
@@ -302,42 +304,92 @@ class _FnPairs:
         return self.fn(x, y)
 
 
+@lru_cache(maxsize=4096)
+def _members(t) -> tuple:
+    """The members of a payload in canonical order, sorted once per payload."""
+    return tuple(sorted(t, key=canon_key))
+
+
+def unfold_lifting(F: FunctorDescriptor, t1, t2, atom, node, path=(), label=None):
+    """Decide ``(t1, t2) ∈ L_F(R)`` one quantifier at a time.
+
+    ``atom(x, y)`` decides ``(x, y) ∈ R``.  ``node(label, who, moves)``
+    decides a position where ``who`` ('A' all, 'E' any) picks one of
+    ``moves``, so an empty 'A' holds and an empty 'E' fails.  ``moves`` is a
+    lazy iterator that decides each move as it is read: ``node`` reads it
+    after naming the position, or not at all.  :func:`lift_member` reads a
+    node as ``all``/``any``, the acceptance game as a position.  A label
+    names the clause, the ``path`` to the sub-functor (each part of a
+    product, coproduct or composition appends 0 or 1) and the payloads read,
+    so positions are shared wherever a question recurs; the root's is
+    ``label``, by default ``('lift', path, t1, t2)``.  Identity is the atom
+    itself; a constant is an empty 'A' if t1 = t2, else an empty 'E', and so
+    is a coproduct whose tags differ.
+    """
+    kind = F.kind
+    if kind == "identity":
+        return atom(t1, t2)
+    if label is None:
+        label = ("lift", path, t1, t2)
+    if kind == "const":
+        return node(label, "A" if t1 == t2 else "E", ())
+    if kind == "coproduct":
+        if t1[0] != t2[0]:
+            return node(label, "E", ())
+        k = 0 if t1[0] == "inl" else 1
+        return unfold_lifting(F.parts[k], t1[1], t2[1], atom, node, path + (k,), label)
+    if kind == "product":  # A picks a part
+        parts = (
+            unfold_lifting(F.parts[k], t1[k], t2[k], atom, node, path + (k,)) for k in (0, 1)
+        )
+        return node(label, "A", parts)
+    if kind == "comp":  # the outer lifting of inner liftings
+        outer, inner = F.parts
+        p1 = path + (1,)
+        return unfold_lifting(
+            outer, t1, t2, lambda u, v: unfold_lifting(inner, u, v, atom, node, p1),
+            node, path + (0,), label,
+        )
+
+    # map(f, repeat(a), bs) is f(a, b) for each b, called as it is read
+    def fwd(x, H):  # E: some y ∈ H with (x, y) ∈ R
+        return node(("fwd", path, x, H), "E", map(atom, repeat(x), _members(H)))
+
+    def bwd(G, y):  # E: some x ∈ G with (x, y) ∈ R
+        return node(("bwd", path, G, y), "E", map(atom, _members(G), repeat(y)))
+
+    xs, ys = _members(t1), _members(t2)
+    if kind == "powerset":  # Egli–Milner: A picks x ∈ t1 or y ∈ t2
+        return node(label, "A", chain(map(fwd, xs, repeat(t2)), map(bwd, repeat(t1), ys)))
+
+    def cover(G, H):  # A: every y ∈ H has some x ∈ G
+        return node(("cover", path, G, H), "A", map(bwd, repeat(G), _members(H)))
+
+    def reach(G, H):  # A: every x ∈ G has some y ∈ H
+        return node(("reach", path, G, H), "A", map(fwd, _members(G), repeat(H)))
+
+    def covered(G):  # E: G covers some generator of t2
+        return node(("covered", path, G, t2), "E", map(cover, repeat(G), ys))
+
+    def reached(H):  # E: some generator of t1 reaches H
+        return node(("reached", path, t1, H), "E", map(reach, xs, repeat(H)))
+
+    # monotone, on generator antichains: A picks a generator of t1 to cover
+    # or one of t2 to reach
+    return node(label, "A", chain(map(covered, xs), map(reached, ys)))
+
+
+def _decide(label, who, moves) -> bool:
+    return any(moves) if who == "E" else all(moves)
+
+
 def lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
     """Whether ``(t1, t2)`` belongs to the lifting of a relation for functor ``F``.
 
     ``pairs`` is the relation: any container of pairs that answers
     ``(x, y) in pairs``, such as a frozenset or a lazy container.
     """
-    kind = F.kind
-    if kind == "powerset":
-        return all(any((x, y) in pairs for y in t2) for x in t1) and all(
-            any((x, y) in pairs for x in t1) for y in t2
-        )
-    if kind == "monotone":
-        # Evaluated on generator antichains: every generator of t1 covers onto
-        # some generator of t2, and every generator of t2 is reachable from
-        # some generator of t1.
-        return all(
-            any(all(any((x, y) in pairs for x in G) for y in H) for H in t2) for G in t1
-        ) and all(
-            any(all(any((x, y) in pairs for y in H) for x in G) for G in t1) for H in t2
-        )
-    if kind == "identity":
-        return (t1, t2) in pairs
-    if kind == "const":
-        return t1 == t2
-    if kind == "product":
-        return lift_member(F.parts[0], pairs, t1[0], t2[0]) and lift_member(
-            F.parts[1], pairs, t1[1], t2[1]
-        )
-    if kind == "coproduct":
-        if t1[0] != t2[0]:
-            return False
-        return lift_member(F.parts[0 if t1[0] == "inl" else 1], pairs, t1[1], t2[1])
-    outer, inner = F.parts
-    return lift_member(
-        outer, _FnPairs(lambda u, v: lift_member(inner, pairs, u, v)), t1, t2
-    )
+    return unfold_lifting(F, t1, t2, lambda x, y: (x, y) in pairs, _decide)
 
 
 # --------------------------------------------------------------------------

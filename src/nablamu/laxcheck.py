@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .functors import (
     DEFAULT_CAP,
+    CapExceeded,
     FunctorDescriptor,
     base,
     enumerate_t,
@@ -102,8 +103,24 @@ def _tables(F: FunctorDescriptor, bound: int, cap: int):
     Returns ``(telems, rows)`` where ``rows[(m, k)][mask][ti]`` is the
     bitmask over ``telems[k]`` of elements related to ``telems[m][ti]`` by the
     lifting of the relation encoded by ``mask``.
+
+    Raises :class:`CapExceeded` before tabulating once a carrier takes the
+    work — a lifting test per relation and element pair, plus the (R, S)
+    pairs :func:`_lax_failures` composes — past ``cap``.
     """
-    telems = {n: enumerate_t(F, frozenset(range(n)), cap) for n in range(bound + 1)}
+    telems = {}
+    for n in range(bound + 1):
+        telems[n] = enumerate_t(F, frozenset(range(n)), cap)
+        ns = range(n + 1)
+        work = sum(
+            2 ** (m * k) * (len(telems[m]) * len(telems[k]) + sum(2 ** (k * j) for j in ns))
+            for m in ns
+            for k in ns
+        )
+        if work > cap:
+            raise CapExceeded(
+                f"the sweep up to carrier {n} needs {work} steps, past the cap {cap}"
+            )
     rows = {}
     for m, k in itertools.product(telems, repeat=2):
         table = rows[(m, k)] = []

@@ -384,8 +384,7 @@ def _merge_pair(F: FunctorDescriptor, x, y):
             "which a lifting with a monotone neighborhood part lacks"
         )
     couplings = _couplings(F, x.payload, y.payload, lambda a, b: ((a, b),))
-    merged = {NNabla(t_map(F, nand, g)) for g in couplings}
-    return tuple(sorted(merged, key=canon_key))
+    return tuple({NNabla(t_map(F, nand, g)) for g in couplings})
 
 
 class _Decomposer:
@@ -422,7 +421,7 @@ class _Decomposer:
                     f"{busy} conjuncts carry bound variables"
                 )
             res = set()
-            pools = [sorted(self.run(p, c), key=canon_key) for p in g.parts]
+            pools = [self.run(p, c) for p in g.parts]
             for combo in itertools.product(*pools):
                 cands = (TRUE,)
                 for psi, _ in combo:
@@ -475,7 +474,7 @@ def formula_to_automaton(
         g, k = queue.pop(0)
         for c in colors:
             elems = set()
-            for psi, r in sorted(dec.run(g, c), key=canon_key):
+            for psi, r in dec.run(g, c):
                 if psi == TRUE:
                     elems.update(enumerate_t(F, frozenset((true_state,))))
                 else:

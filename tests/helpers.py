@@ -26,11 +26,11 @@ from nablamu import (
     coproduct,
     eval_formula,
     free_props,
-    lift_member,
     mk_and,
     mk_neg,
     product,
 )
+from nablamu.functors import _FnPairs
 from nablamu.parsing import ParseError
 
 CARRIER = ("x", "y", "z")
@@ -100,6 +100,48 @@ def function_strategy(xs, ys):
 # Oracles
 
 
+def reference_lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
+    """Whether ``(t1, t2)`` belongs to the lifting of a relation for functor
+    ``F``: each lifting's closed form, one clause per functor kind (the
+    library's membership test before it interpreted the quantifier
+    unfolding the acceptance game plays).
+
+    ``pairs`` is the relation: any container of pairs that answers
+    ``(x, y) in pairs``, such as a frozenset or a lazy container.
+    """
+    kind = F.kind
+    if kind == "powerset":
+        return all(any((x, y) in pairs for y in t2) for x in t1) and all(
+            any((x, y) in pairs for x in t1) for y in t2
+        )
+    if kind == "monotone":
+        # Evaluated on generator antichains: every generator of t1 covers onto
+        # some generator of t2, and every generator of t2 is reachable from
+        # some generator of t1.
+        return all(
+            any(all(any((x, y) in pairs for x in G) for y in H) for H in t2) for G in t1
+        ) and all(
+            any(all(any((x, y) in pairs for y in H) for x in G) for G in t1) for H in t2
+        )
+    if kind == "identity":
+        return (t1, t2) in pairs
+    if kind == "const":
+        return t1 == t2
+    if kind == "product":
+        return reference_lift_member(
+            F.parts[0], pairs, t1[0], t2[0]
+        ) and reference_lift_member(F.parts[1], pairs, t1[1], t2[1])
+    if kind == "coproduct":
+        if t1[0] != t2[0]:
+            return False
+        part = F.parts[0 if t1[0] == "inl" else 1]
+        return reference_lift_member(part, pairs, t1[1], t2[1])
+    outer, inner = F.parts
+    return reference_lift_member(
+        outer, _FnPairs(lambda u, v: reference_lift_member(inner, pairs, u, v)), t1, t2
+    )
+
+
 def brute_least_support(F, t, ambient):
     """The ⊆-least U ⊆ ambient with t ∈ T U, by trying every subset."""
     from nablamu import enumerate_t
@@ -120,7 +162,7 @@ def brute_minimal_witnesses(F, t1, t2):
         frozenset(c)
         for r in range(len(ground) + 1)
         for c in itertools.combinations(ground, r)
-        if lift_member(F, frozenset(c), t1, t2)
+        if reference_lift_member(F, frozenset(c), t1, t2)
     ]
     return {Z for Z in sats if not any(W < Z for W in sats)}
 
@@ -215,7 +257,7 @@ def brute_greatest_bisimulation(M1, M2, Q=None):
         keep = {
             (s, t)
             for (s, t) in R
-            if lift_member(M1.functor, R, M1.sigma_of(s), M2.sigma_of(t))
+            if reference_lift_member(M1.functor, R, M1.sigma_of(s), M2.sigma_of(t))
         }
         if keep == R:
             return frozenset(R)
@@ -261,7 +303,7 @@ def brute_eval_formula(M, f, env=None) -> frozenset:
             out = frozenset(
                 s
                 for s in M.states
-                if lift_member(g.functor, sat, M.sigma_of(s), g.payload)
+                if reference_lift_member(g.functor, sat, M.sigma_of(s), g.payload)
             )
         else:
             cur = frozenset()

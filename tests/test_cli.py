@@ -415,6 +415,13 @@ def test_selftest_tabulates_the_lifting_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_selftest_past_the_cap_is_an_input_error(capsys):
+    # the cap bounds the sweep's relation tables, not only the enumeration
+    code, out, err = run(capsys, "selftest", "--carrier-bound", "2", "--cap", "10")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "cap" in err
+
+
 DETERMINISM_RUNS = [
     ("to-automaton", "mu x. (p \\/ nabla {x})", "--format", "structured"),
     ("interpolate", "(p /\\ q)", "--keep", "{q}", "--format", "structured"),

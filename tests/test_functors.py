@@ -32,6 +32,7 @@ from nablamu import (
     render_telem,
     t_map,
 )
+from nablamu.functors import _FnPairs
 from nablamu.parsing import Cursor, ParseError
 from nablamu.projection import _shrink_witness
 
@@ -40,6 +41,7 @@ from helpers import (
     SHAPES,
     brute_least_support,
     brute_minimal_witnesses,
+    reference_lift_member,
     relation_strategy,
     subsets,
     telem_strategy,
@@ -116,6 +118,37 @@ def test_lift_powerset_example():
 
 # --------------------------------------------------------------------------
 # Oracle comparisons
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_lift_member_matches_reference(name):
+    # every relation and payload pair on carriers of at most 2 elements, then
+    # random ones on 3; each relation is asked as a frozenset and as a lazy
+    # container.  The carriers differ (ints, strings) so that a swapped pair
+    # never reads as related.
+    F = SHAPES[name]
+
+    def agree(R, t1, t2):
+        want = reference_lift_member(F, R, t1, t2)
+        assert lift_member(F, R, t1, t2) == want, (R, t1, t2)
+        lazy = _FnPairs(lambda x, y: (x, y) in R)
+        assert lift_member(F, lazy, t1, t2) == want, (R, t1, t2)
+        return want
+
+    seen = set()
+    for m, k in itertools.product(range(3), repeat=2):
+        xs, ys = range(m), [f"y{j}" for j in range(k)]
+        pairs = list(itertools.product(enumerate_t(F, xs), enumerate_t(F, ys)))
+        for R in subsets(itertools.product(xs, ys)):
+            seen.update(agree(R, t1, t2) for t1, t2 in pairs)
+    rng = random.Random(18)
+    xs, ys = range(3), ["y0", "y1", "y2"]
+    grid = list(itertools.product(xs, ys))
+    for _ in range(400):
+        density = rng.choice((0.3, 0.6, 0.9))
+        R = fs(p for p in grid if rng.random() < density)
+        seen.add(agree(R, random_telem(F, xs, rng), random_telem(F, ys, rng)))
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
@@ -356,6 +389,15 @@ def test_list_parse_errors_name_the_position(parser, text, message, line, column
 def test_lax_axioms_small(name):
     report = check_lax_axioms(SHAPES[name], carrier_bound=2)
     assert report.ok, str(report)
+
+
+def test_lax_sweep_refuses_work_past_the_cap():
+    # 4 powerset elements at carrier 2 pass the enumeration cap, but the
+    # sweep needs 26 lifting tests and relation pairs at carrier 1 already
+    with pytest.raises(CapExceeded):
+        check_lax_axioms(POWERSET, 2, cap=10)
+    with pytest.raises(CapExceeded):
+        check_support_restriction(POWERSET, 2, cap=10)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))

@@ -31,3 +31,12 @@ def test_interpolation_demo_reads_keep_like_the_cli(capsys, keep, hidden):
     args = ["--keep", keep, "--max-model-size", "2"]
     assert _load("interpolation_demo").main(args) == 0
     assert f"hiding         {hidden}\n" in capsys.readouterr().out
+
+
+def test_axiom_sweep_past_the_cap_is_an_input_error(capsys):
+    # carrier bound 4 is refused before any lifting is tabulated
+    args = ["--carrier-bound", "4", "--powerset-bound", "4"]
+    assert _load("axiom_sweep").main(args) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: ") and "cap" in err
