@@ -5,7 +5,8 @@ Runs the exhaustive relation-lifting checks (order/composition laws, converse
 compatibility, quasi-functoriality, graph restriction) and the support
 restriction for every built-in functor shape, printing one report block per
 functor.  Exit status 0 iff every check passes, and 2 with an ``error:``
-line on stderr when a sweep would exceed the enumeration cap.
+line on stderr, before any sweep runs, when a sweep would exceed the
+enumeration cap.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import sys
 import time
 
 from nablamu import (
+    DEFAULT_CAP,
     IDENTITY,
     MONOTONE,
     POWERSET,
@@ -23,7 +25,8 @@ from nablamu import (
     functor_tag,
     product,
 )
-from nablamu.laxcheck import _selftest_reports
+from nablamu.cli import _positive
+from nablamu.laxcheck import _carriers, _selftest_reports
 
 CATALOG = [
     POWERSET,
@@ -40,27 +43,33 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--carrier-bound",
-        type=int,
+        type=_positive,
         default=2,
         help="largest carrier size in the exhaustive sweeps (default 2)",
     )
     parser.add_argument(
         "--powerset-bound",
-        type=int,
+        type=_positive,
         default=3,
         help="carrier bound used for the powerset functor alone (default 3)",
     )
     args = parser.parse_args(argv)
 
+    bounds = [
+        (F, args.powerset_bound if F is POWERSET else args.carrier_bound)
+        for F in CATALOG
+    ]
+    try:
+        for F, bound in bounds:  # refuse a sweep past the cap before any output
+            _carriers(F, bound, DEFAULT_CAP)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     all_ok = True
-    for F in CATALOG:
-        bound = args.powerset_bound if F is POWERSET else args.carrier_bound
+    for F, bound in bounds:
         start = time.monotonic()
-        try:
-            axioms, support = _selftest_reports(F, bound)
-        except CapExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        axioms, support = _selftest_reports(F, bound)
         elapsed = time.monotonic() - start
         verdict = "ok" if axioms.ok and support.ok else "FAILED"
         print(f"== {functor_tag(F)} (carriers <= {bound}, {elapsed:.1f}s): {verdict}")

@@ -20,6 +20,7 @@ from nablamu import (
     render_model,
     uniform_interpolant,
 )
+from nablamu.cli import _positive
 from nablamu.parsing import parse_keep
 
 
@@ -41,8 +42,8 @@ def main(argv=None) -> int:
         help="a consequent over the kept vocabulary to compare entailments",
     )
     parser.add_argument("--functor", default="powerset")
-    parser.add_argument("--witness-bound", type=int, default=3)
-    parser.add_argument("--max-model-size", type=int, default=3)
+    parser.add_argument("--witness-bound", type=_positive, default=3)
+    parser.add_argument("--max-model-size", type=_positive, default=3)
     args = parser.parse_args(argv)
 
     F = parse_functor(args.functor)

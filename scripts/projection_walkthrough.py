@@ -22,6 +22,7 @@ from nablamu import (
     render_model,
 )
 from nablamu.automata import accepts, normalize
+from nablamu.cli import _positive
 from nablamu.projection import construct_projection_witness, project_automaton
 from nablamu.translation import automaton_to_formula, formula_to_automaton
 
@@ -36,9 +37,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--hide", default="p", help="proposition to project away")
     parser.add_argument("--functor", default="powerset")
-    parser.add_argument("--witness-bound", type=int, default=3)
+    parser.add_argument("--witness-bound", type=_positive, default=3)
     parser.add_argument(
-        "--max-model-size", type=int, default=2, help="scan bound for reducts"
+        "--max-model-size", type=_positive, default=2, help="scan bound for reducts"
     )
     parser.add_argument(
         "--show", type=int, default=3, help="how many witnesses to print in full"

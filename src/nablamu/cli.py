@@ -118,30 +118,37 @@ def cmd_bisim(args) -> int:
     return 0 if related else 1
 
 
-def cmd_automaton(args) -> int:
+def cmd_accept(args) -> int:
     aut = parse_automaton(_read(args.automaton))
-    if args.sub == "accept":
-        M, pt = _load_model(args.model)
-        ok = automaton_accepts(aut, PointedModel(M, pt))
-        _emit(
-            args,
-            {"command": "automaton.accept", "point": pt, "accepted": ok},
-            f"point {pt}: " + ("accepted" if ok else "rejected"),
-        )
-        return 0 if ok else 1
-    if args.sub == "to-formula":
-        text = render_formula(automaton_to_formula(aut))
-        _emit(args, {"command": "automaton.to-formula", "formula": text}, text)
-        return 0
-    if args.sub == "project":
-        out = render_automaton(project_automaton(aut, args.prop, args.witness_bound))
-        _emit(
-            args,
-            {"command": "automaton.project", "prop": args.prop, "automaton": out},
-            out.rstrip("\n"),
-        )
-        return 0
-    # normalize
+    M, pt = _load_model(args.model)
+    ok = automaton_accepts(aut, PointedModel(M, pt))
+    _emit(
+        args,
+        {"command": "automaton.accept", "point": pt, "accepted": ok},
+        f"point {pt}: " + ("accepted" if ok else "rejected"),
+    )
+    return 0 if ok else 1
+
+
+def cmd_to_formula(args) -> int:
+    text = render_formula(automaton_to_formula(parse_automaton(_read(args.automaton))))
+    _emit(args, {"command": "automaton.to-formula", "formula": text}, text)
+    return 0
+
+
+def cmd_project(args) -> int:
+    aut = parse_automaton(_read(args.automaton))
+    out = render_automaton(project_automaton(aut, args.prop, args.witness_bound))
+    _emit(
+        args,
+        {"command": "automaton.project", "prop": args.prop, "automaton": out},
+        out.rstrip("\n"),
+    )
+    return 0
+
+
+def cmd_normalize(args) -> int:
+    aut = parse_automaton(_read(args.automaton))
     out = render_automaton(normalize(aut, args.witness_bound))
     _emit(args, {"command": "automaton.normalize", "automaton": out}, out.rstrip("\n"))
     return 0
@@ -237,122 +244,112 @@ def _positive(text: str) -> int:
     return value
 
 
-def _flag(*args, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser declaring one flag, for the subcommands that read it."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*args, **kwargs)
-    return parent
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    fmt = _flag(
-        "--format",
+# The flags several subcommands share, each declared once; a subcommand
+# takes only those it reads.
+_SHARED_FLAGS = {
+    "--format": dict(
         choices=("human", "structured"),
         default="human",
         help="output mode (structured = one line of canonical JSON)",
-    )
-    functor = _flag(
-        "--functor",
+    ),
+    "--functor": dict(
         default="powerset",
         help="functor tag for formula parsing (default: powerset)",
-    )
-    witness = _flag(
-        "--witness-bound",
+    ),
+    "--witness-bound": dict(
         type=_positive,
         default=3,
         metavar="K",
         help="model size bound for realizability checks on functors with a "
         "monotone part (default: 3); exact elsewhere, where K is unused",
-    )
-    size = _flag(
-        "--max-model-size",
+    ),
+    "--max-model-size": dict(
         type=_positive,
         default=3,
         metavar="N",
         help="model size bound for entailment sweeps (default: 3); an exact "
         "entails verdict uses N only to pick the printed countermodel and to "
         "apply the enumeration cap",
-    )
-    cap = _flag(
-        "--cap",
+    ),
+    "--cap": dict(
         type=_positive,
         default=DEFAULT_CAP,
         metavar="C",
         help="enumeration cardinality cap (default: 10^6)",
-    )
+    ),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nablamu",
         description="Coalgebraic fixpoint logic: models, automata, interpolants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[fmt], help="evaluate a formula on a model")
-    p.add_argument("model", help="model file")
-    p.add_argument("formula", nargs="?", help="formula text")
-    p.add_argument("--formula-file", help="read the formula from a file")
-    p.set_defaults(handler=cmd_check)
+    def command(group, name, handler, *positionals, flags=(), formula=False, **kw):
+        """Add subcommand ``name``: ``--format`` and the shared ``flags``, the
+        ``(name, help)`` positionals, then the formula source if it reads one."""
+        p = group.add_parser(name, **kw)
+        for flag in ("--format", *flags):
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        for dest, text in positionals:
+            p.add_argument(dest, help=text)
+        if formula:
+            p.add_argument("formula", nargs="?", help="formula text")
+            p.add_argument("--formula-file", help="read the formula from a file")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser(
-        "bisim", parents=[fmt], help="greatest bisimulation of two models"
+    command(
+        sub, "check", cmd_check, ("model", "model file"), formula=True,
+        help="evaluate a formula on a model",
     )
-    p.add_argument("model_a", help="first model file")
-    p.add_argument("model_b", help="second model file")
+    p = command(
+        sub, "bisim", cmd_bisim, ("model_a", "first model file"),
+        ("model_b", "second model file"), help="greatest bisimulation of two models",
+    )
     p.add_argument("--disregard", metavar="P", help="ignore this proposition")
-    p.set_defaults(handler=cmd_bisim)
 
     p = sub.add_parser("automaton", help="operate on an automaton file")
     asub = p.add_subparsers(dest="sub", required=True)
-    q = asub.add_parser("accept", parents=[fmt], help="run the acceptance game")
-    q.add_argument("automaton", help="automaton file")
-    q.add_argument("model", help="model file")
-    q.set_defaults(handler=cmd_automaton, sub="accept")
-    q = asub.add_parser(
-        "to-formula", parents=[fmt], help="translate to an equivalent formula"
+    aut = ("automaton", "automaton file")
+    command(
+        asub, "accept", cmd_accept, aut, ("model", "model file"),
+        help="run the acceptance game",
     )
-    q.add_argument("automaton", help="automaton file")
-    q.set_defaults(handler=cmd_automaton, sub="to-formula")
-    q = asub.add_parser(
-        "project", parents=[fmt, witness], help="hide a proposition existentially"
+    command(
+        asub, "to-formula", cmd_to_formula, aut,
+        help="translate to an equivalent formula",
     )
-    q.add_argument("automaton", help="automaton file")
-    q.add_argument("prop", help="proposition to hide")
-    q.set_defaults(handler=cmd_automaton, sub="project")
-    q = asub.add_parser(
-        "normalize",
-        parents=[fmt, witness],
+    command(
+        asub, "project", cmd_project, aut, ("prop", "proposition to hide"),
+        flags=("--witness-bound",), help="hide a proposition existentially",
+    )
+    command(
+        asub, "normalize", cmd_normalize, aut, flags=("--witness-bound",),
         help="adjoin a true state and prune unrealizable elements",
     )
-    q.add_argument("automaton", help="automaton file")
-    q.set_defaults(handler=cmd_automaton, sub="normalize")
 
-    p = sub.add_parser(
-        "to-automaton",
-        parents=[fmt, functor],
+    command(
+        sub, "to-automaton", cmd_to_automaton, flags=("--functor",), formula=True,
         help="translate a formula to an automaton",
     )
-    p.add_argument("formula", nargs="?", help="formula text")
-    p.add_argument("--formula-file", help="read the formula from a file")
-    p.set_defaults(handler=cmd_to_automaton)
-
-    p = sub.add_parser(
-        "interpolate",
-        parents=[fmt, functor, witness, size],
+    p = command(
+        sub, "interpolate", cmd_interpolate, formula=True,
+        flags=("--functor", "--witness-bound", "--max-model-size"),
         help="uniform interpolant of a formula",
     )
-    p.add_argument("formula", nargs="?", help="formula text")
-    p.add_argument("--formula-file", help="read the formula from a file")
     p.add_argument(
         "--keep",
         required=True,
         metavar="{q,...}",
         help="propositions the interpolant may use",
     )
-    p.set_defaults(handler=cmd_interpolate)
-
-    p = sub.add_parser(
-        "entails",
-        parents=[fmt, functor, size],
+    command(
+        sub, "entails", cmd_entails, ("formula_a", "antecedent formula text"),
+        ("formula_b", "consequent formula text"),
+        flags=("--functor", "--max-model-size"),
         help="entailment between two formulas",
         description="Whether formula_a entails formula_b. Exact over every "
         "functor without a monotone part when a /\\ ~b translates to an "
@@ -363,13 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "outside powerset among them) are swept over all models of at most N "
         "states.",
     )
-    p.add_argument("formula_a", help="antecedent formula text")
-    p.add_argument("formula_b", help="consequent formula text")
-    p.set_defaults(handler=cmd_entails)
-
-    p = sub.add_parser(
-        "selftest",
-        parents=[fmt, functor, cap],
+    p = command(
+        sub, "selftest", cmd_selftest, flags=("--functor", "--cap"),
         help="exhaustive lax-extension axiom sweep",
     )
     p.add_argument(
@@ -379,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="carrier size bound for the sweep (default: 2)",
     )
-    p.set_defaults(handler=cmd_selftest)
 
     return parser
 

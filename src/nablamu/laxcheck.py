@@ -97,16 +97,12 @@ class _Unions(dict):
         return union
 
 
-def _tables(F: FunctorDescriptor, bound: int, cap: int):
-    """Tabulate the lifting of every relation between carriers up to ``bound``.
+def _carriers(F: FunctorDescriptor, bound: int, cap: int) -> dict:
+    """The elements of ``F`` over each carrier ``{0, …, n−1}``, ``n ≤ bound``.
 
-    Returns ``(telems, rows)`` where ``rows[(m, k)][mask][ti]`` is the
-    bitmask over ``telems[k]`` of elements related to ``telems[m][ti]`` by the
-    lifting of the relation encoded by ``mask``.
-
-    Raises :class:`CapExceeded` before tabulating once a carrier takes the
-    work — a lifting test per relation and element pair, plus the (R, S)
-    pairs :func:`_lax_failures` composes — past ``cap``.
+    Raises :class:`CapExceeded`, without tabulating any lifting, once a
+    carrier takes the sweep's work — a lifting test per relation and element
+    pair, plus the (R, S) pairs :func:`_lax_failures` composes — past ``cap``.
     """
     telems = {}
     for n in range(bound + 1):
@@ -121,6 +117,18 @@ def _tables(F: FunctorDescriptor, bound: int, cap: int):
             raise CapExceeded(
                 f"the sweep up to carrier {n} needs {work} steps, past the cap {cap}"
             )
+    return telems
+
+
+def _tables(F: FunctorDescriptor, bound: int, cap: int):
+    """Tabulate the lifting of every relation between carriers up to ``bound``.
+
+    Returns ``(telems, rows)`` where ``rows[(m, k)][mask][ti]`` is the
+    bitmask over ``telems[k]`` of elements related to ``telems[m][ti]`` by the
+    lifting of the relation encoded by ``mask``.  Raises :class:`CapExceeded`
+    before tabulating where :func:`_carriers` does.
+    """
+    telems = _carriers(F, bound, cap)
     rows = {}
     for m, k in itertools.product(telems, repeat=2):
         table = rows[(m, k)] = []

@@ -39,6 +39,7 @@ from nablamu import (
     POWERSET,
     ColoredModel,
     PointedModel,
+    UnsupportedFragment,
     canonical_models,
     canonical_pointed_models,
     check_lax_axioms,
@@ -46,6 +47,7 @@ from nablamu import (
     compose,
     constant,
     coproduct,
+    entails,
     entails_bounded,
     enumerate_t,
     eval_formula,
@@ -53,6 +55,8 @@ from nablamu import (
     free_props,
     greatest_bisimulation,
     lift_member,
+    mk_and,
+    mk_neg,
     parse_formula,
     parse_functor,
     product,
@@ -349,6 +353,37 @@ def test_interpolants_transfer_entailment():
         assert direct == via, (a_src, b_src, keep)
         done += 1
     assert done >= 20
+
+
+def test_interpolants_transfer_entailment_exactly():
+    # ∃p.a ⊨ b iff a ⊨ b for every b without p, decided by the nonemptiness
+    # game wherever a ∧ ¬b translates; where a ⊨ b, ∃p.a ∧ ¬b must translate
+    # too, so the game, not the bounded sweep, proves ∃p.a ⊨ b
+    formulas = [pf(src) for src in TRANSLATION_CORPUS]
+    projected = {}
+    untranslated = held = refuted = 0
+    for a, b in itertools.product(formulas, repeat=2):
+        hidden = sorted(free_props(a) - free_props(b))
+        if not hidden:
+            continue
+        try:
+            formula_to_automaton(mk_and(a, mk_neg(b)), functor=POWERSET)
+        except UnsupportedFragment:
+            untranslated += len(hidden)
+            continue
+        direct = entails(a, b)[0]
+        for p in hidden:
+            if (a, p) not in projected:
+                projected[(a, p)] = exists_p(a, p, functor=POWERSET)
+            ea = projected[(a, p)]
+            assert p not in free_props(ea), (a, p)
+            assert entails(ea, b)[0] == direct, (a, p, b)
+            if direct:
+                formula_to_automaton(mk_and(ea, mk_neg(b)), functor=POWERSET)
+        held += direct * len(hidden)
+        refuted += (not direct) * len(hidden)
+    assert untranslated + held + refuted == 579
+    assert held >= 111 and refuted >= 388
 
 
 def _behavior_signature(P: PointedModel, props, depth=7):

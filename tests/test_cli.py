@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ from nablamu import (
     satisfies,
 )
 from nablamu.automata import Automaton, parse_automaton, render_automaton
-from nablamu.cli import main
+from nablamu.cli import _build_parser, main
 
 LOOP_P = "functor powerset;\nprops {p};\nstate s0; sigma {s0}; gamma {p};\npoint s0;\n"
 LOOP_NOP = "functor powerset;\nprops {p};\nstate s0; sigma {s0}; gamma {};\npoint s0;\n"
@@ -135,6 +137,97 @@ def test_subcommands_take_only_the_flags_they_read(write, capsys):
     plain = run(capsys, "automaton", "project", aut, "p")
     assert plain[0] == 0
     assert run(capsys, "automaton", "project", aut, "p", "--witness-bound", "2") == plain
+
+
+# --------------------------------------------------------------------------
+# the formula source and the shared flags
+
+FORMULA = "nabla {p, true}"
+
+
+@pytest.fixture
+def formula_argv(write):
+    """Each command that reads a formula: its arguments before and after it."""
+    model = write("m.model", LOOP_P)
+    return {
+        "check": (["check", model], []),
+        "to-automaton": (["to-automaton"], []),
+        "interpolate": (["interpolate"], ["--keep", "q"]),
+    }
+
+
+@pytest.mark.parametrize("name", ["check", "to-automaton", "interpolate"])
+def test_formula_file_reads_like_inline(write, capsys, formula_argv, name):
+    head, tail = formula_argv[name]
+    inline = run(capsys, *head, FORMULA, *tail)
+    assert inline[0] == 0
+    path = write("f.txt", FORMULA + "\n")
+    assert run(capsys, *head, "--formula-file", path, *tail) == inline
+
+
+@pytest.mark.parametrize("name", ["check", "to-automaton", "interpolate"])
+def test_formula_source_errors_exit_2(write, capsys, formula_argv, name):
+    head, tail = formula_argv[name]
+    path = write("f.txt", FORMULA)
+    code, out, err = run(capsys, *head, FORMULA, "--formula-file", path, *tail)
+    assert (code, out) == (2, "")
+    assert err == "error: give the formula inline or with --formula-file, not both\n"
+    code, out, err = run(capsys, *head, *tail)
+    assert (code, out) == (2, "")
+    assert err == "error: no formula given; pass it inline or with --formula-file\n"
+    missing = path + ".missing"
+    code, out, err = run(capsys, *head, "--formula-file", missing, *tail)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and missing in err
+
+
+# Each leaf subcommand with placeholder positionals; parsing opens no file.
+LEAF_ARGS = {
+    "check": ["m.model", "p"],
+    "bisim": ["a.model", "b.model"],
+    "automaton accept": ["a.aut", "m.model"],
+    "automaton to-formula": ["a.aut"],
+    "automaton project": ["a.aut", "p"],
+    "automaton normalize": ["a.aut"],
+    "to-automaton": ["p"],
+    "interpolate": ["p", "--keep", "q"],
+    "entails": ["p", "q"],
+    "selftest": [],
+}
+
+FLAG_VALUES = {
+    "--format": "structured",
+    "--functor": "powerset",
+    "--witness-bound": "2",
+    "--max-model-size": "2",
+    "--cap": "5",
+    "--formula-file": "f.txt",
+}
+
+
+def _readme_flag_lists() -> dict:
+    """Flag ↦ the subcommands the README's flag list gives it."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    lists = {}
+    for flag, where in re.findall(r"^- `(--[\w-]+)[^`]*`[^;:]*? on ([^;:]*)", text, re.M):
+        names = set(re.findall(r"`([^`]+)`", where))
+        lists[flag] = set(LEAF_ARGS) if where == "every subcommand" else names
+    return lists
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_subcommands_take_the_flags_the_readme_lists(capsys, flag):
+    listed = _readme_flag_lists()[flag]
+    assert listed and listed <= set(LEAF_ARGS)
+    accepting = set()
+    for leaf, args in LEAF_ARGS.items():
+        try:
+            _build_parser().parse_args([*leaf.split(), *args, flag, FLAG_VALUES[flag]])
+            accepting.add(leaf)
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert accepting == listed
 
 
 # --------------------------------------------------------------------------

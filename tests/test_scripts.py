@@ -40,3 +40,35 @@ def test_axiom_sweep_past_the_cap_is_an_input_error(capsys):
     out, err = capsys.readouterr()
     assert not out
     assert err.startswith("error: ") and "cap" in err
+
+
+def test_axiom_sweep_checks_every_cap_before_the_first_sweep(capsys):
+    # the powerset block at the default bound 3 would print before monotone
+    # at carrier bound 4 is refused
+    assert _load("axiom_sweep").main(["--carrier-bound", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: ") and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "name, flag",
+    [
+        ("axiom_sweep", "--carrier-bound"),
+        ("axiom_sweep", "--powerset-bound"),
+        ("interpolation_demo", "--witness-bound"),
+        ("interpolation_demo", "--max-model-size"),
+        ("projection_walkthrough", "--witness-bound"),
+        ("projection_walkthrough", "--max-model-size"),
+    ],
+)
+def test_scripts_reject_non_positive_bounds(capsys, name, flag):
+    with pytest.raises(SystemExit) as exc:
+        _load(name).main([flag, "0"])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_projection_walkthrough_may_show_no_witness():
+    args = ["--max-model-size", "1", "--show", "0"]
+    assert _load("projection_walkthrough").main(args) == 0
