@@ -238,7 +238,10 @@ def cmd_selftest(args) -> int:
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported like any other value that is not positive
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -280,12 +283,33 @@ _SHARED_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Unbuilt:
+    """Stands in for the parser of a subcommand the command line does not
+    name, and takes its arguments and subcommands without building them."""
+
+    def _ignore(self, *args, **kwargs):
+        return self
+
+    add_argument = set_defaults = add_subparsers = add_parser = _ignore
+
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser; given ``argv``, only the subcommands it names get a
+    real parser.  That is exact: argparse dispatches only to a name that
+    occurs in ``argv``, and root help, usage and errors read only the names
+    and help texts, which every subcommand still registers."""
+
+    def parser_class(**kw):
+        # add_parser passes prog="<parent prog> <name>"
+        if argv is None or kw["prog"].rsplit(" ", 1)[1] in argv:
+            return argparse.ArgumentParser(**kw)
+        return _Unbuilt()
+
     parser = argparse.ArgumentParser(
         prog="nablamu",
         description="Coalgebraic fixpoint logic: models, automata, interpolants.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     def command(group, name, handler, *positionals, flags=(), formula=False, **kw):
         """Add subcommand ``name``: ``--format`` and the shared ``flags``, the
@@ -312,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disregard", metavar="P", help="ignore this proposition")
 
     p = sub.add_parser("automaton", help="operate on an automaton file")
-    asub = p.add_subparsers(dest="sub", required=True)
+    asub = p.add_subparsers(dest="sub", required=True, parser_class=parser_class)
     aut = ("automaton", "automaton file")
     command(
         asub, "accept", cmd_accept, aut, ("model", "model file"),
@@ -376,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except UnsupportedFragment as exc:

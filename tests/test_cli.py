@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import nablamu.cli as cli
 from nablamu import (
     IDENTITY,
     MONOTONE,
@@ -228,6 +230,100 @@ def test_subcommands_take_the_flags_the_readme_lists(capsys, flag):
             assert exc.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert accepting == listed
+
+
+def test_non_integer_bound_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--carrier-bound", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --carrier-bound: must be a positive integer\n")
+
+
+# --------------------------------------------------------------------------
+# a call builds the parsers of the subcommands it names, and no others
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_named_parsers_answer_like_the_full_parser(write, capsys, monkeypatch):
+    m = write("m.model", LOOP_P)
+    aut = write("t.aut", render_automaton(TRUE_AUT))
+    helps = [[*leaf.split(), "--help"] for leaf in LEAF_ARGS]
+    argvs = helps + [
+        [], ["--help"], ["-h"], ["automaton"], ["automaton", "--help"],
+        ["--help", "entails"], ["entails", "--help", "p"], ["automaton", "-h", "accept"],
+        # flags before the subcommand, --, -1
+        ["--format", "structured", "entails", "p", "q"], ["--functor", "powerset", "check"],
+        ["--", "entails", "p", "q"], ["entails", "--", "p", "q"], ["entails", "p", "--", "q"],
+        ["-1"], ["entails", "-1", "p"], ["selftest", "--cap", "-1"],
+        # extra positionals, unknown leaves, subcommand names as arguments
+        ["entails", "p", "q", "r"], ["automaton", "to-formula", aut, "extra"],
+        ["bogus"], ["Check"], ["entail", "p", "q"], ["automaton", "bogus"],
+        ["automaton", "accepts", aut, m], ["selftest", "entails"],
+        ["entails", "check", "entails"], ["check", m, "check"],
+        ["automaton", "project", aut, "automaton"], ["to-automaton", "selftest"],
+        # one error of each argparse kind
+        ["entails", "p"], ["bisim", m], ["interpolate", "p"],
+        ["entails", "p", "q", "--bogus"], ["--bogus"], ["check", m, "p", "--cap", "5"],
+        ["entails", "p", "q", "--format", "json"], ["entails", "p", "q", "--functor"],
+        ["entails", "p", "q", "--max-model-size", "0"], ["selftest", "--carrier-bound", "x"],
+        ["automaton", "project", aut, "p", "--witness-bound", "-2"],
+        # calls that reach their handler
+        ["entails", "(p /\\ q)", "q"], ["entails", "p", "q", "--format", "structured"],
+        ["check", m, "p"], ["check", m, "nabla {"], ["check", m + ".missing", "p"],
+        ["bisim", m, m], ["automaton", "accept", aut, m], ["automaton", "normalize", aut],
+        ["to-automaton", "mu x. (p \\/ nabla {x})"],
+        ["interpolate", "(p /\\ q)", "--keep", "{q}"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    named = [outcome(capsys, argv) for argv in argvs]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
+    for argv, got in zip(argvs, named):
+        assert outcome(capsys, argv) == got, argv
+    assert {code for code, _, _ in named} == {0, 1, 2}
+
+
+def test_a_call_builds_only_the_parsers_it_names(write, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, **kw):
+        built.append(kw["prog"])
+        init(self, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+
+    def count(argv):
+        built.clear()
+        outcome(capsys, argv)
+        return len(built)
+
+    aut = write("t.aut", render_automaton(TRUE_AUT))
+    assert count(["entails", "p", "q"]) == 2
+    assert count(["automaton", "accept", aut, write("m.model", LOOP_P)]) == 3
+    assert count(["--help"]) == 1
+    built.clear()
+    _build_parser()
+    assert len(built) == 12
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    argv = ["entails", "(p /\\ q)", "q"]
+    monkeypatch.setattr(sys, "argv", ["nablamu", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == run(capsys, *argv)
+    assert code == 0 and captured.out
 
 
 # --------------------------------------------------------------------------

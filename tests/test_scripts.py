@@ -69,6 +69,14 @@ def test_scripts_reject_non_positive_bounds(capsys, name, flag):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+def test_scripts_reject_non_integer_bounds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load("interpolation_demo").main(["--witness-bound", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --witness-bound: must be a positive integer\n")
+
+
 def test_projection_walkthrough_may_show_no_witness():
     args = ["--max-model-size", "1", "--show", "0"]
     assert _load("projection_walkthrough").main(args) == 0
