@@ -280,7 +280,7 @@ def nonemptiness_game(aut: Automaton):
     For a functor with a functorial lifting, E wins at a exactly when a
     accepts some model (Kupke & Venema, *Coalgebraic automata theory: basic
     results*, LMCS 2008): a winning play follows a realization, and E's
-    positional strategy is itself a model (see :func:`witness_coalgebra`).
+    positional strategy is itself a model (see :func:`_realizations`).
     """
     F = aut.functor
     phis = _elements(aut)
@@ -321,8 +321,7 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
     inside W.  Elements no such model realizes map to ``None``.  The sweep
     stops as soon as every element is realized.
 
-    Used only for functors with a monotone part, where the nonemptiness game
-    is not exact.
+    Used only where a monotone part is present (see :func:`_realizations`).
     """
     F = aut.functor
     found = dict.fromkeys(_elements(aut))
@@ -344,40 +343,72 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
     return MappingProxyType(found)
 
 
+def _realizations(aut: Automaton, bound: int):
+    """Decide which transition elements some model realizes, and realize
+    them in one model.  Returns ``(model, tau_of, claimed)``: ``tau_of[φ]``
+    is a τ ∈ T(model.states) with (τ, φ) ∈ L(claimed), or ``None`` if no
+    model realizes φ; ``claimed`` holds the (model state, automaton state)
+    pairs the construction takes the existential player E to win.
+
+    Exact for a functor with a functorial lifting: the model is the
+    nonemptiness game's strategy model (E's winning states, each with the
+    element E's strategy picks and the color of a cell holding it), and
+    τ_φ = φ, through the diagonal, iff E wins φ's position.  Where a monotone
+    part is present, base(φ) alone does not decide realizability (the ∀∃
+    lifting can relate one model state to several automaton states): the
+    model is the coproduct of the models of :func:`bounded_realizations`.
+    """
+    F = aut.functor
+    if F.has_functorial_lifting:
+        arena, sol = nonemptiness_game(aut)
+        win = [a for a in aut.states if arena.index(("state", a)) in sol.win_e]
+        sigma = {}
+        gamma = {}
+        for a in win:
+            phi = arena.positions[sol.strategy_e[arena.index(("state", a))]][1]
+            sigma[a] = phi
+            gamma[a] = next(c for (b, c), elems in aut.delta if b == a and phi in elems)
+        model = ColoredModel.make(F, sigma, gamma, props=aut.props, states=win)
+        tau_of = {
+            phi: phi if arena.index(("elem", phi)) in sol.win_e else None
+            for phi in _elements(aut)
+        }
+        return model, tau_of, frozenset((a, a) for a in win)
+    found = bounded_realizations(aut, bound)
+    used = list(dict.fromkeys(r[0] for r in found.values() if r is not None)) or [
+        canonical_models(F, aut.props, 1)[0]
+    ]
+    big, injections = model_coproduct(used)
+    inj_of = dict(zip(used, injections))
+    tau_of = dict.fromkeys(found)
+    claimed = set()
+    for phi, r in found.items():
+        if r is not None:
+            M, tau, Z = r
+            inj = inj_of[M]
+            tau_of[phi] = t_map(F, inj, tau)
+            claimed |= {(inj[t], b) for t, b in Z}
+    return big, tau_of, frozenset(claimed)
+
+
 def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
     """Drop transition elements that no model realizes.
 
-    For a functor with a functorial lifting the test is exact: φ stays iff
-    every state of base(φ) wins the nonemptiness game.  Where a monotone
-    part is present, φ stays iff some model of at most ``bound`` states
-    realizes it, since the ∀∃ lifting can relate one model state to several
-    automaton states and base(φ) alone does not decide realizability.
+    Exact for a functor with a functorial lifting; where a monotone part is
+    present, ``bound`` caps the realizing models (see :func:`_realizations`).
 
     One pass suffices: a realization's winning strategies only ever use
     elements that are themselves realized over the same model, so pruning
     cannot invalidate surviving elements.
     """
-    phis = _elements(aut)
-    if aut.functor.has_functorial_lifting:
-        # A loses an element position iff some state of base(φ) loses
-        arena, sol = nonemptiness_game(aut)
-        keep = {phi: arena.index(("elem", phi)) in sol.win_e for phi in phis}
-    else:
-        found = bounded_realizations(aut, bound)
-        keep = {phi: found[phi] is not None for phi in phis}
-    delta = {}
-    for (a, c), elems in aut.delta:
-        kept = tuple(phi for phi in elems if keep[phi])
-        if kept:
-            delta[(a, c)] = kept
-    return Automaton.make(
-        aut.functor,
-        aut.props,
-        aut.states,
-        aut.initial,
-        dict(zip(aut.states, aut.omega)),
-        delta,
-    )
+    _, tau_of, _ = _realizations(aut, bound)
+    # Automaton.make drops the cells left empty
+    delta = {
+        cell: [phi for phi in elems if tau_of[phi] is not None]
+        for cell, elems in aut.delta
+    }
+    omega = dict(zip(aut.states, aut.omega))
+    return Automaton.make(aut.functor, aut.props, aut.states, aut.initial, omega, delta)
 
 
 def normalize(aut: Automaton, bound: int = 3) -> Automaton:
@@ -408,67 +439,20 @@ class WitnessCoalgebra:
 
 
 def witness_coalgebra(aut: Automaton, bound: int = 3) -> WitnessCoalgebra:
-    """Realize every transition element of a totally satisfiable automaton.
-
-    For a functor with a functorial lifting this is the strategy model of
-    the nonemptiness game: its states are E's winning automaton states, a
-    state's successor structure is the element E's strategy picks there and
-    its color that of a cell holding it, and every φ is realized by itself
-    through the diagonal.  Where a monotone part is present it is the
-    coproduct of per-element witness models of at most ``bound`` states.
+    """Realize every transition element of a totally satisfiable automaton
+    by the model of :func:`_realizations`, whose claimed pairs are checked
+    against the acceptance game on that model.
 
     Raises ValueError if some element has no realization (run
     :func:`prune_unsatisfiable` first).
     """
-    if aut.functor.has_functorial_lifting:
-        return _strategy_model(aut)
-    return _swept_witnesses(aut, bound)
-
-
-def _strategy_model(aut: Automaton) -> WitnessCoalgebra:
-    F = aut.functor
-    phis = _elements(aut)
-    arena, sol = nonemptiness_game(aut)
-    win = [arena.positions[i][1] for i in sorted(sol.win_e) if i < len(aut.states)]
-    if any(arena.index(("elem", phi)) not in sol.win_e for phi in phis):
+    model, tau_of, claimed = _realizations(aut, bound)
+    if None in tau_of.values():
         raise ValueError("automaton has an unrealizable transition element")
-    sigma = {}
-    gamma = {}
-    for a in win:
-        phi = arena.positions[sol.strategy_e[arena.index(("state", a))]][1]
-        sigma[a] = phi
-        gamma[a] = next(
-            c for (b, c), elems in aut.delta if b == a and phi in elems
-        )
-    model = ColoredModel.make(F, sigma, gamma, props=aut.props, states=win)
-    diagonal = frozenset((a, a) for a in win)
     W = winning_pairs(aut, model)
-    if not diagonal <= W:
-        raise AssertionError("the strategy model loses a state of its own strategy")
-    return WitnessCoalgebra(model, W, {phi: phi for phi in phis})
-
-
-def _swept_witnesses(aut: Automaton, bound: int) -> WitnessCoalgebra:
-    realizations = bounded_realizations(aut, bound)
-    if None in realizations.values():
-        raise ValueError("automaton has an unrealizable transition element")
-    used = list(dict.fromkeys(M for M, _, _ in realizations.values())) or [
-        canonical_models(aut.functor, aut.props, 1)[0]
-    ]
-    big, injections = model_coproduct(used)
-    inj_of = {id(M): injections[i] for i, M in enumerate(used)}
-    tau_of = {}
-    winning = set()
-    for phi, (M, tau, Z) in realizations.items():
-        inj = inj_of[id(M)]
-        tau_of[phi] = t_map(aut.functor, inj, tau)
-        winning |= {(inj[t], b) for t, b in Z}
-    # the injected pairs must stay winning in the coproduct — acceptance is
-    # invariant under the injections, which are embeddings
-    W = winning_pairs(aut, big)
-    if not winning <= W:
-        raise AssertionError("witness pairs lost by the coproduct embedding")
-    return WitnessCoalgebra(big, frozenset(W), tau_of)
+    if not claimed <= W:
+        raise AssertionError("the witness model loses a pair its construction claims")
+    return WitnessCoalgebra(model, W, tau_of)
 
 
 # --------------------------------------------------------------------------

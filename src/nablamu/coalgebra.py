@@ -80,10 +80,6 @@ class ColoredModel:
             tuple(frozenset(gamma.get(s, ())) for s in states),
         )
 
-    @property
-    def state_set(self) -> frozenset:
-        return frozenset(self.states)
-
     def sigma_of(self, s):
         return self.sigma[self._index[s]]
 

@@ -26,7 +26,7 @@ for ``entails``.
 
 from __future__ import annotations
 
-from .automata import nonemptiness_game, normalize, witness_coalgebra
+from .automata import normalize, witness_coalgebra
 from .coalgebra import PointedModel, canonical_models, check_sweep_cap
 from .coalgebra import coproduct as model_coproduct
 from .functors import POWERSET, FunctorDescriptor
@@ -39,7 +39,12 @@ from .logic import (
     validate_monotone,
 )
 from .projection import project_automaton
-from .translation import UnsupportedFragment, automaton_to_formula, formula_to_automaton
+from .translation import (
+    UnsupportedFragment,
+    _infer_functor,
+    automaton_to_formula,
+    formula_to_automaton,
+)
 
 # Models per disjoint union in ``entails_bounded``.  One ``eval_formula``
 # call's setup then serves many models, while peak memory stays near the
@@ -51,8 +56,6 @@ _BATCH = 32
 def _functor_for(f: Formula, functor=None) -> FunctorDescriptor:
     if functor is not None:
         return functor
-    from .translation import _infer_functor
-
     try:
         return _infer_functor(f)
     except ValueError:
@@ -140,9 +143,10 @@ def entails(
 
     Over a functor with a functorial lifting (every functor without a
     monotone part), when ``a ∧ ¬b`` translates to an automaton, the verdict
-    is exact: the entailment holds iff the existential player loses the initial
-    state of the automaton's nonemptiness game.  Then ``max_states`` bounds
-    only what the answer reports.  A failed entailment returns the countermodel
+    is exact: the entailment holds iff normalizing the automaton, which keeps
+    exactly the element moves the existential player wins in its nonemptiness
+    game, leaves the initial state none.  Then ``max_states`` bounds only what
+    the answer reports.  A failed entailment returns the countermodel
     of ``entails_bounded(a, b, max_states)``, or, when no model of at most
     ``max_states`` states refutes it, the game's strategy model pointed at the
     initial state, which may be larger.  A holding entailment raises
@@ -165,8 +169,7 @@ def entails(
         aut = normalize(formula_to_automaton(witness, functor=F, props=props))
     except UnsupportedFragment:
         return entails_bounded(a, b, max_states, F)
-    arena, sol = nonemptiness_game(aut)
-    if arena.index(("state", aut.initial)) not in sol.win_e:
+    if not any(q == aut.initial for (q, _), _ in aut.delta):
         for n in range(1, max_states + 1):
             check_sweep_cap(F, props, n)
         return True, None

@@ -234,47 +234,22 @@ def to_nnf(f: Formula, functor: FunctorDescriptor = None):
     return pos(f, {})
 
 
-_NODES = (NLit, NVar, NAnd, NOr, NNabla, NFix)
-
-
-def _payload_children(payload):
-    """The formulas at the leaves of a modal payload, in canonical order.
-
-    Payloads are built from frozensets, tuples and carrier leaves, so the
-    leaf formulas are recoverable without consulting the functor.
-    """
-    out = []
-
-    def walk(x):
-        if isinstance(x, _NODES):
-            out.append(x)
-        elif isinstance(x, frozenset):
-            for e in sorted(x, key=canon_key):
-                walk(e)
-        elif isinstance(x, tuple):
-            for e in x:
-                walk(e)
-
-    walk(payload)
-    return out
-
-
-def _nchildren(g):
+def _nchildren(F: FunctorDescriptor, g):
     """The immediate subformulas of an NNF node: a junction's parts, the
     leaves of a ∇'s payload, or a binder's body."""
     if isinstance(g, (NAnd, NOr)):
         return g.parts
     if isinstance(g, NNabla):
-        return _payload_children(g.payload)
+        return base(F, g.payload)
     if isinstance(g, NFix):
         return (g.body,)
     return ()
 
 
-def nnf_free_vars(g) -> frozenset:
+def nnf_free_vars(F: FunctorDescriptor, g) -> frozenset:
     if isinstance(g, NVar):
         return frozenset((g.var,))
-    out = frozenset().union(*map(nnf_free_vars, _nchildren(g)))
+    out = frozenset().union(*(nnf_free_vars(F, p) for p in _nchildren(F, g)))
     return out - frozenset((g.var,)) if isinstance(g, NFix) else out
 
 
@@ -309,7 +284,7 @@ class _System:
             if isinstance(g, NFix):
                 fixes.append((g, d))
                 d += 1
-            for p in _nchildren(g):
+            for p in _nchildren(F, g):
                 walk(p, d)
 
         walk(root, 0)
@@ -414,7 +389,7 @@ class _Decomposer:
         elif isinstance(g, NOr):
             res = frozenset().union(*(self.run(p, c) for p in g.parts)) if g.parts else frozenset()
         elif isinstance(g, NAnd):
-            busy = sum(1 for p in g.parts if nnf_free_vars(p))
+            busy = sum(1 for p in g.parts if nnf_free_vars(sysm.F, p))
             if busy > 1:
                 raise UnsupportedFragment(
                     "a conjunction couples two fixpoint computations: "
@@ -518,7 +493,7 @@ def _simp(F: FunctorDescriptor, g, memo=None):
     elif isinstance(g, NFix):
         if res.body == NVar(g.var):
             res = FALSE if g.kind == "mu" else TRUE
-        elif g.var not in nnf_free_vars(res.body):
+        elif g.var not in nnf_free_vars(F, res.body):
             res = res.body
     memo[g] = res
     return res

@@ -475,6 +475,46 @@ def test_witness_coalgebra_realizes_every_element():
                 assert lift_member(F, wc.winning, tau, phi)
 
 
+def test_witness_coalgebra_on_every_shape():
+    # after pruning, every element is realized over the winning pairs; over
+    # a functorial lifting the model is the strategy model on automaton
+    # states and every element realizes itself
+    rng = random.Random(21)
+    for name, F in SHAPES.items():
+        for _ in range(6):
+            aut = prune_unsatisfiable(random_automaton(F, ("p",), rng), bound=2)
+            wc = witness_coalgebra(aut, bound=2)
+            assert wc.winning <= winning_pairs(aut, wc.model), name
+            elems = {phi for (_, _), es in aut.delta for phi in es}
+            assert set(wc.tau_of) == elems, name
+            for phi, tau in wc.tau_of.items():
+                assert lift_member(F, wc.winning, tau, phi), (name, phi)
+            if F.has_functorial_lifting:
+                assert set(wc.model.states) <= set(aut.states), name
+                assert all(tau == phi for phi, tau in wc.tau_of.items()), name
+
+
+def test_pruning_keeps_the_elements_the_game_wins():
+    # over a functorial lifting, pruning keeps exactly the elements whose
+    # position the existential player wins in the nonemptiness game
+    rng = random.Random(22)
+    kept = dropped = 0
+    for name, F in SHAPES.items():
+        if not F.has_functorial_lifting:
+            continue
+        for _ in range(12):
+            aut = random_automaton(F, ("p",), rng)
+            arena, sol = nonemptiness_game(aut)
+            pruned = prune_unsatisfiable(aut)
+            for (a, c), elems in aut.delta:
+                for phi in elems:
+                    won = arena.index(("elem", phi)) in sol.win_e
+                    assert (phi in pruned.delta_of(a, c)) == won, (name, aut, phi)
+                    kept += won
+                    dropped += not won
+    assert kept > 0 and dropped > 0
+
+
 def test_witness_coalgebra_rejects_unrealizable():
     with pytest.raises(ValueError, match="unrealizable"):
         witness_coalgebra(ODD_LOOP, bound=2)

@@ -292,6 +292,13 @@ def test_compose_rejects_nonfunctorial_inner():
         compose(POWERSET, product(MONOTONE, POWERSET))
     # monotone may sit outermost
     compose(MONOTONE, POWERSET)
+    # and anywhere outside the inner part of a composition
+    for text in (
+        "product(powerset,monotone)",
+        "coproduct(identity,monotone)",
+        "comp(product(powerset,monotone),powerset)",
+    ):
+        assert functor_tag(parse_functor(text)) == text
 
 
 def test_descriptor_validation():

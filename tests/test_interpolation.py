@@ -25,6 +25,7 @@ from nablamu import (
     satisfies,
     up_to_p_bisimilar,
 )
+from nablamu.automata import nonemptiness_game, normalize
 from nablamu.coalgebra import check_sweep_cap
 from nablamu.interpolation import (
     entails,
@@ -304,6 +305,27 @@ def test_entails_agrees_with_the_sweep_on_the_corpus():
             assert refutes(got[1], a, b), (a, b)
             beyond += 1
     assert beyond > 0
+
+
+def test_normalized_initial_cells_match_the_nonemptiness_game():
+    # ``entails`` reads emptiness off the normalized automaton: its initial
+    # state keeps an element iff E wins that state in the nonemptiness game,
+    # on every ordered pair of the translation corpus whose a ∧ ¬b translates
+    formulas = [pf(src) for src in TRANSLATION_CORPUS]
+    seen = {True: 0, False: 0}
+    for a, b in itertools.product(formulas, repeat=2):
+        props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
+        witness = mk_and(a, mk_neg(b))
+        try:
+            aut = formula_to_automaton(witness, functor=POWERSET, props=props)
+        except UnsupportedFragment:
+            continue
+        aut = normalize(aut)
+        kept = any(q == aut.initial for (q, _), _ in aut.delta)
+        arena, sol = nonemptiness_game(aut)
+        assert kept == (arena.index(("state", aut.initial)) in sol.win_e), (a, b)
+        seen[kept] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_entails_outside_the_fragment_is_the_sweep():

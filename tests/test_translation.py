@@ -134,9 +134,9 @@ def test_smart_constructors_flatten_and_absorb():
     assert nor((a, TRUE, b)) == TRUE
     assert nand((NAnd(frozenset((a,))), b)) == NAnd(frozenset((a, b)))
     assert nor((NOr(frozenset((a,))), b)) == NOr(frozenset((a, b)))
-    assert nnf_free_vars(NAnd(frozenset((NVar("x"), a)))) == {"x"}
-    assert nnf_free_vars(NFix("mu", "x", NVar("x"))) == frozenset()
-    assert nnf_free_vars(NNabla(frozenset((NVar("y"),)))) == {"y"}
+    assert nnf_free_vars(POWERSET, NAnd(frozenset((NVar("x"), a)))) == {"x"}
+    assert nnf_free_vars(POWERSET, NFix("mu", "x", NVar("x"))) == frozenset()
+    assert nnf_free_vars(POWERSET, NNabla(frozenset((NVar("y"),)))) == {"y"}
 
 
 # --------------------------------------------------------------------------
