@@ -362,12 +362,17 @@ def _realizations(aut: Automaton, bound: int):
     if F.has_functorial_lifting:
         arena, sol = nonemptiness_game(aut)
         win = [a for a in aut.states if arena.index(("state", a)) in sol.win_e]
+        # the color of the first cell, in delta order, holding each element
+        color_of = {}
+        for (b, c), elems in aut.delta:
+            for phi in elems:
+                color_of.setdefault((b, phi), c)
         sigma = {}
         gamma = {}
         for a in win:
             phi = arena.positions[sol.strategy_e[arena.index(("state", a))]][1]
             sigma[a] = phi
-            gamma[a] = next(c for (b, c), elems in aut.delta if b == a and phi in elems)
+            gamma[a] = color_of[(a, phi)]
         model = ColoredModel.make(F, sigma, gamma, props=aut.props, states=win)
         tau_of = {
             phi: phi if arena.index(("elem", phi)) in sol.win_e else None

@@ -60,7 +60,6 @@ class ParitySolution:
     their winning region, and every choice stays inside that region.
     """
 
-    arena: Arena
     win_e: frozenset
     win_a: frozenset
     strategy_e: dict
@@ -160,7 +159,6 @@ def solve_parity(arena: Arena) -> ParitySolution:
     win, strat = zielonka(frozenset(range(n + 2)))
     real = set(range(n))
     return ParitySolution(
-        arena,
         frozenset(win["E"] & real),
         frozenset(win["A"] & real),
         {v: w for v, w in strat["E"].items() if v < n and w < n},

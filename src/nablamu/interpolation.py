@@ -1,13 +1,13 @@
 """Uniform interpolants by existential projection of automata.
 
-``exists_p`` computes a formula equivalent to "the input holds in some model
-that differs only in the proposition p": translate to an automaton, project
-the automaton along p, translate back.  ``uniform_interpolant`` folds this
-over every proposition outside the vocabulary to keep, yielding the
-strongest consequence of the input in that vocabulary.  Both inherit the
-guarded-fragment restrictions of the automaton translation; the projection
-is exact for functors with a functorial lifting, and its realizability
-``bound`` applies only where a monotone part is present.
+``uniform_interpolant`` computes a formula equivalent to "the input holds in
+some model that differs only in the propositions outside the vocabulary to
+keep", the strongest consequence of the input in that vocabulary: translate
+to an automaton, project every hidden proposition at once, translate back.
+``exists_p`` hides one proposition.  Both inherit the guarded-fragment
+restrictions of the automaton translation; the projection is exact for
+functors with a functorial lifting, and its realizability ``bound`` applies
+only where a monotone part is present.
 
 ``entails`` decides entailment exactly where it can: over every functor with
 a functorial lifting, a ⊨ b holds iff the automaton of ``a ∧ ¬b`` accepts
@@ -38,7 +38,7 @@ from .logic import (
     mk_neg,
     validate_monotone,
 )
-from .projection import project_automaton
+from .projection import _delta_p_merge
 from .translation import (
     UnsupportedFragment,
     _infer_functor,
@@ -65,16 +65,9 @@ def _functor_for(f: Formula, functor=None) -> FunctorDescriptor:
 def exists_p(
     f: Formula, p: str, bound: int = 3, functor: FunctorDescriptor = None
 ) -> Formula:
-    """A formula over the remaining vocabulary equivalent to ∃p. f.
-
-    Modality-free formulas default to the powerset functor.  Exact for
-    functors with a functorial lifting; ``bound`` caps the realizing models
-    only where a monotone part is present.  Raises UnsupportedFragment when
-    ``f`` falls outside the translatable fragment.
-    """
-    F = _functor_for(f, functor)
-    aut = formula_to_automaton(f, functor=F)
-    return automaton_to_formula(project_automaton(aut, p, bound))
+    """A formula over the remaining vocabulary equivalent to ∃p. f: the
+    uniform interpolant keeping every other free proposition."""
+    return uniform_interpolant(f, free_props(f) - {p}, bound, functor)
 
 
 def uniform_interpolant(
@@ -82,17 +75,21 @@ def uniform_interpolant(
 ) -> Formula:
     """The strongest consequence of ``f`` using only the propositions in ``keep``.
 
-    Exact for functors with a functorial lifting; ``bound`` caps the
-    realizing models only where a monotone part is present.  Raises
-    ValueError when a fixpoint variable of ``f`` occurs negatively, even if
-    no proposition is projected.
+    One normalization and one merge of cells hide every proposition outside
+    ``keep`` (``f`` itself is returned when none is free): a merged normalized
+    automaton stays normalized, as the merge keeps the true state, each
+    state's elements and every realization.  Modality-free formulas default
+    to the powerset functor.  Exact for functors with a functorial lifting;
+    ``bound`` caps the realizing models only where a monotone part is present.
+    Raises UnsupportedFragment outside the translatable fragment, and
+    ValueError when a fixpoint variable of ``f`` occurs negatively.
     """
     validate_monotone(f)
-    F = _functor_for(f, functor)
-    out = f
-    for p in sorted(set(free_props(f)) - set(keep)):
-        out = exists_p(out, p, bound, functor=F)
-    return out
+    hidden = free_props(f) - frozenset(keep)
+    if not hidden:
+        return f
+    aut = formula_to_automaton(f, functor=_functor_for(f, functor))
+    return automaton_to_formula(_delta_p_merge(normalize(aut, bound), hidden))
 
 
 def entails_bounded(

@@ -153,13 +153,12 @@ def _qf_monotone_half(tau, rho, rel, med, anchor) -> list:
 # Projection
 
 
-def _delta_p_merge(aut: Automaton, p: str) -> Automaton:
-    """Merge each pair of cells that differ only in ``p`` and drop ``p``."""
-    props = tuple(q for q in aut.props if q != p)
+def _delta_p_merge(aut: Automaton, hidden: frozenset) -> Automaton:
+    """Merge the cells whose colors differ only in ``hidden``; drop ``hidden``."""
+    props = tuple(q for q in aut.props if q not in hidden)
     delta: dict = {}
     for (a, c), elems in aut.delta:
-        key = (a, c - frozenset((p,)))
-        delta.setdefault(key, set()).update(elems)
+        delta.setdefault((a, c - hidden), set()).update(elems)
     return Automaton.make(
         aut.functor,
         props,
@@ -177,7 +176,7 @@ def project_automaton(aut: Automaton, p: str, bound: int = 3) -> Automaton:
     decides realizability by the nonemptiness game.  Only where a monotone
     part is present are realizing models bounded by ``bound`` states.
     """
-    return _delta_p_merge(normalize(aut, bound), p)
+    return _delta_p_merge(normalize(aut, bound), frozenset((p,)))
 
 
 def _committed_pairs(arena, strat, j) -> frozenset:
@@ -240,7 +239,8 @@ def construct_projection_witness(
     att = find_true_state(autn)
     if att is None:
         raise AssertionError("normalization must leave a universally accepting state")
-    E = _delta_p_merge(autn, p)
+    pset = frozenset((p,))
+    E = _delta_p_merge(autn, pset)
     M = P.model
     # the uncovered successors go to the true state, so its pairs join the arena
     arena, sol = acceptance_game(
@@ -251,7 +251,6 @@ def construct_projection_witness(
     wc = witness_coalgebra(autn, bound)
     strat = sol.strategy_e
     eprops = frozenset(E.props)
-    pset = frozenset((p,))
     w_pairs = frozenset((("w", q), b) for q, b in wc.winning)
 
     # walk from the point along E's winning strategy: every pair it reaches

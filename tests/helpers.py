@@ -18,6 +18,7 @@ from nablamu import (
     POWERSET,
     FunctorDescriptor,
     PointedModel,
+    automaton_to_formula,
     base,
     canon_key,
     canonical_models,
@@ -25,10 +26,12 @@ from nablamu import (
     constant,
     coproduct,
     eval_formula,
+    formula_to_automaton,
     free_props,
     mk_and,
     mk_neg,
     product,
+    project_automaton,
 )
 from nablamu.functors import _FnPairs
 from nablamu.parsing import ParseError
@@ -239,6 +242,21 @@ def brute_entails_bounded(a, b, max_states=3, functor=None):
                 if s in ext:
                     return False, PointedModel(M, s)
     return True, None
+
+
+def iterated_interpolant(f, keep, bound=3, functor=None):
+    """The uniform interpolant as first computed: translate, project one
+    hidden proposition and translate back, once per proposition of the
+    sorted hidden set, each step re-translating the previous step's
+    formula."""
+    from nablamu.interpolation import _functor_for
+
+    F = _functor_for(f, functor)
+    out = f
+    for p in sorted(free_props(f) - frozenset(keep)):
+        aut = formula_to_automaton(out, functor=F)
+        out = automaton_to_formula(project_automaton(aut, p, bound))
+    return out
 
 
 def brute_greatest_bisimulation(M1, M2, Q=None):
@@ -587,7 +605,6 @@ def reference_solve_parity(arena):
         sys.setrecursionlimit(limit)
     real = set(range(n))
     return ParitySolution(
-        arena,
         frozenset(we & real),
         frozenset(wa & real),
         {v: w for v, w in se.items() if v < n and w < n},

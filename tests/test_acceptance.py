@@ -452,6 +452,8 @@ ORACLE_ONE_PROP = [
     "~nabla {~p, true}",
     "(p /\\ nabla {~p, true})",
     "nabla {(p /\\ nabla {p, true}), true}",
+    # p occurs both ways, under a modality and a fixpoint
+    "mu x. ((p /\\ nabla {~p, true}) \\/ nabla {x, true})",
 ]
 
 ORACLE_TWO_PROP = [
@@ -511,6 +513,10 @@ SPLIT_WITNESS_FORMULAS = [
     "nabla {p, ~p}",
     "(~p /\\ nabla {p})",
     "(nabla {p, true} /\\ nabla {~p, true})",
+    # p occurs both ways, under modalities and fixpoints
+    "(p /\\ nabla {~p})",
+    "nabla {(p /\\ nabla {~p}), true}",
+    "nu x. ((p /\\ nabla {~p}) \\/ (~p /\\ nabla {x}))",
 ]
 
 

@@ -494,6 +494,26 @@ def test_witness_coalgebra_on_every_shape():
                 assert all(tau == phi for phi, tau in wc.tau_of.items()), name
 
 
+def test_strategy_model_colors_each_state_by_its_first_cell():
+    # over a functorial lifting, each state of the strategy model takes the
+    # color of the first cell, in delta order, that holds the element the
+    # existential player's strategy picks there
+    rng = random.Random(23)
+    checked = 0
+    for name, F in SHAPES.items():
+        if not F.has_functorial_lifting:
+            continue
+        for _ in range(12):
+            aut = prune_unsatisfiable(random_automaton(F, ("p", "q"), rng))
+            model = witness_coalgebra(aut).model
+            for a in model.states:
+                phi = model.sigma_of(a)
+                cells = [c for (b, c), es in aut.delta if b == a and phi in es]
+                assert model.gamma_of(a) == cells[0], name
+                checked += len(cells) > 1
+    assert checked > 0
+
+
 def test_pruning_keeps_the_elements_the_game_wins():
     # over a functorial lifting, pruning keeps exactly the elements whose
     # position the existential player wins in the nonemptiness game

@@ -5,13 +5,24 @@ import random
 
 import pytest
 
-from formula_corpus import TRANSLATION_CORPUS, random_guarded_formula
-from helpers import SHAPES, brute_entails_bounded, brute_eval_formula
+from formula_corpus import (
+    TRANSLATION_CORPUS,
+    TWO_PROP_TRANSLATION,
+    random_guarded_formula,
+)
+from helpers import (
+    SHAPES,
+    brute_entails_bounded,
+    brute_eval_formula,
+    iterated_interpolant,
+)
 
 from nablamu import (
+    BOT,
     IDENTITY,
     MONOTONE,
     POWERSET,
+    TOP,
     CapExceeded,
     PointedModel,
     canonical_models,
@@ -22,9 +33,12 @@ from nablamu import (
     mk_and,
     mk_neg,
     parse_formula,
+    render_formula,
     satisfies,
+    subst,
     up_to_p_bisimilar,
 )
+from nablamu import interpolation
 from nablamu.automata import nonemptiness_game, normalize
 from nablamu.coalgebra import check_sweep_cap
 from nablamu.interpolation import (
@@ -33,6 +47,7 @@ from nablamu.interpolation import (
     exists_p,
     uniform_interpolant,
 )
+from nablamu.logic import _polarities
 from nablamu.projection import construct_projection_witness
 from nablamu.translation import UnsupportedFragment, formula_to_automaton
 
@@ -111,6 +126,118 @@ def test_uniform_interpolant_two_props():
 def test_uniform_interpolant_empty_vocabulary():
     g = uniform_interpolant(pf("(p \\/ ~p)"), (), bound=2)
     assert equivalent(g, pf("true"), ())
+
+
+def test_exists_p_of_a_missing_prop_is_the_input():
+    f = pf("nabla {q, true}")
+    assert exists_p(f, "p", bound=2) is f
+
+
+def test_uniform_interpolant_translates_once(monkeypatch):
+    # one normalization and one merge hide every proposition
+    calls = {"formula_to_automaton": 0, "normalize": 0, "automaton_to_formula": 0}
+
+    def counted(name):
+        fn = getattr(interpolation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(interpolation, name, counted(name))
+    f = pf("(p /\\ (q /\\ nabla {r, (p \\/ q), true}))")
+    g = uniform_interpolant(f, ("r",), bound=2)
+    assert calls == dict.fromkeys(calls, 1)
+    assert equivalent(g, pf("nabla {r, true}"), ("r",))
+
+
+def _random_draws(props, keep, hidden_at_least, per_shape, seed):
+    """(F, f) for ``per_shape`` random translatable formulas per ``SHAPES``
+    functor with at least ``hidden_at_least`` free propositions outside
+    ``keep``."""
+    rng = random.Random(seed)
+    for F in SHAPES.values():
+        found = 0
+        while found < per_shape:
+            f = random_guarded_formula(rng, F, props, 4)
+            if len(free_props(f) - frozenset(keep)) < hidden_at_least:
+                continue
+            try:
+                formula_to_automaton(f, functor=F)
+            except UnsupportedFragment:
+                continue
+            found += 1
+            yield F, f
+
+
+def test_one_hidden_prop_is_the_iterated_projection():
+    # with one hidden proposition the single projection is the old fold,
+    # down to the hash-consed formula
+    cases = 0
+    for src in TRANSLATION_CORPUS:
+        f = pf(src)
+        for p in sorted(free_props(f)):
+            keep = free_props(f) - {p}
+            oracle = iterated_interpolant(f, keep)
+            assert uniform_interpolant(f, keep) is oracle, src
+            assert exists_p(f, p) is oracle, src
+            cases += 1
+    assert cases == 41
+    for F, f in _random_draws(("p", "q"), ("q",), 1, 6, 2202):
+        got = uniform_interpolant(f, ("q",), bound=2, functor=F)
+        assert got is iterated_interpolant(f, ("q",), 2, F), render_formula(f)
+
+
+def test_several_hidden_props_match_the_iterated_projection():
+    # one projection of the whole hidden set against the fold that
+    # re-translates after each proposition: equivalent, and never longer
+    draws = [(POWERSET, pf(src), ()) for src in TWO_PROP_TRANSLATION]
+    randoms = _random_draws(("p", "q", "r"), ("r",), 2, 12, 2203)
+    draws += [(F, f, ("r",)) for F, f in randoms]
+    for F, f, keep in draws:
+        got = uniform_interpolant(f, keep, bound=2, functor=F)
+        oracle = iterated_interpolant(f, keep, 2, F)
+        assert free_props(got) <= frozenset(keep), render_formula(f)
+        assert entails_bounded(got, oracle, 2, F) == (True, None), render_formula(f)
+        assert entails_bounded(oracle, got, 2, F) == (True, None), render_formula(f)
+        shorter = len(render_formula(got)) <= len(render_formula(oracle))
+        assert shorter, render_formula(f)
+    assert len(draws) == 10 + 12 * len(SHAPES)
+
+
+def test_single_polarity_projection_is_a_substitution(monkeypatch):
+    # where p occurs only positively, ∃p.f ≡ f[⊤/p]: recoloring every state
+    # with p is a bisimulation up to p, f is monotone in p, and f[⊤/p] is
+    # p-free; dually f[⊥/p] where p occurs only negatively
+    swept = []
+    sweep = interpolation.entails_bounded
+
+    def counted(*args, **kwargs):
+        swept.append(args)
+        return sweep(*args, **kwargs)
+
+    # a holding entailment reaches the sweep only where the game cannot decide
+    monkeypatch.setattr(interpolation, "entails_bounded", counted)
+    cases = single = 0
+    for src in TRANSLATION_CORPUS:
+        f = pf(src)
+        for p in sorted(free_props(f)):
+            cases += 1
+            pols = set()
+            _polarities(f, p, True, pols)
+            if len(pols) != 1:
+                continue
+            single += 1
+            g = exists_p(f, p)
+            s = subst(f, p, TOP if True in pols else BOT)
+            assert entails(g, s, functor=POWERSET) == (True, None), (src, p)
+            assert entails(s, g, functor=POWERSET) == (True, None), (src, p)
+    decided = 2 * single - len(swept)
+    assert (cases, single) == (41, 38)
+    assert decided >= 48, decided
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_automaton
+from helpers import SHAPES, random_automaton
 
 from nablamu import (
     IDENTITY,
@@ -29,6 +29,7 @@ from nablamu.automata import (
     find_true_state,
     normalize,
     parse_automaton,
+    render_automaton,
 )
 from nablamu.projection import (
     _delta_p_merge,
@@ -243,7 +244,7 @@ def test_delta_merge_combines_cells():
         {"a": 0},
         {("a", Q): (phi1,), ("a", PQ): (phi2,), ("a", NOP): (phi1,)},
     )
-    merged = _delta_p_merge(aut, "p")
+    merged = _delta_p_merge(aut, frozenset({"p"}))
     assert merged.props == ("q",)
     assert set(merged.delta_of("a", Q)) == {phi1, phi2}
     assert set(merged.delta_of("a", NOP)) == {phi1}
@@ -255,9 +256,22 @@ def test_delta_merge_without_p_is_color_restriction():
     aut = Automaton.make(
         POWERSET, ("q",), ("a",), "a", {"a": 0}, {("a", Q): (phi,)}
     )
-    merged = _delta_p_merge(aut, "p")
+    merged = _delta_p_merge(aut, frozenset({"p"}))
     assert merged.props == ("q",)
     assert set(merged.delta_of("a", Q)) == {phi}
+
+
+def test_merging_a_set_is_iterated_projection():
+    # a merged normalized automaton is normalized, so one normalization and
+    # one merge over {p, q} give the automaton of projecting p, then q
+    rng = random.Random(2201)
+    for name, F in SHAPES.items():
+        for _ in range(12):
+            aut = random_automaton(F, ("p", "q", "r"), rng)
+            once = _delta_p_merge(normalize(aut, 2), frozenset({"p", "q"}))
+            twice = project_automaton(project_automaton(aut, "p", 2), "q", 2)
+            assert once.props == ("r",)
+            assert render_automaton(once) == render_automaton(twice), name
 
 
 # --------------------------------------------------------------------------
