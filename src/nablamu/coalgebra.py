@@ -10,9 +10,10 @@ liftings makes the single-direction condition self-dual.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import mul
 
 from .functors import (
     DEFAULT_CAP,
@@ -38,7 +39,11 @@ class ColoredModel:
     """A finite coalgebra with propositional coloring.
 
     ``sigma[i]`` is the successor structure of ``states[i]`` (an element of
-    ``T states``); ``gamma[i]`` is its set of true propositions.
+    ``T states``); ``gamma[i]`` is its set of true propositions.  The
+    constructor validates the model (and so do ``make``, ``parse_model``,
+    ``project_model`` and ``random_model``, which call it); only
+    ``canonical_models`` and ``coproduct``, whose models are valid by
+    construction, skip the checks through ``_unchecked``.
     """
 
     functor: FunctorDescriptor
@@ -62,6 +67,21 @@ class ColoredModel:
             if not frozenset(c) <= pset:
                 raise ValueError(f"colors of {s!r} are not declared propositions")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
+
+    @classmethod
+    def _unchecked(cls, functor, props, states, sigma, gamma) -> "ColoredModel":
+        """The model with these fields, built without ``__post_init__``'s
+        checks: for callers that construct only valid models."""
+        M = object.__new__(cls)
+        M.__dict__.update(
+            functor=functor,
+            props=props,
+            states=states,
+            sigma=sigma,
+            gamma=gamma,
+            _index={s: i for i, s in enumerate(states)},
+        )
+        return M
 
     @staticmethod
     def make(functor, sigma: dict, gamma: dict, props=None, states=None) -> "ColoredModel":
@@ -230,7 +250,8 @@ def coproduct(models) -> tuple:
     """Disjoint union of models; returns ``(model, injections)``.
 
     Each injection is a dict from the component's states into the coproduct,
-    and is a color-preserving morphism.
+    and is a color-preserving morphism.  The union is not re-validated: its
+    parts are models, and the injections rename their states apart.
     """
     models = list(models)
     if not models:
@@ -244,13 +265,13 @@ def coproduct(models) -> tuple:
     for M in models:
         props |= set(M.props)
     sigma = tuple(
-        t_map(F, injections[i], M.sigma_of(s))
-        for i, M in enumerate(models)
-        for s in M.states
+        t_map(F, injection, t)
+        for injection, M in zip(injections, models)
+        for t in M.sigma
     )
-    gamma = tuple(M.gamma_of(s) for i, M in enumerate(models) for s in M.states)
+    gamma = tuple(g for M in models for g in M.gamma)
     return (
-        ColoredModel(F, tuple(sorted(props)), states, sigma, gamma),
+        ColoredModel._unchecked(F, tuple(sorted(props)), states, sigma, gamma),
         injections,
     )
 
@@ -284,12 +305,21 @@ def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
     The sweep works on integer codes: a state's code is the rank of its
     successor structure by rendering, times the number of colorings, plus
     the rank of its coloring by sorted names.  Both ranks follow the key's
-    order, so code tuples compare exactly as keys do.  A combination is
-    kept iff no state permutation relabels it to a smaller code tuple, i.e.
-    iff it is the least relabeling of its class; the codes are walked in
-    increasing order, so the result comes out sorted.  Raises CapExceeded
-    when there are more than ``DEFAULT_CAP`` combinations to walk
-    (:func:`check_sweep_cap`).
+    order, so code tuples compare exactly as keys do.
+
+    Read as mixed-radix integers, the code tuples are walked in increasing
+    order with orbit marking (McKay, *Isomorph-free exhaustive generation*,
+    J. Algorithms 1998): a combination not yet marked is the least of its
+    class, as every smaller class has been marked already, so it is kept
+    and its relabelings are marked, in a mark array of one byte per
+    combination.  Marking applies the n! − 1 non-identity permutations to
+    the kept code, so each runs once per kept class, not once per
+    combination; where that could cost more than twice the combinations
+    (few codes, many states, as for a constant functor), a transposition and
+    an n-cycle are applied to each newly marked code until the class is
+    closed instead.  Raises CapExceeded when there are more than
+    ``DEFAULT_CAP`` combinations to walk (:func:`check_sweep_cap`), which
+    also bounds the mark array.
     """
     props = tuple(sorted(props))
     check_sweep_cap(F, props, n)
@@ -297,30 +327,47 @@ def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
     elems = sorted(enumerate_t(F, frozenset(states)), key=lambda t: render_telem(F, t))
     colorings = sorted(subsets(props), key=sorted)
     width = len(colorings)
+    radix = len(elems) * width
     rank = {t: r for r, t in enumerate(elems)}
-    # Per non-identity permutation π (the first one is the identity): the
-    # table c ↦ code of c relabeled by π, and a getter reading, for each
-    # target state π(i) in order, the source state i.
+    places = [radix ** (n - 1 - i) for i in range(n)]
+    # There are at most B(B+1)…(B+n−1)/n! classes for B = radix, as many as
+    # multisets of codes (reached by a constant functor), so marking by
+    # every permutation makes up to B(B+1)…(B+n−1) relabelings; closing
+    # each class under two generators of the permutations makes 2·B^n.
+    closed = math.prod(range(radix, radix + n)) > 2 * radix**n
+    perms = itertools.islice(itertools.permutations(range(n)), 1, None)
+    if closed:
+        perms = ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))
+    # Per permutation π: the table c ↦ code of c relabeled by π, and the
+    # weight of each state's relabeled code, that of its target position π(i).
     relabelings = []
-    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+    for perm in perms:
         pi = {states[i]: states[j] for i, j in enumerate(perm)}
         table = [rank[t_map(F, pi, t)] * width + c for t in elems for c in range(width)]
-        relabelings.append((table.__getitem__, itemgetter(*map(perm.index, range(n)))))
+        relabelings.append((table.__getitem__, [places[j] for j in perm]))
+    sigma_of = [t for t in elems for _ in range(width)].__getitem__
+    gamma_of = (colorings * len(elems)).__getitem__
+    marked = bytearray(radix**n)
     out = []
-    for code in itertools.product(range(len(elems) * width), repeat=n):
-        for table, source in relabelings:
-            if tuple(map(table, source(code))) < code:
-                break
-        else:
-            out.append(
-                ColoredModel(
-                    F,
-                    props,
-                    states,
-                    tuple(elems[c // width] for c in code),
-                    tuple(colorings[c % width] for c in code),
-                )
+    index = marked.find(0)
+    while index >= 0:
+        code = [index // w % radix for w in places]
+        out.append(
+            ColoredModel._unchecked(
+                F, props, states, tuple(map(sigma_of, code)), tuple(map(gamma_of, code))
             )
+        )
+        marked[index] = 1
+        stack = [code]
+        while stack:
+            code = stack.pop()
+            for table, weights in relabelings:
+                image = sum(map(mul, map(table, code), weights))
+                if not marked[image]:
+                    marked[image] = 1
+                    if closed:
+                        stack.append([image // w % radix for w in places])
+        index = marked.find(0, index + 1)
     return tuple(out)
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from nablamu import (
+    IDENTITY,
     MONOTONE,
     POWERSET,
     CapExceeded,
@@ -13,7 +14,9 @@ from nablamu import (
     PointedModel,
     canonical_models,
     canonical_pointed_models,
+    compose,
     constant,
+    coproduct,
     greatest_bisimulation,
     is_bisimulation,
     is_morphism,
@@ -243,6 +246,14 @@ def test_canonical_models_counts_and_coverage():
         (MONOTONE, (), 3),
         (MONOTONE, ("p",), 3),
         (product(POWERSET, constant(["a", "b"])), ("p",), 2),
+        (IDENTITY, (), 5),
+        (IDENTITY, ("p",), 4),
+        (constant(["a", "b"]), (), 7),
+        (constant(["a", "b"]), ("p",), 5),
+        (coproduct(POWERSET, IDENTITY), (), 3),
+        (coproduct(POWERSET, IDENTITY), ("p",), 3),
+        (compose(POWERSET, POWERSET), (), 2),
+        (compose(POWERSET, POWERSET), ("p",), 2),
     ],
 )
 def test_canonical_models_match_relabeling_reference(F, props, max_n):
@@ -256,6 +267,31 @@ def test_canonical_models_refuses_sweeps_beyond_the_cap():
     # 16^4 successor sets times 2^4 colorings is just over DEFAULT_CAP
     with pytest.raises(CapExceeded):
         canonical_models(POWERSET, ("p",), 4)
+
+
+def test_models_built_without_checks_pass_them():
+    # canonical_models and coproduct skip the constructor's validation
+    from helpers import SHAPES
+
+    rng = random.Random(23)
+    built = []
+    for F in SHAPES.values():
+        for props in ((), ("p",)):
+            for n in (1, 2, 3):
+                try:
+                    built.extend(canonical_models(F, props, n))
+                except CapExceeded:
+                    break
+        for _ in range(4):
+            parts = [
+                random_model(F, rng.sample(("p", "q"), rng.randint(0, 2)), n, rng)
+                for n in rng.choices((1, 2, 3), k=rng.randint(1, 3))
+            ]
+            built.append(model_coproduct(parts)[0])
+    for M in built:
+        assert M == ColoredModel(M.functor, M.props, M.states, M.sigma, M.gamma)
+        assert [M.sigma_of(s) for s in M.states] == list(M.sigma)
+        assert [M.gamma_of(s) for s in M.states] == list(M.gamma)
 
 
 def test_model_text_round_trip():
