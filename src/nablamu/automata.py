@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .coalgebra import ColoredModel, PointedModel, canonical_models
+from .coalgebra import ColoredModel, PointedModel, canonical_codes, canonical_models
 from .coalgebra import coproduct as model_coproduct
 from .functors import (
     FunctorDescriptor,
@@ -313,7 +313,8 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
     """The first model realization of each transition element, if any.
 
     Sweeps the canonical models of at most ``bound`` states over the
-    automaton's vocabulary once, in order, and maps each element φ to the
+    automaton's vocabulary once, in order, building each from its code only
+    when the sweep reaches it, and maps each element φ to the
     first ``(M, τ, Z)`` found: ``τ ∈ T(M.states)`` whose lifting of the
     winning pairs W of the acceptance game on ``M`` reaches φ, and
     ``Z = W ∩ (base(τ) × base(φ))``, a frozenset of (model state, automaton
@@ -329,9 +330,11 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
     for n in range(1, bound + 1):
         # every n-state canonical model has the states s0 … s{n−1}
         taus = enumerate_t(F, frozenset(f"s{i}" for i in range(n)))
-        for M in canonical_models(F, aut.props, n):
+        sweep = canonical_codes(F, aut.props, n)
+        for code in sweep.codes:
             if not todo:
                 return MappingProxyType(found)
+            M = sweep.model(code)
             W = winning_pairs(aut, M)
             for phi in todo:
                 tau = next((t for t in taus if lift_member(F, W, t, phi)), None)

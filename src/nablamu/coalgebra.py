@@ -42,7 +42,7 @@ class ColoredModel:
     ``T states``); ``gamma[i]`` is its set of true propositions.  The
     constructor validates the model (and so do ``make``, ``parse_model``,
     ``project_model`` and ``random_model``, which call it); only
-    ``canonical_models`` and ``coproduct``, whose models are valid by
+    ``CodeSweep.model`` and ``coproduct``, whose models are valid by
     construction, skip the checks through ``_unchecked``.
     """
 
@@ -69,9 +69,11 @@ class ColoredModel:
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
 
     @classmethod
-    def _unchecked(cls, functor, props, states, sigma, gamma) -> "ColoredModel":
+    def _unchecked(cls, functor, props, states, sigma, gamma, index=None) -> "ColoredModel":
         """The model with these fields, built without ``__post_init__``'s
-        checks: for callers that construct only valid models."""
+        checks: for callers that construct only valid models.  ``index``,
+        the map from each state to its position, may be shared between
+        models with the same states, since nothing writes to it."""
         M = object.__new__(cls)
         M.__dict__.update(
             functor=functor,
@@ -79,7 +81,7 @@ class ColoredModel:
             states=states,
             sigma=sigma,
             gamma=gamma,
-            _index={s: i for i, s in enumerate(states)},
+            _index={s: i for i, s in enumerate(states)} if index is None else index,
         )
         return M
 
@@ -293,19 +295,50 @@ def check_sweep_cap(F: FunctorDescriptor, props: tuple, n: int) -> None:
         )
 
 
+class CodeSweep:
+    """The ``n``-state models over ``functor`` and ``props``, one per
+    isomorphism class, as integer codes (see :func:`canonical_codes`).
+
+    ``elems`` lists ``T states`` in rendering order and ``colorings`` the
+    subsets of ``props`` by sorted names.  A state's code ``v`` stands for
+    the successor structure ``sigma_of(v) = elems[v // len(colorings)]``
+    and the coloring ``gamma_of(v) = colorings[v % len(colorings)]``;
+    ``codes`` holds one tuple of state codes per class, in model order, and
+    ``index`` maps each state to its position.
+    """
+
+    __slots__ = ("functor", "props", "states", "elems", "colorings", "codes",
+                 "index", "sigma_of", "gamma_of")
+
+    def __init__(self, functor, props, states, elems, colorings, codes):
+        self.functor, self.props, self.states = functor, props, states
+        self.elems, self.colorings, self.codes = elems, colorings, codes
+        width = len(colorings)
+        self.index = {s: i for i, s in enumerate(states)}
+        self.sigma_of = [t for t in elems for _ in range(width)].__getitem__
+        self.gamma_of = (list(colorings) * len(elems)).__getitem__
+
+    def model(self, code) -> ColoredModel:
+        """The model whose states carry ``code``; valid by construction."""
+        return ColoredModel._unchecked(
+            self.functor,
+            self.props,
+            self.states,
+            tuple(map(self.sigma_of, code)),
+            tuple(map(self.gamma_of, code)),
+            self.index,
+        )
+
+
 @lru_cache(maxsize=32)
-def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
-    """All ``n``-state models over ``F`` and ``props``, one per isomorphism class.
+def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> CodeSweep:
+    """The ``n``-state models over ``F`` and ``props``, one per isomorphism
+    class, as code tuples (:class:`CodeSweep`), in increasing order.
 
-    States are named ``s0 … s{n−1}`` and each returned model is the least
-    relabeling of its class, so repeated calls are deterministic.  Models
-    are ordered by their key, the tuple of ``(render_telem(σ(s)),
-    sorted(γ(s)))`` over the states in order.
-
-    The sweep works on integer codes: a state's code is the rank of its
-    successor structure by rendering, times the number of colorings, plus
-    the rank of its coloring by sorted names.  Both ranks follow the key's
-    order, so code tuples compare exactly as keys do.
+    A state's code is the rank of its successor structure by rendering,
+    times the number of colorings, plus the rank of its coloring by sorted
+    names, so code tuples compare exactly as the keys of
+    :func:`canonical_models` do.  Each kept tuple is the least of its class.
 
     Read as mixed-radix integers, the code tuples are walked in increasing
     order with orbit marking (McKay, *Isomorph-free exhaustive generation*,
@@ -319,13 +352,16 @@ def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
     an n-cycle are applied to each newly marked code until the class is
     closed instead.  Raises CapExceeded when there are more than
     ``DEFAULT_CAP`` combinations to walk (:func:`check_sweep_cap`), which
-    also bounds the mark array.
+    also bounds the mark array.  This is the one cache of the enumeration:
+    models are built from it on demand.
     """
     props = tuple(sorted(props))
     check_sweep_cap(F, props, n)
     states = tuple(f"s{i}" for i in range(n))
-    elems = sorted(enumerate_t(F, frozenset(states)), key=lambda t: render_telem(F, t))
-    colorings = sorted(subsets(props), key=sorted)
+    elems = tuple(
+        sorted(enumerate_t(F, frozenset(states)), key=lambda t: render_telem(F, t))
+    )
+    colorings = tuple(sorted(subsets(props), key=sorted))
     width = len(colorings)
     radix = len(elems) * width
     rank = {t: r for r, t in enumerate(elems)}
@@ -345,18 +381,12 @@ def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
         pi = {states[i]: states[j] for i, j in enumerate(perm)}
         table = [rank[t_map(F, pi, t)] * width + c for t in elems for c in range(width)]
         relabelings.append((table.__getitem__, [places[j] for j in perm]))
-    sigma_of = [t for t in elems for _ in range(width)].__getitem__
-    gamma_of = (colorings * len(elems)).__getitem__
     marked = bytearray(radix**n)
     out = []
     index = marked.find(0)
     while index >= 0:
         code = [index // w % radix for w in places]
-        out.append(
-            ColoredModel._unchecked(
-                F, props, states, tuple(map(sigma_of, code)), tuple(map(gamma_of, code))
-            )
-        )
+        out.append(tuple(code))
         marked[index] = 1
         stack = [code]
         while stack:
@@ -368,7 +398,22 @@ def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
                     if closed:
                         stack.append([image // w % radix for w in places])
         index = marked.find(0, index + 1)
-    return tuple(out)
+    return CodeSweep(F, props, states, elems, colorings, tuple(out))
+
+
+def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
+    """All ``n``-state models over ``F`` and ``props``, one per isomorphism class.
+
+    States are named ``s0 … s{n−1}`` and each returned model is the least
+    relabeling of its class, so repeated calls are deterministic.  Models
+    are ordered by their key, the tuple of ``(render_telem(σ(s)),
+    sorted(γ(s)))`` over the states in order.  They are built, without
+    re-validation, from the cached code tuples of :func:`canonical_codes`,
+    which also raises CapExceeded past the enumeration cap; equal calls
+    return equal (not identical) models.
+    """
+    sweep = canonical_codes(F, tuple(sorted(props)), n)
+    return tuple(map(sweep.model, sweep.codes))
 
 
 def canonical_pointed_models(F: FunctorDescriptor, props: tuple, max_states: int):

@@ -17,21 +17,25 @@ results*, LMCS 2008).  Where a monotone part is present, and where
 ``a ∧ ¬b`` falls outside the translatable fragment, it is
 ``entails_bounded``: the desk-scale check that sweeps all pointed models
 up to a size bound, smallest first, and returns the first countermodel it
-meets.  The sweep evaluates ``a ∧ ¬b`` once per batch of models, on their
-disjoint union; the injections are coalgebra morphisms, so each state of
-the union satisfies exactly what it satisfies in its own model.
+meets.  The sweep evaluates ``a ∧ ¬b`` once per batch of models, on one
+bitset view of the batch built from the models' integer codes; each state's
+successor bits lie inside its own model's, so it satisfies exactly what it
+satisfies in its own model, and only the countermodel is ever built.
 ``entails_bounded`` also validates interpolants and serves as the oracle
 for ``entails``.
 """
 
 from __future__ import annotations
 
+from operator import lshift
+
 from .automata import normalize, witness_coalgebra
-from .coalgebra import PointedModel, canonical_models, check_sweep_cap
-from .coalgebra import coproduct as model_coproduct
-from .functors import POWERSET, FunctorDescriptor
+from .coalgebra import PointedModel, canonical_codes, check_sweep_cap
+from .functors import POWERSET, FunctorDescriptor, base
 from .logic import (
     Formula,
+    _BitView,
+    _eval_bits,
     eval_formula,
     free_props,
     mk_and,
@@ -46,10 +50,8 @@ from .translation import (
     formula_to_automaton,
 )
 
-# Models per disjoint union in ``entails_bounded``.  One ``eval_formula``
-# call's setup then serves many models, while peak memory stays near the
-# per-model sweep's: one union per size slice more than doubled the peak RSS
-# of two-proposition sweeps at 3 states.
+# Models per bitset view in ``entails_bounded``.  One evaluation's setup then
+# serves many models, while the bitsets stay a few machine words long.
 _BATCH = 32
 
 
@@ -101,32 +103,52 @@ def entails_bounded(
     """Whether ``a`` entails ``b`` on all pointed models of at most ``max_states``.
 
     Returns ``(True, None)`` or ``(False, countermodel)``.  The sweep goes
-    size by size through ``canonical_models``, cuts each size's models into
-    consecutive batches of ``_BATCH`` and evaluates ``a ∧ ¬b`` once per
-    batch, on the batch's disjoint union (``coalgebra.coproduct``).  This is
-    exact for every functor: the injections are coalgebra morphisms, and
-    whether a state satisfies a formula depends only on the states reachable
-    through ``base`` of successor structures (the locality ``eval_formula``
-    relies on), which the union keeps inside the state's own model.  The
-    sweep stops at the first countermodel's batch and returns that
-    countermodel: the least by size, then by model order, then by state
+    size by size through the code tuples of ``canonical_codes`` (the models
+    of ``canonical_models``, in the same order), cuts them into consecutive
+    batches of ``_BATCH`` and evaluates ``a ∧ ¬b`` once per batch, with
+    ``logic._eval_bits`` on a bitset view built from the codes alone.  The
+    batch's j-th model of n states takes the bits from j·n up: a state's
+    successor bits are the base bits of its successor structure shifted
+    there, its atom bits come from its coloring, and the liftings other than
+    powerset read its successor structure over the model's own states at
+    that offset.  This is exact for every functor: whether a state satisfies
+    a formula depends only on the states reachable through ``base`` of
+    successor structures (the locality ``_eval_bits`` relies on), and every
+    batch state's successor bits are its own model's, shifted, so each model
+    is evaluated as it would be alone.  The lowest set bit of the result
+    names the first countermodel by size, then by model order, then by state
     order, i.e. the first point of ``canonical_pointed_models`` satisfying
-    ``a ∧ ¬b``.  Sizes past the countermodel are never enumerated; a size
+    ``a ∧ ¬b``; the sweep stops at that batch and builds that one model, and
+    no other.  Sizes past the countermodel are never enumerated; a size
     beyond the enumeration cap raises CapExceeded when the sweep reaches it.
     """
     F = _functor_for(mk_and(a, b), functor)
     props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
     witness = mk_and(a, mk_neg(b))
     for n in range(1, max_states + 1):
-        models = canonical_models(F, props, n)
-        for start in range(0, len(models), _BATCH):
-            batch = models[start : start + _BATCH]
-            union, injections = model_coproduct(batch)
-            ext = eval_formula(union, witness)
-            for M, into in zip(batch, injections):
-                for s in M.states:
-                    if into[s] in ext:
-                        return False, PointedModel(M, s)
+        sweep = canonical_codes(F, props, n)
+        codes = range(len(sweep.elems) * len(sweep.colorings))
+        # per state code: the bitset of its successor structure's base, and
+        # per proposition the digit "1" if its coloring holds it, else "0"
+        succ_of = [sum(1 << sweep.index[t] for t in base(F, sweep.sigma_of(v))) for v in codes]
+        digits = {p: ["1" if p in sweep.gamma_of(v) else "0" for v in codes] for p in props}
+        shifts = [k - k % n for k in range(_BATCH * n)]  # the first bit of k's model
+        for start in range(0, len(sweep.codes), _BATCH):
+            batch = sweep.codes[start : start + _BATCH]
+            flat = [v for code in batch for v in code]  # the code of batch state k
+            # a proposition's bitset is its digits read as a binary numeral,
+            # the last state's first
+            atoms = {
+                p: int("".join(map(d.__getitem__, reversed(flat))), 2)
+                for p, d in digits.items()
+            }
+            succ = list(map(lshift, map(succ_of.__getitem__, flat), shifts))
+            sigma = list(map(sweep.sigma_of, flat))
+            view = _BitView(F, len(flat), succ, atoms, sweep.index, sigma, shifts)
+            ext = _eval_bits(view, witness, {})
+            if ext:
+                k = (ext & -ext).bit_length() - 1  # the lowest set bit
+                return False, PointedModel(sweep.model(batch[k // n]), sweep.states[k % n])
     return True, None
 
 

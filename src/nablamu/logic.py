@@ -261,17 +261,38 @@ def _bits(mask: int):
 
 class _MaskPairs:
     """The pairs ``(t, b)`` with state t in the extension of argument b, read
-    from the arguments' bitsets: the relation a ∇ node hands to the lifting."""
+    from the arguments' bitsets, where t's bit sits ``offset`` places above
+    its index: the relation a ∇ node hands to the lifting."""
 
-    __slots__ = ("index", "masks")
+    __slots__ = ("index", "masks", "offset")
 
     def __init__(self, index: dict, masks: dict):
         self.index = index
         self.masks = masks
+        self.offset = 0
 
     def __contains__(self, pair) -> bool:
         t, b = pair
-        return self.masks[b] >> self.index[t] & 1
+        return self.masks[b] >> (self.index[t] + self.offset) & 1
+
+
+class _BitView:
+    """A coalgebra read through bitsets: what :func:`_eval_bits` evaluates on.
+
+    Bit k stands for the k-th of ``size`` states.  ``succ[k]`` is the bitset
+    of base(σ(k)) and ``atoms`` maps a proposition to the bitset of the
+    states colored with it.  For the liftings other than powerset,
+    ``sigma[k]`` is σ(k) over the state names of ``index``, and ``offsets[k]``
+    is how far above its index each of those names' bits sits.  A view of one
+    model has offset 0 everywhere; ``interpolation.entails_bounded`` puts
+    many models of one size side by side, each at its own offset.
+    """
+
+    __slots__ = ("functor", "size", "succ", "atoms", "index", "sigma", "offsets")
+
+    def __init__(self, functor, size, succ, atoms, index, sigma, offsets):
+        self.functor, self.size, self.succ, self.atoms = functor, size, succ, atoms
+        self.index, self.sigma, self.offsets = index, sigma, offsets
 
 
 def eval_formula(M, f: Formula, env=None) -> frozenset:
@@ -286,30 +307,11 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
     (:func:`validate_monotone`).  Otherwise the iteration need not reach a
     fixpoint and may never terminate.
 
-    State sets are Python ints used as bitsets: bit i stands for
-    ``M.states[i]``.  ¬, ⋁ and the fixpoint test are ``^``, ``|`` and
-    ``==`` on ints, and a node's memo key is the node with the bitsets of
-    its free names.  Fixpoints are computed by Knaster–Tarski iteration.
-
-    A powerset ∇α is decided by the Egli–Milner lifting on bitsets: with
-    ``succ`` the bitset of σ(s), s ∈ ∇α iff ``succ`` lies inside the union
-    of the arguments' extensions and meets the extension of every argument.
-    Every other functor asks :func:`lift_member` with the pairs ``(t, b)``
-    read from the arguments' bitsets.
-
-    Each ∇ node is re-evaluated incrementally.  The node keeps its
-    arguments' extensions and the states it found at its last evaluation.
-    Whether s lies in ∇α depends only on whether t satisfies b for
-    t ∈ base(σ(s)) and b ∈ base(α): the lifting of every functor kind reads
-    no other pair.  So when the arguments' extensions change, only the
-    predecessors of the states whose membership changed in some argument
-    are re-checked, and every other state keeps its verdict.  This compares
-    the old and new extensions only, so it is exact whatever the direction
-    of the iteration (ν is encoded as ¬μ¬) and under ``env`` overrides.
+    The work is done by :func:`_eval_bits` on the bitset view of ``M``
+    (bit i stands for ``M.states[i]``, every offset is 0); the bounded
+    sweep hands the same evaluator views of many models at once.
     """
-    states = M.states
-    index = {s: i for i, s in enumerate(states)}
-    full = (1 << len(states)) - 1
+    states, index = M.states, M._index
     masks = {}
     for name, ext in (env or {}).items():
         mask = 0
@@ -321,14 +323,56 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
                 )
             mask |= 1 << index[s]
         masks[name] = mask
+    atoms = {
+        p: sum(1 << i for i, colors in enumerate(M.gamma) if p in colors)
+        for p in free_props(f)
+        if p not in masks
+    }
+    F = M.functor
+    succ = [sum(1 << index[t] for t in base(F, x)) for x in M.sigma]
+    view = _BitView(F, len(states), succ, atoms, index, M.sigma, [0] * len(states))
+    return frozenset(states[i] for i in _bits(_eval_bits(view, f, masks)))
+
+
+def _eval_bits(view: _BitView, f: Formula, env: dict) -> int:
+    """The bitset of the states of ``view`` satisfying ``f``, with ``env``
+    mapping free names to bitsets; the one evaluator behind
+    :func:`eval_formula` and the bounded sweep.
+
+    State sets are Python ints used as bitsets.  ¬, ⋁ and the fixpoint test
+    are ``^``, ``|`` and ``==`` on ints, and a node's memo key is the node
+    with the bitsets of its free names.  Fixpoints are computed by
+    Knaster–Tarski iteration.
+
+    A powerset ∇α is decided by the Egli–Milner lifting on bitsets: with
+    ``succ`` the bitset of σ(s), s ∈ ∇α iff ``succ`` lies inside the union
+    of the arguments' extensions and meets the extension of every argument.
+    Every other functor asks :func:`lift_member` with the pairs ``(t, b)``
+    read from the arguments' bitsets at the state's offset.
+
+    Whether s lies in ∇α depends only on whether t satisfies b for
+    t ∈ base(σ(s)) and b ∈ base(α): the lifting of every functor kind reads
+    no other pair.  So the answer at s reads only the bits of s's successor
+    bases, and a view holding several models, each state's bits confined to
+    its own model's, evaluates every model as it would alone.
+
+    Each ∇ node is re-evaluated incrementally.  The node keeps its
+    arguments' extensions and the states it found at its last evaluation.
+    When the arguments' extensions change, only the predecessors of the
+    states whose membership changed in some argument are re-checked, and
+    every other state keeps its verdict.  This compares the old and new
+    extensions only, so it is exact whatever the direction of the iteration
+    (ν is encoded as ¬μ¬) and under ``env`` overrides.
+    """
+    full = (1 << view.size) - 1
+    succ, atoms = view.succ, view.atoms
     names: dict = {}  # node ↦ its free names, sorted
     memo: dict = {}
     last: dict = {}  # ∇ node ↦ (argument bitsets, result) of its last evaluation
-    succ = None  # bitsets of the bases of the successor structures
     preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, built at the first re-check
 
     def ev(g: Formula, env: dict) -> int:
-        nonlocal succ, preds
+        nonlocal preds
         free = names.get(g)
         if free is None:
             free = names[g] = tuple(sorted(free_props(g)))
@@ -339,10 +383,7 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
         if isinstance(g, Atom):
             out = env.get(g.name)
             if out is None:
-                out = 0
-                for i, colors in enumerate(M.gamma):
-                    if g.name in colors:
-                        out |= 1 << i
+                out = atoms.get(g.name, 0)
         elif isinstance(g, Neg):
             out = full ^ ev(g.sub, env)
         elif isinstance(g, Or):
@@ -351,16 +392,12 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
                 out |= ev(p, env)
         elif isinstance(g, Nabla):
             F = g.functor
-            if F != M.functor:
+            if F != view.functor:
                 raise ValueError("modality functor differs from the model functor")
             args = {b: ev(b, env) for b in base(F, g.payload)}
-            if succ is None:
-                succ = [
-                    sum(1 << index[t] for t in base(F, sigma)) for sigma in M.sigma
-                ]
             if g in last:
                 if preds is None:
-                    preds = [0] * len(states)
+                    preds = [0] * view.size
                     for s, bits in enumerate(succ):
                         for t in _bits(bits):
                             preds[t] |= 1 << s
@@ -384,9 +421,11 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
                     if not bits & outside and all(bits & mask for mask in needed):
                         out |= 1 << s
             else:
-                pairs = _MaskPairs(index, args)
+                pairs = _MaskPairs(view.index, args)
+                sigma, offsets = view.sigma, view.offsets
                 for s in _bits(todo):
-                    if lift_member(F, pairs, M.sigma[s], g.payload):
+                    pairs.offset = offsets[s]
+                    if lift_member(F, pairs, sigma[s], g.payload):
                         out |= 1 << s
             last[g] = (args, out)
         else:
@@ -402,7 +441,7 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
         memo[key] = out
         return out
 
-    return frozenset(states[i] for i in _bits(ev(f, masks)))
+    return ev(f, env)
 
 
 def satisfies(P, f: Formula) -> bool:

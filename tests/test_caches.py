@@ -27,3 +27,11 @@ def test_every_lru_cache_is_bounded():
     assert found, "no lru_cache wrapper found; the walk is broken"
     unbounded = [q for q, fn in found.items() if fn.cache_parameters()["maxsize"] is None]
     assert not unbounded, unbounded
+
+
+def test_the_model_enumeration_is_cached_once():
+    # the code tuples are cached; the models built from them are not
+    found = dict(_lru_wrappers())
+    enumeration = [q for q in found if q.startswith("nablamu.coalgebra.canonical_")]
+    assert enumeration == ["nablamu.coalgebra.canonical_codes"], enumeration
+    assert found[enumeration[0]].cache_parameters()["maxsize"] is not None

@@ -1,6 +1,8 @@
 """Uniform interpolation: projection of formulas, bounded entailment."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -40,14 +42,14 @@ from nablamu import (
 )
 from nablamu import interpolation
 from nablamu.automata import nonemptiness_game, normalize
-from nablamu.coalgebra import check_sweep_cap
+from nablamu.coalgebra import CodeSweep, ColoredModel, canonical_codes, check_sweep_cap
 from nablamu.interpolation import (
     entails,
     entails_bounded,
     exists_p,
     uniform_interpolant,
 )
-from nablamu.logic import _polarities
+from nablamu.logic import _eval_bits, _polarities
 from nablamu.projection import construct_projection_witness
 from nablamu.translation import UnsupportedFragment, formula_to_automaton
 
@@ -290,9 +292,9 @@ def test_entails_bounded_stops_at_the_first_countermodel(monkeypatch):
 
     def counting(F, props, n):
         sizes.append(n)
-        return canonical_models(F, props, n)
+        return canonical_codes(F, props, n)
 
-    monkeypatch.setattr(interpolation, "canonical_models", counting)
+    monkeypatch.setattr(interpolation, "canonical_codes", counting)
     ok, cm = entails_bounded(pf("q"), pf("(p /\\ q)"), 3)
     assert not ok and cm.model.props == ("p", "q")
     assert satisfies(cm, pf("(q /\\ ~p)"))
@@ -341,32 +343,42 @@ def test_entails_bounded_batch_boundaries(monkeypatch):
     K = interpolation._BATCH
     a, b = pf("q"), pf("(p /\\ q)")
     witness = mk_and(a, mk_neg(b))
-    models = canonical_models(POWERSET, ("p", "q"), 3)
-    holding = [M for M in models if not eval_formula(M, witness)]
+    sweep = canonical_codes(POWERSET, ("p", "q"), 3)
+    models = dict(zip(sweep.codes, canonical_models(POWERSET, ("p", "q"), 3)))
+    holding = [code for code, M in models.items() if not eval_formula(M, witness)]
     # refuted at its last state only, so the point must be mapped back right
-    counter = next(M for M in models if eval_formula(M, witness) == {M.states[-1]})
+    counter = next(
+        code for code, M in models.items() if eval_formula(M, witness) == {M.states[-1]}
+    )
     fill = holding[: 3 * K + 4]
     for j in (0, K - 1, K, K + 1, len(fill)):
-        models_slice = tuple(fill[:j] + [counter] + fill[j:])
+        codes = tuple(fill[:j] + [counter] + fill[j:])
         evaluated = []
 
         def fake(F, props, n):
-            return models_slice
+            # the slice at 3 states, nothing at 1 and 2
+            keep = codes if n == 3 else ()
+            return CodeSweep(F, sweep.props, sweep.states, sweep.elems, sweep.colorings, keep)
 
-        def counting(M, f):
-            evaluated.append(len(M.states))
-            return eval_formula(M, f)
+        def fake_models(F, props, n):
+            got = fake(F, props, n)
+            return tuple(map(got.model, got.codes))
 
-        monkeypatch.setattr(interpolation, "canonical_models", fake)
-        monkeypatch.setattr(helpers, "canonical_models", fake)
-        monkeypatch.setattr(interpolation, "eval_formula", counting)
-        got = entails_bounded(a, b, 1)
-        assert got == (False, PointedModel(counter, counter.states[-1])), j
-        assert got[1].model is counter
-        assert got == brute_entails_bounded(a, b, 1), j
+        def counting(view, f, env):
+            evaluated.append(view.size)
+            return _eval_bits(view, f, env)
+
+        monkeypatch.setattr(interpolation, "canonical_codes", fake)
+        monkeypatch.setattr(helpers, "canonical_models", fake_models)
+        monkeypatch.setattr(interpolation, "_eval_bits", counting)
+        got = entails_bounded(a, b, 3)
+        M = models[counter]
+        assert got == (False, PointedModel(M, M.states[-1])), j
+        assert got[1].model == M
+        assert got == brute_entails_bounded(a, b, 3), j
         # whole batches up to the countermodel's, and none after it
         assert len(evaluated) == j // K + 1, j
-        assert sum(evaluated) == 3 * min((j // K + 1) * K, len(models_slice)), j
+        assert sum(evaluated) == 3 * min((j // K + 1) * K, len(codes)), j
 
 
 def test_entails_bounded_evaluates_each_batch_once(monkeypatch):
@@ -376,18 +388,82 @@ def test_entails_bounded_evaluates_each_batch_once(monkeypatch):
 
     def enumerating(F, props, n):
         sizes.append(n)
-        return canonical_models(F, props, n)
+        return canonical_codes(F, props, n)
 
-    def counting(M, f):
+    def counting(view, f, env):
         calls.append(sizes[-1])
-        return eval_formula(M, f)
+        return _eval_bits(view, f, env)
 
-    monkeypatch.setattr(interpolation, "canonical_models", enumerating)
-    monkeypatch.setattr(interpolation, "eval_formula", counting)
+    monkeypatch.setattr(interpolation, "canonical_codes", enumerating)
+    monkeypatch.setattr(interpolation, "_eval_bits", counting)
     assert entails_bounded(pf("nabla {p}"), pf("nabla {p, true}"), 3) == (True, None)
     K = interpolation._BATCH
     batches = [-(-len(canonical_models(POWERSET, ("p",), n)) // K) for n in (1, 2, 3)]
     assert [calls.count(n) for n in (1, 2, 3)] == batches
+
+
+# a holding pair and a refuted one per functor, refuted by a 2-state model
+# past the sweep's first batch
+SWEEP_BUILD_CASES = [
+    (
+        POWERSET,
+        ("nabla {nabla {p}}", "mu x. (p \\/ nabla {x})"),
+        ("nabla {nabla {p}, q}", "nabla {p, true}"),
+    ),
+    (
+        MONOTONE,
+        ("nabla {{p}}", "mu x. (p \\/ nabla {{x}})"),
+        ("nabla {{nabla {{p}}}}", "nabla {{p}}"),
+    ),
+    (
+        SHAPES["product"],
+        ("nabla ({p}, const:a)", "mu x. (p \\/ nabla ({x}, const:a))"),
+        ("nabla ({nabla ({p}, const:b)}, const:a)", "nabla ({p}, const:a)"),
+    ),
+]
+
+
+@pytest.mark.parametrize("F, holding, refuted", SWEEP_BUILD_CASES)
+def test_entails_bounded_builds_only_the_countermodel(monkeypatch, F, holding, refuted):
+    import nablamu
+    import nablamu.coalgebra as coalgebra
+
+    a, b = (parse_formula(src, F) for src in refuted)
+    ok, expected = brute_entails_bounded(a, b, 3, F)
+    n = len(expected.model.states)
+    models = canonical_models(F, expected.model.props, n)
+    i = models.index(expected.model)
+    assert not ok and n == 2 and i >= interpolation._BATCH
+    built, unions = [], []
+    unchecked = ColoredModel._unchecked.__func__
+    checked = ColoredModel.__post_init__
+
+    def counted_unchecked(cls, *args):
+        built.append(args)
+        return unchecked(cls, *args)
+
+    def counted_checked(self):
+        built.append(self)
+        checked(self)
+
+    def no_union(*args):
+        unions.append(args)
+        raise AssertionError("the sweep built a coproduct")
+
+    monkeypatch.setattr(ColoredModel, "_unchecked", classmethod(counted_unchecked))
+    monkeypatch.setattr(ColoredModel, "__post_init__", counted_checked)
+    union = coalgebra.coproduct
+    for info in pkgutil.iter_modules(nablamu.__path__, "nablamu."):
+        module = importlib.import_module(info.name)
+        for name, value in list(vars(module).items()):
+            if value is union:
+                monkeypatch.setattr(module, name, no_union)
+    h_a, h_b = (parse_formula(src, F) for src in holding)
+    assert entails_bounded(h_a, h_b, 3, F) == (True, None)
+    assert built == [] and unions == []
+    got = entails_bounded(a, b, 3, F)
+    assert got == (False, PointedModel(models[i], expected.point))
+    assert len(built) == 1 and unions == []
 
 
 # --------------------------------------------------------------------------
@@ -501,12 +577,18 @@ def test_exact_holds_sweeps_no_models(monkeypatch):
 
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return canonical_models(*args)
+    def counting(fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
 
+        return counted
+
+    # every binding of the enumeration, of its codes and of its models
     for module in (coalgebra, automata, interpolation):
-        monkeypatch.setattr(module, "canonical_models", counting)
+        for name in ("canonical_codes", "canonical_models"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
     a, b = pf("nabla {p}"), pf("mu x. (p \\/ nabla {x, true})")
     assert entails(a, b, 3) == (True, None)
     assert calls == []
