@@ -127,11 +127,13 @@ def entails_bounded(
     witness = mk_and(a, mk_neg(b))
     for n in range(1, max_states + 1):
         sweep = canonical_codes(F, props, n)
-        codes = range(len(sweep.elems) * len(sweep.colorings))
+        state_codes = range(len(sweep.elems) * len(sweep.colorings))
         # per state code: the bitset of its successor structure's base, and
         # per proposition the digit "1" if its coloring holds it, else "0"
-        succ_of = [sum(1 << sweep.index[t] for t in base(F, sweep.sigma_of(v))) for v in codes]
-        digits = {p: ["1" if p in sweep.gamma_of(v) else "0" for v in codes] for p in props}
+        succ_of = [
+            sum(1 << sweep.index[t] for t in base(F, sweep.sigma_of(v))) for v in state_codes
+        ]
+        digits = {p: ["1" if p in sweep.gamma_of(v) else "0" for v in state_codes] for p in props}
         shifts = [k - k % n for k in range(_BATCH * n)]  # the first bit of k's model
         for start in range(0, len(sweep.codes), _BATCH):
             batch = sweep.codes[start : start + _BATCH]
