@@ -195,7 +195,9 @@ def build_arena(aut: Automaton, M: ColoredModel, pairs=None) -> Arena:
             c = colors[s] = aut.color_of(M.gamma_of(s))
         tau = M.sigma_of(s)
         moves[i] = tuple([elem(tau, phi) for phi in aut.delta_of(a, c)])
-    return Arena(tuple(positions), tuple(owner), tuple(priority), tuple(moves))
+    return Arena._unchecked(
+        tuple(positions), tuple(owner), tuple(priority), tuple(moves), index
+    )
 
 
 def acceptance_game(aut: Automaton, M: ColoredModel, pairs=None):
@@ -294,11 +296,12 @@ def nonemptiness_game(aut: Automaton):
         for phi in phis
     ]
     n, m = len(aut.states), len(phis)
-    arena = Arena(
+    arena = Arena._unchecked(
         tuple(positions),
         ("E",) * n + ("A",) * m,
         aut.omega + (0,) * m,
         tuple(moves),
+        index,
     )
     return arena, solve_parity(arena)
 

@@ -178,10 +178,22 @@ def greatest_bisimulation(M1: ColoredModel, M2: ColoredModel, Q=None, with_steps
     Refines a partition of the disjoint union of the models.  Its states are
     numbered, ``M1``'s first, so states the two models share by name stay
     apart.  The first partition groups states by their colors in ``Q``.
-    Each round gives a state the signature ``(its block, T(block-of)(σ(s)))``
-    and splits the blocks by signature; refinement stops at the first round
-    that leaves the number of blocks unchanged.  ``s`` and ``t`` are related
-    iff they end in one block.
+    Each round splits every block by the signature ``T(block-of)(σ(s))`` of
+    its states, and refinement stops at the first round that moves no state.
+    ``s`` and ``t`` are related iff they end in one block.
+
+    Only the first round signs every state.  A signature reads only the
+    block ids of a state's successors, and a split keeps the old id for the
+    states that stay, so afterwards only the predecessors of the states that
+    moved can get a new signature (the worklist form of Paige & Tarjan,
+    *Three partition refinement algorithms*, SIAM J. Comput. 1987, made
+    generic over functors by Dorsch, Milius, Schröder & Wißmann, CONCUR
+    2017).  Each block keeps the one signature its settled members share;
+    in a block with settled members, re-signed states whose signature
+    equals it stay and every other group moves to a new block, while in a
+    block whose members were all re-signed the first group keeps the id.
+    The partition after each round is the one a full re-signing would give,
+    up to block names.
 
     This is exact for every functor here.  Each lifting (Egli–Milner, ∀∃ on
     generator antichains, the diagonal on constants, and their componentwise
@@ -202,20 +214,40 @@ def greatest_bisimulation(M1: ColoredModel, M2: ColoredModel, Q=None, with_steps
     succ = [t_map(F, M1._index, x) for x in M1.sigma] + [
         t_map(F, right, x) for x in M2.sigma
     ]
+    pred = [[] for _ in succ]
+    for i, x in enumerate(succ):
+        for j in base(F, x):
+            pred[j].append(i)
     ids: dict = {}
     block = [ids.setdefault(g & Q, len(ids)) for g in M1.gamma + M2.gamma]
-    count, steps = len(ids), 0
+    size = [0] * len(ids)
+    for b in block:
+        size[b] += 1
+    shared = [None] * len(ids)
+    block_of = block.__getitem__
+    dirty, steps = range(len(succ)), 0
     while True:
-        ids = {}
-        block_of = block.__getitem__
-        refined = [
-            ids.setdefault((b, t_map(F, block_of, x)), len(ids))
-            for b, x in zip(block, succ)
-        ]
-        if len(ids) == count:
+        groups: dict = {}
+        for s in dirty:
+            by_sig = groups.setdefault(block[s], {})
+            by_sig.setdefault(t_map(F, block_of, succ[s]), []).append(s)
+        moved = []
+        for b, by_sig in groups.items():
+            if sum(map(len, by_sig.values())) == size[b]:
+                shared[b] = next(iter(by_sig))
+            by_sig.pop(shared[b], None)
+            for sig, members in by_sig.items():
+                new = len(size)
+                size.append(len(members))
+                shared.append(sig)
+                size[b] -= len(members)
+                for s in members:
+                    block[s] = new
+                moved += members
+        if not moved:
             break
-        block, count = refined, len(ids)
         steps += 1
+        dirty = {i for s in moved for i in pred[s]}
     left: dict = {}
     for s, b in zip(M1.states, block):
         left.setdefault(b, []).append(s)

@@ -18,7 +18,9 @@ class Arena:
 
     ``positions`` are arbitrary hashable labels; ``owner``, ``priority`` and
     ``moves`` align with them by index, ``moves[i]`` listing successor
-    indices.
+    indices.  The constructor validates the arena; the builders in
+    ``automata``, whose arenas are valid by construction, skip the checks
+    through ``_unchecked``.
     """
 
     positions: tuple
@@ -43,6 +45,21 @@ class Arena:
         object.__setattr__(
             self, "_index", {p: i for i, p in enumerate(self.positions)}
         )
+
+    @classmethod
+    def _unchecked(cls, positions, owner, priority, moves, index) -> "Arena":
+        """The arena with these fields, built without ``__post_init__``'s
+        checks: for callers that construct only valid arenas.  ``index``
+        maps each position to its index."""
+        arena = object.__new__(cls)
+        arena.__dict__.update(
+            positions=positions,
+            owner=owner,
+            priority=priority,
+            moves=moves,
+            _index=index,
+        )
+        return arena
 
     def index(self, position) -> int:
         return self._index[position]

@@ -21,7 +21,6 @@ from nablamu import (
     automaton_to_formula,
     base,
     canon_key,
-    canonical_models,
     compose,
     constant,
     coproduct,
@@ -32,7 +31,9 @@ from nablamu import (
     mk_neg,
     product,
     project_automaton,
+    t_map,
 )
+from nablamu.coalgebra import canonical_codes
 from nablamu.functors import _FnPairs
 from nablamu.parsing import ParseError
 
@@ -228,15 +229,18 @@ def brute_canonical_models(F, props, n):
 def brute_entails_bounded(a, b, max_states=3, functor=None):
     """Bounded entailment by one ``eval_formula`` call per model: the sweep
     of ``interpolation.entails_bounded`` before it evaluated batches of
-    models on their disjoint union.  Returns ``(True, None)`` or the first
-    countermodel by size, then model order, then state order."""
+    models on their disjoint union.  Walks the canonical code tuples and
+    builds each model only when it reaches it.  Returns ``(True, None)`` or
+    the first countermodel by size, then model order, then state order."""
     from nablamu.interpolation import _functor_for
 
     F = _functor_for(mk_and(a, b), functor)
     props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
     witness = mk_and(a, mk_neg(b))
     for n in range(1, max_states + 1):
-        for M in canonical_models(F, props, n):
+        sweep = canonical_codes(F, props, n)
+        for code in sweep.codes:
+            M = sweep.model(code)
             ext = eval_formula(M, witness)
             for s in M.states:
                 if s in ext:
@@ -280,6 +284,41 @@ def brute_greatest_bisimulation(M1, M2, Q=None):
         if keep == R:
             return frozenset(R)
         R = keep
+
+
+def round_refinement(M1, M2, Q=None):
+    """``greatest_bisimulation(M1, M2, Q, with_steps=True)`` as first
+    computed: every round re-signs every state of the disjoint union with
+    ``(its block, T(block-of)(σ(s)))`` and renumbers the blocks, until a
+    round leaves the number of blocks unchanged.  Returns ``(pairs, steps)``."""
+    F = M1.functor
+    Q = frozenset(M1.props) | frozenset(M2.props) if Q is None else frozenset(Q)
+    n1 = len(M1.states)
+    right = {t: n1 + j for j, t in enumerate(M2.states)}
+    succ = [t_map(F, M1._index, x) for x in M1.sigma] + [
+        t_map(F, right, x) for x in M2.sigma
+    ]
+    ids = {}
+    block = [ids.setdefault(g & Q, len(ids)) for g in M1.gamma + M2.gamma]
+    count, steps = len(ids), 0
+    while True:
+        ids = {}
+        block_of = block.__getitem__
+        refined = [
+            ids.setdefault((b, t_map(F, block_of, x)), len(ids))
+            for b, x in zip(block, succ)
+        ]
+        if len(ids) == count:
+            break
+        block, count = refined, len(ids)
+        steps += 1
+    left = {}
+    for s, b in zip(M1.states, block):
+        left.setdefault(b, []).append(s)
+    pairs = frozenset(
+        (s, t) for t, b in zip(M2.states, block[n1:]) for s in left.get(b, ())
+    )
+    return pairs, steps
 
 
 def brute_eval_formula(M, f, env=None) -> frozenset:

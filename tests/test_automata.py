@@ -20,6 +20,7 @@ from nablamu import (
     parse_formula,
     random_model,
 )
+from nablamu.games import Arena
 from nablamu.translation import formula_to_automaton
 from nablamu.automata import (
     Automaton,
@@ -27,6 +28,7 @@ from nablamu.automata import (
     accepts,
     add_true_state,
     bounded_realizations,
+    build_arena,
     find_true_state,
     nonemptiness_game,
     normalize,
@@ -325,6 +327,24 @@ def test_acceptance_is_bisimulation_invariant():
             for s, t in B:
                 for a in aut.states:
                     assert ((s, a) in W1) == ((t, a) in W2)
+
+
+def test_built_arenas_pass_validation():
+    # build_arena and nonemptiness_game skip Arena's checks: each arena
+    # they return must equal its validated copy
+    rng = random.Random(25)
+    for F in SHAPES.values():
+        for _ in range(8):
+            aut = random_automaton(F, ("p",), rng)
+            M = random_model(F, ("p",), rng.randint(1, 3), rng)
+            point = [(M.states[0], aut.initial)]
+            for arena in (
+                build_arena(aut, M),
+                build_arena(aut, M, point),
+                nonemptiness_game(aut)[0],
+            ):
+                copy = Arena(arena.positions, arena.owner, arena.priority, arena.moves)
+                assert arena == copy and arena._index == copy._index
 
 
 # --------------------------------------------------------------------------

@@ -190,6 +190,82 @@ def test_refinement_rounds_stay_below_the_union_size():
         assert steps < len(M1.states) + len(M2.states)
 
 
+def ring(n=1000, seed=14):
+    """A powerset ring i -> i+1 with short forward chords and a few back
+    edges, p on about every 40th state and q on most.  Returns its
+    successor lists and colors by position."""
+    rng = random.Random(seed)
+    succ = [
+        {(i + 1) % n}
+        | ({(i + rng.randint(2, 5)) % n} if rng.random() < 0.5 else set())
+        | ({(i - rng.randint(1, 6)) % n} if rng.random() < 0.1 else set())
+        for i in range(n)
+    ]
+    colors = [
+        {x for x, share in (("p", 0.025), ("q", 0.8)) if rng.random() < share}
+        for _ in range(n)
+    ]
+    return succ, colors
+
+
+def ring_model(succ, colors, names):
+    """The ring with position i named ``names[i]``, its states declared in
+    the order of their names."""
+    return ColoredModel.make(
+        POWERSET,
+        {names[i]: fs(names[j] for j in ts) for i, ts in enumerate(succ)},
+        {names[i]: fs(c) for i, c in enumerate(colors)},
+        props=("p", "q"),
+    )
+
+
+def test_greatest_bisimulation_matches_round_refinement():
+    from helpers import SHAPES, round_refinement
+
+    rng = random.Random(15)
+    cases = [
+        (*(random_model(F, ("p", "q"), rng.randint(1, 4), rng) for _ in range(2)), Q)
+        for F in SHAPES.values()
+        for _ in range(25)
+        for Q in (None, (), ("p",))
+    ]
+    succ, colors = ring()
+    names = [f"r{i}" for i in range(len(succ))]
+    shuffled = list(names)
+    rng.shuffle(shuffled)
+    recolored = list(colors)
+    recolored[len(colors) // 3] = colors[len(colors) // 3] ^ {"p"}
+    a = ring_model(succ, colors, names)
+    rings = [
+        (a, ring_model(succ, colors, shuffled), None),
+        (a, ring_model(succ, recolored, names), None),
+    ]
+    steps = []
+    for M1, M2, Q in [*cases, *chain_pairs(), *rings]:
+        got = greatest_bisimulation(M1, M2, Q, with_steps=True)
+        assert got == round_refinement(M1, M2, Q)
+        steps.append(got[1])
+    assert max(steps[-2:]) > 10
+
+
+def test_refinement_resigns_only_predecessors_of_moved_states(monkeypatch):
+    import nablamu.coalgebra as coalgebra
+
+    calls = 0
+    t_map = coalgebra.t_map
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return t_map(*args)
+
+    monkeypatch.setattr(coalgebra, "t_map", counting)
+    for M1, M2, Q in chain_pairs():
+        calls = 0
+        greatest_bisimulation(M1, M2, Q)
+        assert calls <= 4 * (len(M1.states) + len(M2.states))
+
+
 def test_project_model():
     M = kripke({"a": {"a"}}, {"a": {"p", "q"}})
     N = project_model(M, {"q"})

@@ -360,16 +360,12 @@ def test_entails_bounded_batch_boundaries(monkeypatch):
             keep = codes if n == 3 else ()
             return CodeSweep(F, sweep.props, sweep.states, sweep.elems, sweep.colorings, keep)
 
-        def fake_models(F, props, n):
-            got = fake(F, props, n)
-            return tuple(map(got.model, got.codes))
-
         def counting(view, f, env):
             evaluated.append(view.size)
             return _eval_bits(view, f, env)
 
         monkeypatch.setattr(interpolation, "canonical_codes", fake)
-        monkeypatch.setattr(helpers, "canonical_models", fake_models)
+        monkeypatch.setattr(helpers, "canonical_codes", fake)
         monkeypatch.setattr(interpolation, "_eval_bits", counting)
         got = entails_bounded(a, b, 3)
         M = models[counter]
