@@ -349,12 +349,29 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
     return MappingProxyType(found)
 
 
+def _realized(aut: Automaton, bound: int) -> frozenset:
+    """The transition elements some model realizes.
+
+    Exact for a functor with a functorial lifting: φ is realized iff E wins
+    φ's position in the nonemptiness game.  Where a monotone part is
+    present, those :func:`bounded_realizations` realizes within ``bound``
+    states.  No model is built.
+    """
+    if aut.functor.has_functorial_lifting:
+        arena, sol = nonemptiness_game(aut)
+        return frozenset(
+            phi for phi in _elements(aut) if arena.index(("elem", phi)) in sol.win_e
+        )
+    found = bounded_realizations(aut, bound)
+    return frozenset(phi for phi, r in found.items() if r is not None)
+
+
 def _realizations(aut: Automaton, bound: int):
-    """Decide which transition elements some model realizes, and realize
-    them in one model.  Returns ``(model, tau_of, claimed)``: ``tau_of[φ]``
-    is a τ ∈ T(model.states) with (τ, φ) ∈ L(claimed), or ``None`` if no
-    model realizes φ; ``claimed`` holds the (model state, automaton state)
-    pairs the construction takes the existential player E to win.
+    """Realize the elements of :func:`_realized` in one model.  Returns
+    ``(model, tau_of, claimed)``: ``tau_of[φ]`` is a τ ∈ T(model.states)
+    with (τ, φ) ∈ L(claimed), or ``None`` if no model realizes φ;
+    ``claimed`` holds the (model state, automaton state) pairs the
+    construction takes the existential player E to win.
 
     Exact for a functor with a functorial lifting: the model is the
     nonemptiness game's strategy model (E's winning states, each with the
@@ -406,18 +423,15 @@ def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
     """Drop transition elements that no model realizes.
 
     Exact for a functor with a functorial lifting; where a monotone part is
-    present, ``bound`` caps the realizing models (see :func:`_realizations`).
+    present, ``bound`` caps the realizing models (see :func:`_realized`).
 
     One pass suffices: a realization's winning strategies only ever use
     elements that are themselves realized over the same model, so pruning
     cannot invalidate surviving elements.
     """
-    _, tau_of, _ = _realizations(aut, bound)
+    realized = _realized(aut, bound)
     # Automaton.make drops the cells left empty
-    delta = {
-        cell: [phi for phi in elems if tau_of[phi] is not None]
-        for cell, elems in aut.delta
-    }
+    delta = {cell: [phi for phi in elems if phi in realized] for cell, elems in aut.delta}
     omega = dict(zip(aut.states, aut.omega))
     return Automaton.make(aut.functor, aut.props, aut.states, aut.initial, omega, delta)
 

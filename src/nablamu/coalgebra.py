@@ -328,24 +328,33 @@ def check_sweep_cap(F: FunctorDescriptor, props: tuple, n: int) -> None:
 
 
 class CodeSweep:
-    """The ``n``-state models over ``functor`` and ``props``, one per
-    isomorphism class, as integer codes (see :func:`canonical_codes`).
+    """The integer codes of the ``n``-state models over ``functor`` and
+    ``props``.
 
-    ``elems`` lists ``T states`` in rendering order and ``colorings`` the
-    subsets of ``props`` by sorted names.  A state's code ``v`` stands for
-    the successor structure ``sigma_of(v) = elems[v // len(colorings)]``
-    and the coloring ``gamma_of(v) = colorings[v % len(colorings)]``;
-    ``codes`` holds one tuple of state codes per class, in model order, and
-    ``index`` maps each state to its position.
+    States are named ``s0 … s{n−1}``, ``elems`` lists ``T states`` in
+    rendering order and ``colorings`` the subsets of ``props`` by sorted
+    names.  A state's code ``v < radix = len(elems) · len(colorings)``
+    stands for the successor structure ``sigma_of(v) = elems[v //
+    len(colorings)]`` and the coloring ``gamma_of(v) = colorings[v %
+    len(colorings)]``, and a model is the tuple of its states' codes.
+    ``codes`` holds the tuples :func:`canonical_codes` keeps, one per
+    isomorphism class in model order, and is empty in a sweep built
+    directly, which only decodes tuples.  ``index`` maps each state to its
+    position.
     """
 
-    __slots__ = ("functor", "props", "states", "elems", "colorings", "codes",
-                 "index", "sigma_of", "gamma_of")
+    __slots__ = ("functor", "props", "states", "elems", "colorings", "radix",
+                 "codes", "index", "sigma_of", "gamma_of")
 
-    def __init__(self, functor, props, states, elems, colorings, codes):
+    def __init__(self, functor: FunctorDescriptor, props: tuple, n: int):
+        states = tuple(f"s{i}" for i in range(n))
+        elems = enumerate_t(functor, frozenset(states))
+        elems = tuple(sorted(elems, key=lambda t: render_telem(functor, t)))
+        colorings = tuple(sorted(subsets(props), key=sorted))
         self.functor, self.props, self.states = functor, props, states
-        self.elems, self.colorings, self.codes = elems, colorings, codes
+        self.elems, self.colorings, self.codes = elems, colorings, ()
         width = len(colorings)
+        self.radix = len(elems) * width
         self.index = {s: i for i, s in enumerate(states)}
         self.sigma_of = [t for t in elems for _ in range(width)].__getitem__
         self.gamma_of = (list(colorings) * len(elems)).__getitem__
@@ -389,13 +398,9 @@ def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> CodeSweep:
     """
     props = tuple(sorted(props))
     check_sweep_cap(F, props, n)
-    states = tuple(f"s{i}" for i in range(n))
-    elems = tuple(
-        sorted(enumerate_t(F, frozenset(states)), key=lambda t: render_telem(F, t))
-    )
-    colorings = tuple(sorted(subsets(props), key=sorted))
-    width = len(colorings)
-    radix = len(elems) * width
+    sweep = CodeSweep(F, props, n)
+    states, elems, radix = sweep.states, sweep.elems, sweep.radix
+    width = len(sweep.colorings)
     rank = {t: r for r, t in enumerate(elems)}
     places = [radix ** (n - 1 - i) for i in range(n)]
     # There are at most B(B+1)…(B+n−1)/n! classes for B = radix, as many as
@@ -430,7 +435,8 @@ def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> CodeSweep:
                     if closed:
                         stack.append([image // w % radix for w in places])
         index = marked.find(0, index + 1)
-    return CodeSweep(F, props, states, elems, colorings, tuple(out))
+    sweep.codes = tuple(out)
+    return sweep
 
 
 def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:

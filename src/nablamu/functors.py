@@ -392,6 +392,35 @@ def lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
     return unfold_lifting(F, t1, t2, lambda x, y: (x, y) in pairs, _decide)
 
 
+def lift_bits(F: FunctorDescriptor, t1, t2, atom, full: int) -> int:
+    """The bitset of the cases where ``(t1, t2)`` belongs to the lifting, for
+    many relations at once.
+
+    ``atom(x, y)`` is the bitset of the cases whose relation holds ``(x, y)``
+    and ``full`` the bitset of all cases.  Reads :func:`unfold_lifting` with
+    an 'A' node as the AND of its moves, from ``full``, and an 'E' node as
+    the OR of its moves, from 0; each stops reading once the result is
+    settled.  Bit k of the result is ``lift_member`` on the k-th relation.
+    """
+
+    def node(label, who, moves) -> int:
+        if who == "A":
+            out = full
+            for move in moves:
+                out &= move
+                if not out:
+                    break
+        else:
+            out = 0
+            for move in moves:
+                out |= move
+                if out == full:
+                    break
+        return out
+
+    return unfold_lifting(F, t1, t2, atom, node)
+
+
 # --------------------------------------------------------------------------
 # Element text format
 

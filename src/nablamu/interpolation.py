@@ -17,24 +17,24 @@ results*, LMCS 2008).  Where a monotone part is present, and where
 ``a ∧ ¬b`` falls outside the translatable fragment, it is
 ``entails_bounded``: the desk-scale check that sweeps all pointed models
 up to a size bound, smallest first, and returns the first countermodel it
-meets.  The sweep evaluates ``a ∧ ¬b`` once per batch of models, on one
-bitset view of the batch built from the models' integer codes; each state's
-successor bits lie inside its own model's, so it satisfies exactly what it
-satisfies in its own model, and only the countermodel is ever built.
+meets.  The sweep evaluates ``a ∧ ¬b`` once per size on one bitset view of
+every tuple of state codes of that size (in slices of ``_SLICE`` tuples),
+not model by model: an atom, and "state i has successor structure t", is a
+periodic bit pattern over the tuples, and a ∇ node is decided once per
+successor structure for all tuples at once.  Only the countermodel is ever
+built, and no isomorphism classes are enumerated.
 ``entails_bounded`` also validates interpolants and serves as the oracle
 for ``entails``.
 """
 
 from __future__ import annotations
 
-from operator import lshift
-
 from .automata import normalize, witness_coalgebra
-from .coalgebra import PointedModel, canonical_codes, check_sweep_cap
-from .functors import POWERSET, FunctorDescriptor, base
+from .coalgebra import CodeSweep, PointedModel, check_sweep_cap
+from .functors import POWERSET, FunctorDescriptor, lift_bits
 from .logic import (
     Formula,
-    _BitView,
+    _bits,
     _eval_bits,
     eval_formula,
     free_props,
@@ -50,9 +50,9 @@ from .translation import (
     formula_to_automaton,
 )
 
-# Models per bitset view in ``entails_bounded``.  One evaluation's setup then
-# serves many models, while the bitsets stay a few machine words long.
-_BATCH = 32
+# Code tuples per bitset view in ``entails_bounded``: a size with more goes
+# in consecutive slices, so a view's rows stay at most 4 KiB long.
+_SLICE = 1 << 15
 
 
 def _functor_for(f: Formula, functor=None) -> FunctorDescriptor:
@@ -94,6 +94,123 @@ def uniform_interpolant(
     return automaton_to_formula(_delta_p_merge(normalize(aut, bound), hidden))
 
 
+def _digit_mask(digits: int, weight: int, radix: int, start: int, count: int) -> int:
+    """The bitset of the tuples ``start … start + count − 1`` (bit m − start
+    for tuple m) whose digit of place value ``weight``, (m // weight) %
+    radix, is one of the bitset ``digits``.
+
+    That digit has period weight·radix in m: one period is laid out with
+    shifts and doubled until it covers the window.
+    """
+    block = (1 << weight) - 1
+    out = 0
+    for d in _bits(digits):
+        out |= block << d * weight
+    span = weight * radix
+    offset, width = start % span, span
+    while width < offset + count:
+        out |= out << width
+        width *= 2
+    return out >> offset & ((1 << count) - 1)
+
+
+class _TupleView:
+    """The code tuples ``start … start + count − 1`` of ``sweep``'s n states,
+    as one bitset view for :func:`logic._eval_bits`.
+
+    A tuple is the mixed-radix number m < radix^n whose digit i, of place
+    value radix^(n−1−i), is the code of state i (:class:`CodeSweep`).  The
+    view is state-major: bit i·count + (m − start) stands for state i of
+    tuple m, so row i holds state i of every tuple.  An atom's bitset, and
+    the selector of the tuples whose state i has successor structure t, are
+    periodic patterns of one digit (:func:`_digit_mask`).
+    """
+
+    __slots__ = ("functor", "size", "atoms", "sweep", "start", "count", "selectors")
+
+    def __init__(self, sweep: CodeSweep, start: int, count: int):
+        n, radix, width = len(sweep.states), sweep.radix, len(sweep.colorings)
+        self.functor, self.size = sweep.functor, n * count
+        self.sweep, self.start, self.count = sweep, start, count
+        weights = [radix ** (n - 1 - i) for i in range(n)]
+
+        def rows(digits):  # per state i, the tuples whose digit i is one of ``digits``
+            return [_digit_mask(digits, w, radix, start, count) for w in weights]
+
+        self.atoms = {}
+        for p in sweep.props:
+            held = rows(sum(1 << v for v in range(radix) if p in sweep.gamma_of(v)))
+            self.atoms[p] = sum(row << i * count for i, row in enumerate(held))
+        block = (1 << width) - 1
+        self.selectors = [rows(block << r * width) for r in range(len(sweep.elems))]
+
+    def nabla(self, g, args: dict) -> int:
+        """The bitset of ∇α, for ``g = ∇α`` and ``args`` mapping each formula
+        of base(α) to its extension, at every state of every tuple.
+
+        Whether state i of tuple m lies in ∇α depends only on its successor
+        structure t and on which of t's states satisfy which argument in
+        tuple m.  So the lifting is decided once per t ∈ T(n), for all
+        tuples at once, on the argument columns: state x's column of b is
+        row x of b's extension.  Powerset reads Egli–Milner on the columns,
+        every other functor :func:`functors.lift_bits`.  Each t's verdict is
+        kept, in row i, at the tuples whose state i has structure t.
+        """
+        F, count, sweep = self.functor, self.count, self.sweep
+        full, n, index = (1 << count) - 1, len(sweep.states), sweep.index
+        cols = {b: [ext >> x * count & full for x in range(n)] for b, ext in args.items()}
+        anywhere = [0] * n  # per state, the tuples where it satisfies some argument
+        for col in cols.values():
+            for x in range(n):
+                anywhere[x] |= col[x]
+
+        def atom(x, b):
+            return cols[b][index[x]]
+
+        rows = [0] * n
+        for t, selected in zip(sweep.elems, self.selectors):
+            if F.kind == "powerset":
+                # every member satisfies some argument, every argument has a member
+                lifted = full
+                for x in t:
+                    lifted &= anywhere[index[x]]
+                for b in cols:
+                    met = 0
+                    for x in t:
+                        met |= atom(x, b)
+                    lifted &= met
+            else:
+                lifted = lift_bits(F, t, g.payload, atom, full)
+            if lifted:
+                rows = [row | lifted & sel for row, sel in zip(rows, selected)]
+        return sum(row << i * count for i, row in enumerate(rows))
+
+    def countermodel(self, ext: int) -> PointedModel:
+        """The first point of the nonzero ``ext``: its lowest tuple, at that
+        tuple's lowest state; the one model the sweep builds."""
+        count, sweep = self.count, self.sweep
+        n, full = len(sweep.states), (1 << count) - 1
+        rows = [ext >> i * count & full for i in range(n)]
+        hits = 0
+        for row in rows:
+            hits |= row
+        m = (hits & -hits).bit_length() - 1
+        i = next(i for i, row in enumerate(rows) if row >> m & 1)
+        code = [(self.start + m) // sweep.radix ** (n - 1 - j) % sweep.radix for j in range(n)]
+        return PointedModel(sweep.model(code), sweep.states[i])
+
+
+def _tuple_views(F: FunctorDescriptor, props: tuple, n: int):
+    """The views of every ``n``-state code tuple, in slices of ``_SLICE``
+    consecutive tuples, in tuple order.  Raises CapExceeded past the
+    enumeration cap (:func:`coalgebra.check_sweep_cap`) when first read."""
+    check_sweep_cap(F, props, n)
+    sweep = CodeSweep(F, props, n)
+    total = sweep.radix**n
+    for start in range(0, total, _SLICE):
+        yield _TupleView(sweep, start, min(_SLICE, total - start))
+
+
 def entails_bounded(
     a: Formula,
     b: Formula,
@@ -103,54 +220,32 @@ def entails_bounded(
     """Whether ``a`` entails ``b`` on all pointed models of at most ``max_states``.
 
     Returns ``(True, None)`` or ``(False, countermodel)``.  The sweep goes
-    size by size through the code tuples of ``canonical_codes`` (the models
-    of ``canonical_models``, in the same order), cuts them into consecutive
-    batches of ``_BATCH`` and evaluates ``a ∧ ¬b`` once per batch, with
-    ``logic._eval_bits`` on a bitset view built from the codes alone.  The
-    batch's j-th model of n states takes the bits from j·n up: a state's
-    successor bits are the base bits of its successor structure shifted
-    there, its atom bits come from its coloring, and the liftings other than
-    powerset read its successor structure over the model's own states at
-    that offset.  This is exact for every functor: whether a state satisfies
-    a formula depends only on the states reachable through ``base`` of
-    successor structures (the locality ``_eval_bits`` relies on), and every
-    batch state's successor bits are its own model's, shifted, so each model
-    is evaluated as it would be alone.  The lowest set bit of the result
-    names the first countermodel by size, then by model order, then by state
-    order, i.e. the first point of ``canonical_pointed_models`` satisfying
-    ``a ∧ ¬b``; the sweep stops at that batch and builds that one model, and
-    no other.  Sizes past the countermodel are never enumerated; a size
-    beyond the enumeration cap raises CapExceeded when the sweep reaches it.
+    size by size and evaluates ``a ∧ ¬b`` with ``logic._eval_bits`` on one
+    bitset view of every n-state code tuple (:class:`_TupleView`), a size
+    with more than ``_SLICE`` tuples in consecutive slices of that many, in
+    tuple order.  No model is built and no isomorphism class is enumerated
+    on the way: every bit of the view is one state of one tuple, and
+    Boolean operations, fixpoint iteration and the view's ∇ rule all work
+    on each tuple's bits as they would on that model alone.
+
+    The countermodel is the first point of ``canonical_pointed_models``
+    satisfying ``a ∧ ¬b``: the lowest tuple with a set bit, decoded, and
+    pointed at its lowest such state.  Satisfaction is invariant under
+    relabeling, so the least tuple with a satisfying state is the least of
+    its isomorphism class, which is the tuple ``canonical_codes`` keeps for
+    it; every smaller kept tuple has no satisfying state.  The sweep stops
+    at the slice holding it and builds that model, and no other.  Sizes
+    past the countermodel are never swept; a size beyond the enumeration
+    cap raises CapExceeded when the sweep reaches it.
     """
     F = _functor_for(mk_and(a, b), functor)
     props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
     witness = mk_and(a, mk_neg(b))
     for n in range(1, max_states + 1):
-        sweep = canonical_codes(F, props, n)
-        state_codes = range(len(sweep.elems) * len(sweep.colorings))
-        # per state code: the bitset of its successor structure's base, and
-        # per proposition the digit "1" if its coloring holds it, else "0"
-        succ_of = [
-            sum(1 << sweep.index[t] for t in base(F, sweep.sigma_of(v))) for v in state_codes
-        ]
-        digits = {p: ["1" if p in sweep.gamma_of(v) else "0" for v in state_codes] for p in props}
-        shifts = [k - k % n for k in range(_BATCH * n)]  # the first bit of k's model
-        for start in range(0, len(sweep.codes), _BATCH):
-            batch = sweep.codes[start : start + _BATCH]
-            flat = [v for code in batch for v in code]  # the code of batch state k
-            # a proposition's bitset is its digits read as a binary numeral,
-            # the last state's first
-            atoms = {
-                p: int("".join(map(d.__getitem__, reversed(flat))), 2)
-                for p, d in digits.items()
-            }
-            succ = list(map(lshift, map(succ_of.__getitem__, flat), shifts))
-            sigma = list(map(sweep.sigma_of, flat))
-            view = _BitView(F, len(flat), succ, atoms, sweep.index, sigma, shifts)
+        for view in _tuple_views(F, props, n):
             ext = _eval_bits(view, witness, {})
             if ext:
-                k = (ext & -ext).bit_length() - 1  # the lowest set bit
-                return False, PointedModel(sweep.model(batch[k // n]), sweep.states[k % n])
+                return False, view.countermodel(ext)
     return True, None
 
 

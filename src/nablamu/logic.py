@@ -261,38 +261,96 @@ def _bits(mask: int):
 
 class _MaskPairs:
     """The pairs ``(t, b)`` with state t in the extension of argument b, read
-    from the arguments' bitsets, where t's bit sits ``offset`` places above
-    its index: the relation a ∇ node hands to the lifting."""
+    from the arguments' bitsets: the relation a ∇ node hands to the lifting."""
 
-    __slots__ = ("index", "masks", "offset")
+    __slots__ = ("index", "masks")
 
     def __init__(self, index: dict, masks: dict):
         self.index = index
         self.masks = masks
-        self.offset = 0
 
     def __contains__(self, pair) -> bool:
         t, b = pair
-        return self.masks[b] >> (self.index[t] + self.offset) & 1
+        return self.masks[b] >> self.index[t] & 1
 
 
 class _BitView:
-    """A coalgebra read through bitsets: what :func:`_eval_bits` evaluates on.
+    """A model read through bitsets: what :func:`eval_formula` hands to
+    :func:`_eval_bits`.
 
-    Bit k stands for the k-th of ``size`` states.  ``succ[k]`` is the bitset
-    of base(σ(k)) and ``atoms`` maps a proposition to the bitset of the
-    states colored with it.  For the liftings other than powerset,
-    ``sigma[k]`` is σ(k) over the state names of ``index``, and ``offsets[k]``
-    is how far above its index each of those names' bits sits.  A view of one
-    model has offset 0 everywhere; ``interpolation.entails_bounded`` puts
-    many models of one size side by side, each at its own offset.
+    Bit i stands for ``model.states[i]``, and ``atoms`` maps a proposition
+    to the bitset of the states colored with it.  :meth:`nabla` decides a ∇
+    node state by state and re-evaluates it incrementally.
     """
 
-    __slots__ = ("functor", "size", "succ", "atoms", "index", "sigma", "offsets")
+    __slots__ = ("functor", "size", "atoms", "model", "succ", "preds", "last")
 
-    def __init__(self, functor, size, succ, atoms, index, sigma, offsets):
-        self.functor, self.size, self.succ, self.atoms = functor, size, succ, atoms
-        self.index, self.sigma, self.offsets = index, sigma, offsets
+    def __init__(self, model, atoms: dict):
+        self.functor, self.size, self.atoms = model.functor, len(model.states), atoms
+        self.model = model
+        self.succ = None  # s ↦ bitset of base(σ(s)), built at the first ∇ node
+        self.preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, at the first re-check
+        self.last = {}  # ∇ node ↦ (argument bitsets, result) of its last evaluation
+
+    def nabla(self, g: Nabla, args: dict) -> int:
+        """The bitset of the states in ∇α, for ``g = ∇α`` and ``args``
+        mapping each formula of base(α) to its extension.
+
+        A powerset ∇α is decided by the Egli–Milner lifting on bitsets: with
+        ``succ`` the bitset of σ(s), s ∈ ∇α iff ``succ`` lies inside the
+        union of the arguments' extensions and meets the extension of every
+        argument.  Every other functor asks :func:`lift_member` with the
+        pairs ``(t, b)`` read from the arguments' bitsets.
+
+        Each node is re-evaluated incrementally.  The view keeps the node's
+        arguments' extensions and the states it found at its last
+        evaluation.  When the arguments' extensions change, only the
+        predecessors of the states whose membership changed in some
+        argument are re-checked, and every other state keeps its verdict.
+        This compares the old and new extensions only, so it is exact
+        whatever the direction of the iteration (ν is encoded as ¬μ¬) and
+        under ``env`` overrides.
+        """
+        F, M = self.functor, self.model
+        full = (1 << self.size) - 1
+        succ = self.succ
+        if succ is None:
+            index = M._index
+            succ = self.succ = [sum(1 << index[t] for t in base(F, x)) for x in M.sigma]
+        if g in self.last:
+            preds = self.preds
+            if preds is None:
+                preds = self.preds = [0] * self.size
+                for s, bits in enumerate(succ):
+                    for t in _bits(bits):
+                        preds[t] |= 1 << s
+            old_args, out = self.last[g]
+            changed = 0
+            for b, mask in args.items():
+                changed |= mask ^ old_args[b]
+            todo = 0
+            for t in _bits(changed):
+                todo |= preds[t]
+            out &= ~todo
+        else:
+            todo, out = full, 0
+        if F.kind == "powerset":
+            outside = full
+            for mask in args.values():
+                outside &= ~mask
+            needed = tuple(args.values())
+            for s in _bits(todo):
+                bits = succ[s]
+                if not bits & outside and all(bits & mask for mask in needed):
+                    out |= 1 << s
+        else:
+            pairs = _MaskPairs(M._index, args)
+            sigma = M.sigma
+            for s in _bits(todo):
+                if lift_member(F, pairs, sigma[s], g.payload):
+                    out |= 1 << s
+        self.last[g] = (args, out)
+        return out
 
 
 def eval_formula(M, f: Formula, env=None) -> frozenset:
@@ -308,8 +366,7 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
     fixpoint and may never terminate.
 
     The work is done by :func:`_eval_bits` on the bitset view of ``M``
-    (bit i stands for ``M.states[i]``, every offset is 0); the bounded
-    sweep hands the same evaluator views of many models at once.
+    (:class:`_BitView`, bit i stands for ``M.states[i]``).
     """
     states, index = M.states, M._index
     masks = {}
@@ -328,51 +385,33 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
         for p in free_props(f)
         if p not in masks
     }
-    F = M.functor
-    succ = [sum(1 << index[t] for t in base(F, x)) for x in M.sigma]
-    view = _BitView(F, len(states), succ, atoms, index, M.sigma, [0] * len(states))
+    view = _BitView(M, atoms)
     return frozenset(states[i] for i in _bits(_eval_bits(view, f, masks)))
 
 
-def _eval_bits(view: _BitView, f: Formula, env: dict) -> int:
+def _eval_bits(view, f: Formula, env: dict) -> int:
     """The bitset of the states of ``view`` satisfying ``f``, with ``env``
     mapping free names to bitsets; the one evaluator behind
     :func:`eval_formula` and the bounded sweep.
+
+    A view has a ``functor``, a ``size`` in bits, the bitsets of its
+    ``atoms``, and a ∇ rule: ``view.nabla(g, args)`` is the bitset of the
+    node ``g`` given the extensions ``args`` of its arguments.  The model
+    view (:class:`_BitView`) decides a ∇ node state by state; the sweep's
+    view (``interpolation._TupleView``) decides it for every tuple of
+    successor structures at once.
 
     State sets are Python ints used as bitsets.  ¬, ⋁ and the fixpoint test
     are ``^``, ``|`` and ``==`` on ints, and a node's memo key is the node
     with the bitsets of its free names.  Fixpoints are computed by
     Knaster–Tarski iteration.
-
-    A powerset ∇α is decided by the Egli–Milner lifting on bitsets: with
-    ``succ`` the bitset of σ(s), s ∈ ∇α iff ``succ`` lies inside the union
-    of the arguments' extensions and meets the extension of every argument.
-    Every other functor asks :func:`lift_member` with the pairs ``(t, b)``
-    read from the arguments' bitsets at the state's offset.
-
-    Whether s lies in ∇α depends only on whether t satisfies b for
-    t ∈ base(σ(s)) and b ∈ base(α): the lifting of every functor kind reads
-    no other pair.  So the answer at s reads only the bits of s's successor
-    bases, and a view holding several models, each state's bits confined to
-    its own model's, evaluates every model as it would alone.
-
-    Each ∇ node is re-evaluated incrementally.  The node keeps its
-    arguments' extensions and the states it found at its last evaluation.
-    When the arguments' extensions change, only the predecessors of the
-    states whose membership changed in some argument are re-checked, and
-    every other state keeps its verdict.  This compares the old and new
-    extensions only, so it is exact whatever the direction of the iteration
-    (ν is encoded as ¬μ¬) and under ``env`` overrides.
     """
     full = (1 << view.size) - 1
-    succ, atoms = view.succ, view.atoms
+    atoms, nabla, functor = view.atoms, view.nabla, view.functor
     names: dict = {}  # node ↦ its free names, sorted
     memo: dict = {}
-    last: dict = {}  # ∇ node ↦ (argument bitsets, result) of its last evaluation
-    preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, built at the first re-check
 
     def ev(g: Formula, env: dict) -> int:
-        nonlocal preds
         free = names.get(g)
         if free is None:
             free = names[g] = tuple(sorted(free_props(g)))
@@ -391,43 +430,9 @@ def _eval_bits(view: _BitView, f: Formula, env: dict) -> int:
             for p in g.parts:
                 out |= ev(p, env)
         elif isinstance(g, Nabla):
-            F = g.functor
-            if F != view.functor:
+            if g.functor != functor:
                 raise ValueError("modality functor differs from the model functor")
-            args = {b: ev(b, env) for b in base(F, g.payload)}
-            if g in last:
-                if preds is None:
-                    preds = [0] * view.size
-                    for s, bits in enumerate(succ):
-                        for t in _bits(bits):
-                            preds[t] |= 1 << s
-                old_args, out = last[g]
-                changed = 0
-                for b, mask in args.items():
-                    changed |= mask ^ old_args[b]
-                todo = 0
-                for t in _bits(changed):
-                    todo |= preds[t]
-                out &= ~todo
-            else:
-                todo, out = full, 0
-            if F.kind == "powerset":
-                outside = full
-                for mask in args.values():
-                    outside &= ~mask
-                needed = tuple(args.values())
-                for s in _bits(todo):
-                    bits = succ[s]
-                    if not bits & outside and all(bits & mask for mask in needed):
-                        out |= 1 << s
-            else:
-                pairs = _MaskPairs(view.index, args)
-                sigma, offsets = view.sigma, view.offsets
-                for s in _bits(todo):
-                    pairs.offset = offsets[s]
-                    if lift_member(F, pairs, sigma[s], g.payload):
-                        out |= 1 << s
-            last[g] = (args, out)
+            out = nabla(g, {b: ev(b, env) for b in base(g.functor, g.payload)})
         else:
             cur = 0
             while True:
@@ -441,7 +446,9 @@ def _eval_bits(view: _BitView, f: Formula, env: dict) -> int:
         memo[key] = out
         return out
 
-    return ev(f, env)
+    out = ev(f, env)
+    del ev  # break the cycle through its own closure, so the memo is freed now
+    return out
 
 
 def satisfies(P, f: Formula) -> bool:

@@ -227,11 +227,12 @@ def brute_canonical_models(F, props, n):
 
 
 def brute_entails_bounded(a, b, max_states=3, functor=None):
-    """Bounded entailment by one ``eval_formula`` call per model: the sweep
-    of ``interpolation.entails_bounded`` before it evaluated batches of
-    models on their disjoint union.  Walks the canonical code tuples and
-    builds each model only when it reaches it.  Returns ``(True, None)`` or
-    the first countermodel by size, then model order, then state order."""
+    """Bounded entailment by one ``eval_formula`` call per model, one model
+    per isomorphism class: the oracle for ``interpolation.entails_bounded``,
+    which evaluates every code tuple of a size on one bitset view instead.
+    Walks the canonical code tuples and builds each model only when it
+    reaches it.  Returns ``(True, None)`` or the first countermodel by size,
+    then model order, then state order."""
     from nablamu.interpolation import _functor_for
 
     F = _functor_for(mk_and(a, b), functor)

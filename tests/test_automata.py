@@ -410,6 +410,32 @@ def test_prune_drops_rejecting_cells():
     assert prune_unsatisfiable(A_P, bound=2).delta == A_P.delta
 
 
+def test_prune_builds_no_model(monkeypatch):
+    # over a functorial lifting, pruning reads only who wins the
+    # nonemptiness game; the strategy model is witness_coalgebra's
+    built = []
+    checked = ColoredModel.__post_init__
+    unchecked = ColoredModel._unchecked.__func__
+
+    def counted_checked(self):
+        built.append(self)
+        checked(self)
+
+    def counted_unchecked(cls, *args):
+        built.append(args)
+        return unchecked(cls, *args)
+
+    monkeypatch.setattr(ColoredModel, "__post_init__", counted_checked)
+    monkeypatch.setattr(ColoredModel, "_unchecked", classmethod(counted_unchecked))
+    rng = random.Random(21)
+    auts = [ODD_LOOP, A_P] + [random_automaton(POWERSET, ("p",), rng) for _ in range(20)]
+    pruned = [prune_unsatisfiable(aut) for aut in auts]
+    assert built == []
+    assert pruned[0].delta == () and pruned[1].delta == A_P.delta
+    witness_coalgebra(A_P)
+    assert len(built) == 1
+
+
 def test_normalize_keeps_true_state_and_prunes():
     out = normalize(ODD_LOOP, bound=2)
     assert find_true_state(out) is not None

@@ -286,15 +286,14 @@ def test_entails_bounded_returns_the_first_countermodel():
 
 
 def test_entails_bounded_stops_at_the_first_countermodel(monkeypatch):
-    import nablamu.interpolation as interpolation
-
     sizes = []
+    views = interpolation._tuple_views
 
     def counting(F, props, n):
         sizes.append(n)
-        return canonical_codes(F, props, n)
+        return views(F, props, n)
 
-    monkeypatch.setattr(interpolation, "canonical_codes", counting)
+    monkeypatch.setattr(interpolation, "_tuple_views", counting)
     ok, cm = entails_bounded(pf("q"), pf("(p /\\ q)"), 3)
     assert not ok and cm.model.props == ("p", "q")
     assert satisfies(cm, pf("(q /\\ ~p)"))
@@ -336,70 +335,109 @@ def test_entails_bounded_matches_per_model_sweep():
             assert got == brute_entails_bounded(a, b, n, F), (name, a, b)
 
 
-def test_entails_bounded_batch_boundaries(monkeypatch):
-    import helpers
-    import nablamu.interpolation as interpolation
-
-    K = interpolation._BATCH
-    a, b = pf("q"), pf("(p /\\ q)")
-    witness = mk_and(a, mk_neg(b))
-    sweep = canonical_codes(POWERSET, ("p", "q"), 3)
-    models = dict(zip(sweep.codes, canonical_models(POWERSET, ("p", "q"), 3)))
-    holding = [code for code, M in models.items() if not eval_formula(M, witness)]
-    # refuted at its last state only, so the point must be mapped back right
-    counter = next(
-        code for code, M in models.items() if eval_formula(M, witness) == {M.states[-1]}
-    )
-    fill = holding[: 3 * K + 4]
-    for j in (0, K - 1, K, K + 1, len(fill)):
-        codes = tuple(fill[:j] + [counter] + fill[j:])
-        evaluated = []
-
-        def fake(F, props, n):
-            # the slice at 3 states, nothing at 1 and 2
-            keep = codes if n == 3 else ()
-            return CodeSweep(F, sweep.props, sweep.states, sweep.elems, sweep.colorings, keep)
-
-        def counting(view, f, env):
-            evaluated.append(view.size)
-            return _eval_bits(view, f, env)
-
-        monkeypatch.setattr(interpolation, "canonical_codes", fake)
-        monkeypatch.setattr(helpers, "canonical_codes", fake)
-        monkeypatch.setattr(interpolation, "_eval_bits", counting)
-        got = entails_bounded(a, b, 3)
-        M = models[counter]
-        assert got == (False, PointedModel(M, M.states[-1])), j
-        assert got[1].model == M
-        assert got == brute_entails_bounded(a, b, 3), j
-        # whole batches up to the countermodel's, and none after it
-        assert len(evaluated) == j // K + 1, j
-        assert sum(evaluated) == 3 * min((j // K + 1) * K, len(codes)), j
-
-
-def test_entails_bounded_evaluates_each_batch_once(monkeypatch):
-    import nablamu.interpolation as interpolation
-
-    sizes, calls = [], []
-
-    def enumerating(F, props, n):
-        sizes.append(n)
-        return canonical_codes(F, props, n)
+def _counting_eval_bits(monkeypatch):
+    """Record the size of every view the sweep evaluates."""
+    evaluated = []
 
     def counting(view, f, env):
-        calls.append(sizes[-1])
+        evaluated.append(view.size)
         return _eval_bits(view, f, env)
 
-    monkeypatch.setattr(interpolation, "canonical_codes", enumerating)
     monkeypatch.setattr(interpolation, "_eval_bits", counting)
+    return evaluated
+
+
+def test_entails_bounded_slice_boundaries(monkeypatch):
+    # refuted first by 3-state tuple 501 (of 32,768), at its last state only,
+    # so the point must be mapped back right
+    a = pf("(p /\\ nabla {(~p /\\ (q /\\ nabla {(~p /\\ ~q)}))})")
+    ok, expected = brute_entails_bounded(a, BOT, 3)
+    M = expected.model
+    assert not ok and expected.point == M.states[-1] == "s2"
+    assert eval_formula(M, a) == {"s2"}
+    evaluated = _counting_eval_bits(monkeypatch)
+    # the countermodel first, in the middle and last in the second slice
+    for K in (501, 300, 251):
+        monkeypatch.setattr(interpolation, "_SLICE", K)
+        evaluated.clear()
+        got = entails_bounded(a, BOT, 3)
+        assert got == (False, expected) and got[1].model == M, K
+        # sizes 1 (8 tuples) and 2 (256 tuples) whole, in slices of K, then
+        # the first two slices of size 3, and none after the countermodel's
+        swept = {1: 8, 2: 256, 3: 2 * K}
+        assert evaluated == [
+            n * min(K, count - start)
+            for n, count in swept.items()
+            for start in range(0, count, K)
+        ], K
+
+
+def test_entails_bounded_evaluates_each_slice_once(monkeypatch):
+    evaluated = _counting_eval_bits(monkeypatch)
+    a, b = pf("nabla {p}"), pf("nabla {p, true}")
+    # sizes of 4, 64 and 4,096 tuples with one proposition over powerset
+    tuples = [4, 64, 4096]
+    for K in (interpolation._SLICE, 100):
+        monkeypatch.setattr(interpolation, "_SLICE", K)
+        evaluated.clear()
+        assert entails_bounded(a, b, 3) == (True, None)
+        expected = [
+            n * min(K, count - start)
+            for n, count in enumerate(tuples, 1)
+            for start in range(0, count, K)
+        ]
+        assert evaluated == expected, K
+
+
+def test_tuple_view_masks_match_every_tuple():
+    # each atom and each "state i has structure t" selector of a view, at
+    # 2 states, against the tuples decoded one by one; the slices of 7 cut
+    # across every digit's period
+    for name, F in SHAPES.items():
+        props = ("p",) if name in ("product", "comp") else ("p", "q")
+        sweep = CodeSweep(F, props, 2)
+        total = sweep.radix**2
+        for start, count in [(0, total)] + [(s, min(7, total - s)) for s in range(0, total, 7)]:
+            view = interpolation._TupleView(sweep, start, count)
+            codes = [divmod(m, sweep.radix) for m in range(start, start + count)]
+            for p in props:
+                naive = sum(
+                    1 << i * count + k
+                    for k, code in enumerate(codes)
+                    for i in range(2)
+                    if p in sweep.gamma_of(code[i])
+                )
+                assert view.atoms[p] == naive, (name, start, p)
+            for r, (t, rows) in enumerate(zip(sweep.elems, view.selectors)):
+                for i, row in enumerate(rows):
+                    naive = sum(
+                        1 << k for k, code in enumerate(codes) if sweep.sigma_of(code[i]) == t
+                    )
+                    assert row == naive, (name, start, r, i)
+
+
+def test_entails_bounded_enumerates_no_classes(monkeypatch):
+    import nablamu
+
+    calls = []
+    codes = canonical_codes
+
+    def counting(*args):
+        calls.append(args)
+        return codes(*args)
+
+    for info in pkgutil.iter_modules(nablamu.__path__, "nablamu."):
+        module = importlib.import_module(info.name)
+        for name, value in list(vars(module).items()):
+            if value is codes:
+                monkeypatch.setattr(module, name, counting)
+    assert entails_bounded(pf("(p /\\ q)"), pf("p"), 3) == (True, None)
     assert entails_bounded(pf("nabla {p}"), pf("nabla {p, true}"), 3) == (True, None)
-    K = interpolation._BATCH
-    batches = [-(-len(canonical_models(POWERSET, ("p",), n)) // K) for n in (1, 2, 3)]
-    assert [calls.count(n) for n in (1, 2, 3)] == batches
+    assert calls == []
 
 
 # a holding pair and a refuted one per functor, refuted by a 2-state model
-# past the sweep's first batch
+# that is not the first tuple of its size
 SWEEP_BUILD_CASES = [
     (
         POWERSET,
@@ -429,7 +467,8 @@ def test_entails_bounded_builds_only_the_countermodel(monkeypatch, F, holding, r
     n = len(expected.model.states)
     models = canonical_models(F, expected.model.props, n)
     i = models.index(expected.model)
-    assert not ok and n == 2 and i >= interpolation._BATCH
+    # a later model than the first, whose tuple (0, …, 0) is its class's least
+    assert not ok and n == 2 and i > 0
     built, unions = [], []
     unchecked = ColoredModel._unchecked.__func__
     checked = ColoredModel.__post_init__
