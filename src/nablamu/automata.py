@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .coalgebra import ColoredModel, PointedModel, canonical_codes, canonical_models
+from .coalgebra import CodeSweep, ColoredModel, PointedModel, canonical_codes
 from .coalgebra import coproduct as model_coproduct
 from .functors import (
     FunctorDescriptor,
@@ -379,7 +379,8 @@ def _realizations(aut: Automaton, bound: int):
     τ_φ = φ, through the diagonal, iff E wins φ's position.  Where a monotone
     part is present, base(φ) alone does not decide realizability (the ∀∃
     lifting can relate one model state to several automaton states): the
-    model is the coproduct of the models of :func:`bounded_realizations`.
+    model is the coproduct of the models of :func:`bounded_realizations`,
+    or the model of the 1-state code tuple (0,) if none realizes anything.
     """
     F = aut.functor
     if F.has_functorial_lifting:
@@ -404,7 +405,7 @@ def _realizations(aut: Automaton, bound: int):
         return model, tau_of, frozenset((a, a) for a in win)
     found = bounded_realizations(aut, bound)
     used = list(dict.fromkeys(r[0] for r in found.values() if r is not None)) or [
-        canonical_models(F, aut.props, 1)[0]
+        CodeSweep(F, aut.props, 1).model((0,))
     ]
     big, injections = model_coproduct(used)
     inj_of = dict(zip(used, injections))

@@ -314,19 +314,6 @@ def coproduct(models) -> tuple:
 # Enumeration and sampling
 
 
-def check_sweep_cap(F: FunctorDescriptor, props: tuple, n: int) -> None:
-    """Raise CapExceeded if the ``n``-state sweep of :func:`canonical_models`
-    over ``F`` and ``props`` would walk more than ``DEFAULT_CAP`` combinations
-    of successor structures and colorings."""
-    states = frozenset(f"s{i}" for i in range(n))
-    combinations = (len(enumerate_t(F, states)) * 2 ** len(props)) ** n
-    if combinations > DEFAULT_CAP:
-        raise CapExceeded(
-            f"{combinations} {n}-state combinations to sweep exceed the cap "
-            f"{DEFAULT_CAP}"
-        )
-
-
 class CodeSweep:
     """The integer codes of the ``n``-state models over ``functor`` and
     ``props``.
@@ -336,25 +323,33 @@ class CodeSweep:
     names.  A state's code ``v < radix = len(elems) · len(colorings)``
     stands for the successor structure ``sigma_of(v) = elems[v //
     len(colorings)]`` and the coloring ``gamma_of(v) = colorings[v %
-    len(colorings)]``, and a model is the tuple of its states' codes.
-    ``codes`` holds the tuples :func:`canonical_codes` keeps, one per
-    isomorphism class in model order, and is empty in a sweep built
-    directly, which only decodes tuples.  ``index`` maps each state to its
-    position.
+    len(colorings)]``, and a model is the tuple of its states' codes, or
+    the number m < radix^n whose digit of place value ``places[i]`` is the
+    code of state i (:meth:`decode`).  ``codes`` holds the tuples
+    :func:`canonical_codes` keeps, one per isomorphism class in model
+    order, and is empty in a sweep built directly, which only decodes
+    tuples.  ``index`` maps each state to its position.  Raises
+    CapExceeded, before ordering any element, past ``DEFAULT_CAP`` tuples.
     """
 
     __slots__ = ("functor", "props", "states", "elems", "colorings", "radix",
-                 "codes", "index", "sigma_of", "gamma_of")
+                 "places", "codes", "index", "sigma_of", "gamma_of")
 
     def __init__(self, functor: FunctorDescriptor, props: tuple, n: int):
         states = tuple(f"s{i}" for i in range(n))
         elems = enumerate_t(functor, frozenset(states))
+        width = 2 ** len(props)
+        self.radix = radix = len(elems) * width
+        if radix**n > DEFAULT_CAP:
+            raise CapExceeded(
+                f"{radix**n} {n}-state combinations to sweep exceed the cap "
+                f"{DEFAULT_CAP}"
+            )
         elems = tuple(sorted(elems, key=lambda t: render_telem(functor, t)))
         colorings = tuple(sorted(subsets(props), key=sorted))
         self.functor, self.props, self.states = functor, props, states
         self.elems, self.colorings, self.codes = elems, colorings, ()
-        width = len(colorings)
-        self.radix = len(elems) * width
+        self.places = [radix ** (n - 1 - i) for i in range(n)]
         self.index = {s: i for i, s in enumerate(states)}
         self.sigma_of = [t for t in elems for _ in range(width)].__getitem__
         self.gamma_of = (list(colorings) * len(elems)).__getitem__
@@ -369,6 +364,10 @@ class CodeSweep:
             tuple(map(self.gamma_of, code)),
             self.index,
         )
+
+    def decode(self, m: int) -> tuple:
+        """The code tuple numbered ``m``."""
+        return tuple(m // w % self.radix for w in self.places)
 
 
 @lru_cache(maxsize=32)
@@ -392,17 +391,15 @@ def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> CodeSweep:
     (few codes, many states, as for a constant functor), a transposition and
     an n-cycle are applied to each newly marked code until the class is
     closed instead.  Raises CapExceeded when there are more than
-    ``DEFAULT_CAP`` combinations to walk (:func:`check_sweep_cap`), which
-    also bounds the mark array.  This is the one cache of the enumeration:
+    ``DEFAULT_CAP`` combinations to walk (:class:`CodeSweep`), which also
+    bounds the mark array.  This is the one cache of the enumeration:
     models are built from it on demand.
     """
     props = tuple(sorted(props))
-    check_sweep_cap(F, props, n)
     sweep = CodeSweep(F, props, n)
     states, elems, radix = sweep.states, sweep.elems, sweep.radix
-    width = len(sweep.colorings)
+    width, places, decode = len(sweep.colorings), sweep.places, sweep.decode
     rank = {t: r for r, t in enumerate(elems)}
-    places = [radix ** (n - 1 - i) for i in range(n)]
     # There are at most B(B+1)…(B+n−1)/n! classes for B = radix, as many as
     # multisets of codes (reached by a constant functor), so marking by
     # every permutation makes up to B(B+1)…(B+n−1) relabelings; closing
@@ -422,8 +419,8 @@ def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> CodeSweep:
     out = []
     index = marked.find(0)
     while index >= 0:
-        code = [index // w % radix for w in places]
-        out.append(tuple(code))
+        code = decode(index)
+        out.append(code)
         marked[index] = 1
         stack = [code]
         while stack:
@@ -433,7 +430,7 @@ def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> CodeSweep:
                 if not marked[image]:
                     marked[image] = 1
                     if closed:
-                        stack.append([image // w % radix for w in places])
+                        stack.append(decode(image))
         index = marked.find(0, index + 1)
     sweep.codes = tuple(out)
     return sweep

@@ -318,7 +318,8 @@ def unfold_lifting(F: FunctorDescriptor, t1, t2, atom, node, path=(), label=None
     ``moves``, so an empty 'A' holds and an empty 'E' fails.  ``moves`` is a
     lazy iterator that decides each move as it is read: ``node`` reads it
     after naming the position, or not at all.  :func:`lift_member` reads a
-    node as ``all``/``any``, the acceptance game as a position.  A label
+    node as ``all``/``any``, :func:`lift_bits` as AND/OR on bitsets of many
+    cases at once, the acceptance game as a position.  A label
     names the clause, the ``path`` to the sub-functor (each part of a
     product, coproduct or composition appends 0 or 1) and the payloads read,
     so positions are shared wherever a question recurs; the root's is

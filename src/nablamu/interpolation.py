@@ -30,11 +30,11 @@ for ``entails``.
 from __future__ import annotations
 
 from .automata import normalize, witness_coalgebra
-from .coalgebra import CodeSweep, PointedModel, check_sweep_cap
+from .coalgebra import CodeSweep, PointedModel
 from .functors import POWERSET, FunctorDescriptor, lift_bits
 from .logic import (
     Formula,
-    _bits,
+    _digit_mask,
     _eval_bits,
     eval_formula,
     free_props,
@@ -94,36 +94,16 @@ def uniform_interpolant(
     return automaton_to_formula(_delta_p_merge(normalize(aut, bound), hidden))
 
 
-def _digit_mask(digits: int, weight: int, radix: int, start: int, count: int) -> int:
-    """The bitset of the tuples ``start … start + count − 1`` (bit m − start
-    for tuple m) whose digit of place value ``weight``, (m // weight) %
-    radix, is one of the bitset ``digits``.
-
-    That digit has period weight·radix in m: one period is laid out with
-    shifts and doubled until it covers the window.
-    """
-    block = (1 << weight) - 1
-    out = 0
-    for d in _bits(digits):
-        out |= block << d * weight
-    span = weight * radix
-    offset, width = start % span, span
-    while width < offset + count:
-        out |= out << width
-        width *= 2
-    return out >> offset & ((1 << count) - 1)
-
-
 class _TupleView:
     """The code tuples ``start … start + count − 1`` of ``sweep``'s n states,
     as one bitset view for :func:`logic._eval_bits`.
 
-    A tuple is the mixed-radix number m < radix^n whose digit i, of place
-    value radix^(n−1−i), is the code of state i (:class:`CodeSweep`).  The
-    view is state-major: bit i·count + (m − start) stands for state i of
-    tuple m, so row i holds state i of every tuple.  An atom's bitset, and
+    A tuple is numbered as in :class:`CodeSweep`: its digit of place value
+    ``sweep.places[i]`` is the code of state i.  The view is state-major:
+    bit i·count + (m − start) stands for state i of tuple m, so row i holds
+    state i of every tuple.  An atom's bitset, and
     the selector of the tuples whose state i has successor structure t, are
-    periodic patterns of one digit (:func:`_digit_mask`).
+    periodic patterns of one digit (:func:`logic._digit_mask`).
     """
 
     __slots__ = ("functor", "size", "atoms", "sweep", "start", "count", "selectors")
@@ -132,10 +112,9 @@ class _TupleView:
         n, radix, width = len(sweep.states), sweep.radix, len(sweep.colorings)
         self.functor, self.size = sweep.functor, n * count
         self.sweep, self.start, self.count = sweep, start, count
-        weights = [radix ** (n - 1 - i) for i in range(n)]
 
         def rows(digits):  # per state i, the tuples whose digit i is one of ``digits``
-            return [_digit_mask(digits, w, radix, start, count) for w in weights]
+            return [_digit_mask(digits, w, radix, start, count) for w in sweep.places]
 
         self.atoms = {}
         for p in sweep.props:
@@ -196,15 +175,13 @@ class _TupleView:
             hits |= row
         m = (hits & -hits).bit_length() - 1
         i = next(i for i, row in enumerate(rows) if row >> m & 1)
-        code = [(self.start + m) // sweep.radix ** (n - 1 - j) % sweep.radix for j in range(n)]
-        return PointedModel(sweep.model(code), sweep.states[i])
+        return PointedModel(sweep.model(sweep.decode(self.start + m)), sweep.states[i])
 
 
 def _tuple_views(F: FunctorDescriptor, props: tuple, n: int):
     """The views of every ``n``-state code tuple, in slices of ``_SLICE``
     consecutive tuples, in tuple order.  Raises CapExceeded past the
-    enumeration cap (:func:`coalgebra.check_sweep_cap`) when first read."""
-    check_sweep_cap(F, props, n)
+    enumeration cap (:class:`coalgebra.CodeSweep`) when first read."""
     sweep = CodeSweep(F, props, n)
     total = sweep.radix**n
     for start in range(0, total, _SLICE):
@@ -287,7 +264,7 @@ def entails(
         return entails_bounded(a, b, max_states, F)
     if not any(q == aut.initial for (q, _), _ in aut.delta):
         for n in range(1, max_states + 1):
-            check_sweep_cap(F, props, n)
+            CodeSweep(F, props, n)  # raises the sweep's CapExceeded
         return True, None
     ok, cm = entails_bounded(a, b, max_states, F)
     if not ok:

@@ -1,7 +1,8 @@
 """Exhaustive small-carrier verification of the lax-extension axioms.
 
 For carriers ``{0, …, n−1}`` up to a bound, every relation between carriers is
-encoded as a bitmask and the lifting is tabulated once per orientation.  The
+encoded as a bitmask, and one bitset reading of the lifting per element pair
+(:func:`functors.lift_bits`) decides that pair for every relation.  The
 checks then verify, for every relation (and every pair/function where
 relevant):
 
@@ -33,10 +34,11 @@ from .functors import (
     base,
     enumerate_t,
     functor_tag,
-    lift_member,
+    lift_bits,
     render_telem,
     t_map,
 )
+from .logic import _bits, _digit_mask
 
 _LAX_CHECKS = (
     "monotone", "composition", "quasi-functorial", "converse", "diagonal", "functions"
@@ -101,7 +103,7 @@ def _carriers(F: FunctorDescriptor, bound: int, cap: int) -> dict:
     """The elements of ``F`` over each carrier ``{0, …, n−1}``, ``n ≤ bound``.
 
     Raises :class:`CapExceeded`, without tabulating any lifting, once a
-    carrier takes the sweep's work — a lifting test per relation and element
+    carrier takes the sweep's work — a table entry per relation and element
     pair, plus the (R, S) pairs :func:`_lax_failures` composes — past ``cap``.
     """
     telems = {}
@@ -127,21 +129,27 @@ def _tables(F: FunctorDescriptor, bound: int, cap: int):
     bitmask over ``telems[k]`` of elements related to ``telems[m][ti]`` by the
     lifting of the relation encoded by ``mask``.  Raises :class:`CapExceeded`
     before tabulating where :func:`_carriers` does.
+
+    One :func:`functors.lift_bits` call decides an element pair for every
+    mask: bit r of the atom (x, y) says whether mask r holds (x, y)
+    (:func:`logic._digit_mask`), and bit r of the result goes to row r.
     """
     telems = _carriers(F, bound, cap)
     rows = {}
     for m, k in itertools.product(telems, repeat=2):
-        table = rows[(m, k)] = []
-        for mask in range(1 << (m * k)):
-            pairs = frozenset(_pairs(mask, m, k))
-            trows = []
-            for t1 in telems[m]:
-                bits = 0
-                for jj, t2 in enumerate(telems[k]):
-                    if lift_member(F, pairs, t1, t2):
-                        bits |= 1 << jj
-                trows.append(bits)
-            table.append(tuple(trows))
+        count = 1 << (m * k)
+        full = (1 << count) - 1
+        held = [_digit_mask(2, 1 << p, 2, 0, count) for p in range(m * k)]
+
+        def atom(x, y):
+            return held[x * k + y]
+
+        table = [[0] * len(telems[m]) for _ in range(count)]
+        for ti, t1 in enumerate(telems[m]):
+            for tj, t2 in enumerate(telems[k]):
+                for r in _bits(lift_bits(F, t1, t2, atom, full)):
+                    table[r][ti] |= 1 << tj
+        rows[(m, k)] = list(map(tuple, table))
     return telems, rows
 
 

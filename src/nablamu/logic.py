@@ -18,7 +18,7 @@ rebuild it through :func:`_rebuild`, so a new node kind must be added to both.
 
 from __future__ import annotations
 
-from .functors import FunctorDescriptor, base, lift_member, parse_telem, render_telem, t_map
+from .functors import FunctorDescriptor, base, lift_bits, parse_telem, render_telem, t_map
 from .parsing import Cursor
 
 RESERVED = frozenset({"mu", "nu", "nabla", "true", "false", "const", "id", "inl", "inr"})
@@ -259,19 +259,25 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _MaskPairs:
-    """The pairs ``(t, b)`` with state t in the extension of argument b, read
-    from the arguments' bitsets: the relation a ∇ node hands to the lifting."""
+def _digit_mask(digits: int, weight: int, radix: int, start: int, count: int) -> int:
+    """The bitset of the numbers ``start … start + count − 1`` (bit m − start
+    for number m) whose digit of place value ``weight``, (m // weight) %
+    radix, is one of the bitset ``digits``: the atoms of the sweep's views
+    and of the lax tables.
 
-    __slots__ = ("index", "masks")
-
-    def __init__(self, index: dict, masks: dict):
-        self.index = index
-        self.masks = masks
-
-    def __contains__(self, pair) -> bool:
-        t, b = pair
-        return self.masks[b] >> self.index[t] & 1
+    That digit has period weight·radix in m: one period is laid out with
+    shifts and doubled until it covers the window.
+    """
+    block = (1 << weight) - 1
+    out = 0
+    for d in _bits(digits):
+        out |= block << d * weight
+    span = weight * radix
+    offset, width = start % span, span
+    while width < offset + count:
+        out |= out << width
+        width *= 2
+    return out >> offset & ((1 << count) - 1)
 
 
 class _BitView:
@@ -299,8 +305,8 @@ class _BitView:
         A powerset ∇α is decided by the Egli–Milner lifting on bitsets: with
         ``succ`` the bitset of σ(s), s ∈ ∇α iff ``succ`` lies inside the
         union of the arguments' extensions and meets the extension of every
-        argument.  Every other functor asks :func:`lift_member` with the
-        pairs ``(t, b)`` read from the arguments' bitsets.
+        argument.  Every other functor reads :func:`functors.lift_bits` on
+        one case: the atom (t, b) is bit t of b's extension.
 
         Each node is re-evaluated incrementally.  The view keeps the node's
         arguments' extensions and the states it found at its last
@@ -344,10 +350,13 @@ class _BitView:
                 if not bits & outside and all(bits & mask for mask in needed):
                     out |= 1 << s
         else:
-            pairs = _MaskPairs(M._index, args)
-            sigma = M.sigma
+            index, sigma = M._index, M.sigma
+
+            def atom(t, b):
+                return args[b] >> index[t] & 1
+
             for s in _bits(todo):
-                if lift_member(F, pairs, sigma[s], g.payload):
+                if lift_bits(F, sigma[s], g.payload, atom, 1):
                     out |= 1 << s
         self.last[g] = (args, out)
         return out

@@ -27,12 +27,14 @@ from nablamu import (
     eval_formula,
     formula_to_automaton,
     free_props,
+    lift_member,
     mk_and,
     mk_neg,
     product,
     project_automaton,
     t_map,
 )
+from nablamu import laxcheck
 from nablamu.coalgebra import canonical_codes
 from nablamu.functors import _FnPairs
 from nablamu.parsing import ParseError
@@ -144,6 +146,26 @@ def reference_lift_member(F: FunctorDescriptor, pairs, t1, t2) -> bool:
     return reference_lift_member(
         outer, _FnPairs(lambda u, v: reference_lift_member(inner, pairs, u, v)), t1, t2
     )
+
+
+def per_mask_tables(F: FunctorDescriptor, bound: int, cap: int, member=lift_member):
+    """``laxcheck._tables`` as first written: one ``member(F, pairs, t1,
+    t2)`` call per relation mask and element pair, on the same carriers."""
+    telems = laxcheck._carriers(F, bound, cap)
+    rows = {}
+    for m, k in itertools.product(telems, repeat=2):
+        table = rows[(m, k)] = []
+        for mask in range(1 << (m * k)):
+            pairs = frozenset(laxcheck._pairs(mask, m, k))
+            trows = []
+            for t1 in telems[m]:
+                bits = 0
+                for jj, t2 in enumerate(telems[k]):
+                    if member(F, pairs, t1, t2):
+                        bits |= 1 << jj
+                trows.append(bits)
+            table.append(tuple(trows))
+    return telems, rows
 
 
 def brute_least_support(F, t, ambient):

@@ -28,7 +28,11 @@ from nablamu import (
     render_model,
     up_to_p_bisimilar,
 )
+from nablamu.coalgebra import CodeSweep
+from nablamu.functors import DEFAULT_CAP, enumerate_t
 from nablamu.parsing import ParseError
+
+from helpers import SHAPES
 
 fs = frozenset
 
@@ -343,6 +347,39 @@ def test_canonical_models_refuses_sweeps_beyond_the_cap():
     # 16^4 successor sets times 2^4 colorings is just over DEFAULT_CAP
     with pytest.raises(CapExceeded):
         canonical_models(POWERSET, ("p",), 4)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_code_sweep_refuses_past_the_cap_before_rendering(monkeypatch, name):
+    # the first size whose tuples pass DEFAULT_CAP raises the cap's message,
+    # without ordering any element by its rendering
+    import nablamu.coalgebra as coalgebra
+
+    F = SHAPES[name]
+    rendered = [0]
+    real = coalgebra.render_telem
+
+    def counting(*args):
+        rendered[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(coalgebra, "render_telem", counting)
+    for props in ((), ("p",), ("p", "q")):
+        n = 1
+        while True:
+            states = frozenset(f"s{i}" for i in range(n))
+            combinations = (len(enumerate_t(F, states)) * 2 ** len(props)) ** n
+            if combinations > DEFAULT_CAP:
+                break
+            CodeSweep(F, props, n)
+            n += 1
+        rendered[0] = 0
+        with pytest.raises(CapExceeded) as refused:
+            CodeSweep(F, props, n)
+        assert str(refused.value) == (
+            f"{combinations} {n}-state combinations to sweep exceed the cap {DEFAULT_CAP}"
+        ), (name, props)
+        assert rendered[0] == 0, (name, props)
 
 
 def test_models_built_without_checks_pass_them():

@@ -32,7 +32,8 @@ from nablamu import (
     render_telem,
     t_map,
 )
-from nablamu.functors import _FnPairs
+from nablamu import laxcheck
+from nablamu.functors import DEFAULT_CAP, _FnPairs
 from nablamu.parsing import Cursor, ParseError
 from nablamu.projection import _shrink_witness
 
@@ -41,6 +42,7 @@ from helpers import (
     SHAPES,
     brute_least_support,
     brute_minimal_witnesses,
+    per_mask_tables,
     reference_lift_member,
     relation_strategy,
     subsets,
@@ -407,6 +409,29 @@ def test_lax_sweep_refuses_work_past_the_cap():
         check_support_restriction(POWERSET, 2, cap=10)
 
 
+@pytest.mark.parametrize(
+    "F, bound",
+    [(F, 2) for F in SHAPES.values()] + [(POWERSET, 3), (MONOTONE, 3)],
+    ids=[f"{name}-2" for name in SHAPES] + ["powerset-3", "monotone-3"],
+)
+def test_lax_tables_match_per_mask_oracle(F, bound):
+    assert laxcheck._tables(F, bound, DEFAULT_CAP) == per_mask_tables(F, bound, DEFAULT_CAP)
+
+
+def test_lax_tables_read_each_element_pair_once(monkeypatch):
+    # one lift_bits call per (τ, ρ) over carriers 0…3, for every relation mask
+    calls = [0]
+    real = laxcheck.lift_bits
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(laxcheck, "lift_bits", counting)
+    telems, _ = laxcheck._tables(MONOTONE, 3, DEFAULT_CAP)
+    assert calls[0] == sum(map(len, telems.values())) ** 2 == 961
+
+
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_support_restriction_small(name):
     report = check_support_restriction(SHAPES[name], carrier_bound=2)
@@ -459,7 +484,12 @@ def _equal_sizes(F, pairs, t1, t2):
     ],
 )
 def test_lax_checks_fail_on_broken_liftings(monkeypatch, broken, check, name):
-    monkeypatch.setattr("nablamu.laxcheck.lift_member", broken)
+    # the checker tabulates through lift_bits; the per-mask oracle reads
+    # the broken membership test instead
+    monkeypatch.setattr(
+        "nablamu.laxcheck._tables",
+        lambda F, bound, cap: per_mask_tables(F, bound, cap, broken),
+    )
     report = check(POWERSET, carrier_bound=2)
     passed, witness = report.checks[name]
     assert not passed and not report.ok

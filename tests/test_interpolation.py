@@ -42,7 +42,7 @@ from nablamu import (
 )
 from nablamu import interpolation
 from nablamu.automata import nonemptiness_game, normalize
-from nablamu.coalgebra import CodeSweep, ColoredModel, canonical_codes, check_sweep_cap
+from nablamu.coalgebra import CodeSweep, ColoredModel, canonical_codes
 from nablamu.interpolation import (
     entails,
     entails_bounded,
@@ -304,15 +304,16 @@ def _largest_swept_size(F, props):
     n = 1
     while True:
         try:
-            check_sweep_cap(F, props, n + 1)
+            CodeSweep(F, props, n + 1)
         except CapExceeded:
             return n
         n += 1
 
 
 def test_entails_bounded_matches_per_model_sweep():
-    # every 7th ordered corpus pair at 3 states; two-prop slices of that
-    # size hold 5,728 models, so a holding pair sweeps 179 batches
+    # every 7th ordered corpus pair at 3 states; a holding two-prop pair
+    # sweeps the 32,768 code tuples of that size (5,728 models up to
+    # isomorphism) in one view
     formulas = [pf(src) for src in TRANSLATION_CORPUS]
     held_two_prop = failed = 0
     for a, b in list(itertools.product(formulas, repeat=2))[::7]:

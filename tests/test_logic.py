@@ -272,21 +272,21 @@ def test_eval_rechecks_only_predecessors_of_changed_states(monkeypatch):
         props=("p",),
     )
     calls = [0]
-    real = nablamu.logic.lift_member
+    real = nablamu.logic.lift_bits
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(nablamu.logic, "lift_member", counting)
+    monkeypatch.setattr(nablamu.logic, "lift_bits", counting)
     assert eval_formula(M, pf("mu x. (p \\/ nabla {x})")) == fs(M.states)
     assert calls[0] <= 3 * n
 
 
 def test_eval_rechecks_only_predecessors_of_changed_states_monotone(monkeypatch):
     # The chain above over monotone neighbourhoods, c_i -> {{c_(i+1)}}: a
-    # powerset ∇ is decided on bitsets without lift_member, so the bound on
-    # re-checks is kept on a functor that still asks the lifting.
+    # powerset ∇ is decided by Egli–Milner mask tests without lift_bits, so
+    # the bound on re-checks is kept on a functor that still reads the lifting.
     import nablamu.logic
 
     n = 200
@@ -297,13 +297,13 @@ def test_eval_rechecks_only_predecessors_of_changed_states_monotone(monkeypatch)
         props=("p",),
     )
     calls = [0]
-    real = nablamu.logic.lift_member
+    real = nablamu.logic.lift_bits
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(nablamu.logic, "lift_member", counting)
+    monkeypatch.setattr(nablamu.logic, "lift_bits", counting)
     assert eval_formula(M, pf("mu x. (p \\/ nabla {{x}})", MONOTONE)) == fs(M.states)
     assert n <= calls[0] <= 3 * n
 
