@@ -14,7 +14,6 @@ the same winners as the one where the existential player picks Z outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -36,10 +35,10 @@ from .functors import (
 )
 from .games import Arena, ParitySolution, solve_parity
 from .parsing import Cursor
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(Record):
     """A coalgebra automaton.
 
     ``omega`` lists parity priorities aligned with ``states``; ``delta`` is a
@@ -450,8 +449,7 @@ def normalize(aut: Automaton, bound: int = 3) -> Automaton:
     return prune_unsatisfiable(aut, bound)
 
 
-@dataclass(frozen=True)
-class WitnessCoalgebra:
+class WitnessCoalgebra(Record):
     """A model realizing every transition element of an automaton.
 
     ``winning`` pairs (model state, automaton state) are won by the

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -32,10 +31,10 @@ from .functors import (
     t_map,
 )
 from .parsing import Cursor
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ColoredModel:
+class ColoredModel(Record):
     """A finite coalgebra with propositional coloring.
 
     ``sigma[i]`` is the successor structure of ``states[i]`` (an element of
@@ -109,8 +108,7 @@ class ColoredModel:
         return self.gamma[self._index[s]]
 
 
-@dataclass(frozen=True)
-class PointedModel:
+class PointedModel(Record):
     model: ColoredModel
     point: object
 

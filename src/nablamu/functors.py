@@ -26,11 +26,11 @@ whenever ``U ⊆ X``, and equality of elements is payload equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 
 from .parsing import Cursor
+from .records import Record, _set
 
 DEFAULT_CAP = 10**6
 
@@ -59,18 +59,25 @@ def canon_key(x):
     raise TypeError(f"no canonical order for {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class FunctorDescriptor:
+class FunctorDescriptor(Record):
     """A finitary set functor together with its relation lifting.
 
     ``values`` is used by the constant functor only; ``parts`` holds the two
     component descriptors of a product/coproduct or the (outer, inner) pair
-    of a composition.
+    of a composition.  Descriptors key the enumeration caches, so each
+    computes its hash once, when it is built.
     """
 
     kind: str
     values: frozenset = frozenset()
     parts: tuple = ()
+
+    def __init__(self, kind: str, values: frozenset = frozenset(), parts: tuple = ()):
+        _set(self, "kind", kind)
+        _set(self, "values", values)
+        _set(self, "parts", parts)
+        self.__post_init__()
+        _set(self, "_hash", hash((kind, values, parts)))
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -92,6 +99,16 @@ class FunctorDescriptor:
                 )
         elif self.parts:
             raise ValueError(f"{self.kind} takes no component functors")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._hash == other._hash and (
+                (self.kind, self.values, self.parts) == (other.kind, other.values, other.parts)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def has_functorial_lifting(self) -> bool:

@@ -9,11 +9,11 @@ and the solver returns one for each player on their winning region.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Arena:
+class Arena(Record):
     """A finite parity game arena.
 
     ``positions`` are arbitrary hashable labels; ``owner``, ``priority`` and
@@ -68,8 +68,7 @@ class Arena:
         return len(self.positions)
 
 
-@dataclass(frozen=True)
-class ParitySolution:
+class ParitySolution(Record):
     """The winning regions of both players and a positional strategy for each.
 
     ``strategy_e`` and ``strategy_a`` are dicts from position index to the
@@ -147,8 +146,14 @@ def solve_parity(arena: Arena) -> ParitySolution:
             d = max(map(priority.__getitem__, sub))
             player, other = ("E", "A") if d % 2 == 0 else ("A", "E")
             Z = frozenset([v for v in sub if priority[v] == d])
-            A, strat_attr = attractor(Z, player, sub)
-            win, strat = zielonka(sub - A)
+            if len(Z) < len(sub):
+                A, strat_attr = attractor(Z, player, sub)
+                win, strat = zielonka(sub - A)
+            else:
+                # one priority left: the attractor is sub itself and the
+                # recursion sees the empty game
+                strat_attr = {}
+                win, strat = {"E": frozenset(), "A": frozenset()}, {"E": {}, "A": {}}
             if not win[other]:
                 # the favored player wins the whole subgame: recurse-region
                 # strategy inside sub∖A, attractor strategy on A∖Z, and any

@@ -25,7 +25,6 @@ entry passing is a finite proof for those carrier sizes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .functors import (
     DEFAULT_CAP,
@@ -39,14 +38,14 @@ from .functors import (
     t_map,
 )
 from .logic import _bits, _digit_mask
+from .records import Record
 
 _LAX_CHECKS = (
     "monotone", "composition", "quasi-functorial", "converse", "diagonal", "functions"
 )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record, frozen=False):
     """Outcome of an exhaustive axiom sweep: one entry per named check."""
 
     functor: str

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import logic
 from .automata import Automaton, find_true_state
@@ -47,6 +46,7 @@ from .logic import (
     subst,
     validate_monotone,
 )
+from .records import Record, _set
 
 
 class UnsupportedFragment(Exception):
@@ -57,52 +57,119 @@ class UnsupportedFragment(Exception):
 # Negation normal form
 
 
-@dataclass(frozen=True)
-class NLit:
+# The nodes are built, hashed and compared throughout the translations, so
+# each writes its record methods with direct attribute code.
+
+
+class NLit(Record):
     prop: str
     pos: bool
+
+    def __init__(self, prop: str, pos: bool):
+        _set(self, "prop", prop)
+        _set(self, "pos", pos)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prop, self.pos) == (other.prop, other.pos)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.prop, self.pos))
 
     def canon_key(self):
         return ("lit", self.prop, self.pos)
 
 
-@dataclass(frozen=True)
-class NVar:
+class NVar(Record):
     var: str
+
+    def __init__(self, var: str):
+        _set(self, "var", var)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var,) == (other.var,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.var,))
 
     def canon_key(self):
         return ("var", self.var)
 
 
-@dataclass(frozen=True)
-class NAnd:
+class NAnd(Record):
     parts: frozenset
+
+    def __init__(self, parts: frozenset):
+        _set(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) == (other.parts,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def canon_key(self):
         return ("and", canon_key(self.parts))
 
 
-@dataclass(frozen=True)
-class NOr:
+class NOr(Record):
     parts: frozenset
+
+    def __init__(self, parts: frozenset):
+        _set(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) == (other.parts,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def canon_key(self):
         return ("or", canon_key(self.parts))
 
 
-@dataclass(frozen=True)
-class NNabla:
+class NNabla(Record):
     payload: object
+
+    def __init__(self, payload):
+        _set(self, "payload", payload)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.payload,) == (other.payload,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.payload,))
 
     def canon_key(self):
         return ("nabla", canon_key(self.payload))
 
 
-@dataclass(frozen=True)
-class NFix:
+class NFix(Record):
     kind: str  # "mu" | "nu"
     var: str
     body: object
+
+    def __init__(self, kind: str, var: str, body):
+        _set(self, "kind", kind)
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.var, self.body) == (other.kind, other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.var, self.body))
 
     def canon_key(self):
         return ("fix", self.kind, self.var, canon_key(self.body))

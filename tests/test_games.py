@@ -134,6 +134,22 @@ def test_larger_arenas_match_reference_solver():
     assert checked >= 50
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_single_priority_arenas_match_reference_solver(d):
+    # every position has priority d, so after the sinks are peeled the
+    # solver meets subgames of one priority, whose attractor it skips;
+    # dead ends of both owners send plays to the sinks
+    stuck = set()
+    for seed in range(60):
+        a = random_arena(random.Random(seed), max_positions=12, max_priority=0, max_degree=3)
+        a = arena(a.owner, [d] * len(a), a.moves)
+        stuck |= {o for o, m in zip(a.owner, a.moves) if not m}
+        sol = solve_parity(a)
+        validate_parity_solution(a, sol)
+        assert sol == reference_solve_parity(a), seed
+    assert stuck == {"E", "A"}
+
+
 def test_solve_parity_restores_recursion_limit():
     before = sys.getrecursionlimit()
     # a cycle long enough that the solver must raise the limit for its call
