@@ -11,11 +11,11 @@ an attribute.  ``class R(Record, frozen=False)`` keeps attributes
 assignable and instances unhashable.
 
 The methods are closures made when the class is created.  No source is
-generated, so nothing here needs ``inspect`` or ``ast``, whose import alone
-took about a seventh of the package's import time.  A class may write any
-of ``__init__``, ``__eq__`` and ``__hash__`` itself, with direct attribute
-code, and must then keep to the same contract; the record types built and
-compared in inner loops do.  Fields are set through ``object.__setattr__``
+generated, so importing the package loads neither ``inspect`` nor ``ast``,
+which start-up would pay for in every command-line call.  A class may write
+any of ``__init__``, ``__eq__`` and ``__hash__`` itself, with direct
+attribute code, and must then keep to the same contract; the record types
+built and compared in inner loops do.  Fields are set through ``object.__setattr__``
 (:data:`_set`), which keeps the instance's attribute storage compact.
 """
 

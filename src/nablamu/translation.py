@@ -55,8 +55,7 @@ class UnsupportedFragment(Exception):
 
 # --------------------------------------------------------------------------
 # Negation normal form
-
-
+#
 # The nodes are built, hashed and compared throughout the translations, so
 # each writes its record methods with direct attribute code.
 
