@@ -34,6 +34,7 @@ from .functors import (
     unfold_lifting,
 )
 from .games import Arena, ParitySolution, solve_parity
+from .logic import _fresh
 from .parsing import Cursor
 from .records import Record
 
@@ -225,15 +226,6 @@ def accepts(aut: Automaton, P: PointedModel) -> bool:
 # True state, satisfiability, normalization
 
 
-def _fresh_state(aut: Automaton, stem: str):
-    if stem not in aut.states:
-        return stem
-    i = 1
-    while f"{stem}_{i}" in aut.states:
-        i += 1
-    return f"{stem}_{i}"
-
-
 def add_true_state(aut: Automaton):
     """Adjoin a state accepting everything; returns (automaton, state).
 
@@ -241,7 +233,7 @@ def add_true_state(aut: Automaton):
     ``T({state})`` as transition elements, so the existential player can
     always continue and every continuation wins.
     """
-    tt = _fresh_state(aut, "att")
+    tt = "att" if "att" not in aut.states else _fresh("att", aut.states)
     delta = dict(aut.delta)
     elems = enumerate_t(aut.functor, frozenset((tt,)))
     for c in subsets(aut.props):
@@ -348,29 +340,14 @@ def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
     return MappingProxyType(found)
 
 
-def _realized(aut: Automaton, bound: int) -> frozenset:
-    """The transition elements some model realizes.
-
-    Exact for a functor with a functorial lifting: φ is realized iff E wins
-    φ's position in the nonemptiness game.  Where a monotone part is
-    present, those :func:`bounded_realizations` realizes within ``bound``
-    states.  No model is built.
-    """
-    if aut.functor.has_functorial_lifting:
-        arena, sol = nonemptiness_game(aut)
-        return frozenset(
-            phi for phi in _elements(aut) if arena.index(("elem", phi)) in sol.win_e
-        )
-    found = bounded_realizations(aut, bound)
-    return frozenset(phi for phi, r in found.items() if r is not None)
-
-
 def _realizations(aut: Automaton, bound: int):
-    """Realize the elements of :func:`_realized` in one model.  Returns
-    ``(model, tau_of, claimed)``: ``tau_of[φ]`` is a τ ∈ T(model.states)
-    with (τ, φ) ∈ L(claimed), or ``None`` if no model realizes φ;
-    ``claimed`` holds the (model state, automaton state) pairs the
-    construction takes the existential player E to win.
+    """Decide which transition elements some model realizes, and realize
+    them in one model: the one decision that pruning, normalization and
+    witness reconstruction read.  Returns ``(model, tau_of, claimed)``:
+    ``tau_of[φ]`` is a τ ∈ T(model.states) with (τ, φ) ∈ L(claimed), or
+    ``None`` if no model realizes φ; ``claimed`` holds the (model state,
+    automaton state) pairs the construction takes the existential player E
+    to win.
 
     Exact for a functor with a functorial lifting: the model is the
     nonemptiness game's strategy model (E's winning states, each with the
@@ -422,16 +399,19 @@ def _realizations(aut: Automaton, bound: int):
 def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
     """Drop transition elements that no model realizes.
 
-    Exact for a functor with a functorial lifting; where a monotone part is
-    present, ``bound`` caps the realizing models (see :func:`_realized`).
+    Keeps exactly the elements to which :func:`_realizations` gives a τ:
+    exact for a functor with a functorial lifting; where a monotone part is
+    present, ``bound`` caps the realizing models.
 
     One pass suffices: a realization's winning strategies only ever use
     elements that are themselves realized over the same model, so pruning
     cannot invalidate surviving elements.
     """
-    realized = _realized(aut, bound)
+    _, tau_of, _ = _realizations(aut, bound)
     # Automaton.make drops the cells left empty
-    delta = {cell: [phi for phi in elems if phi in realized] for cell, elems in aut.delta}
+    delta = {
+        cell: [phi for phi in elems if tau_of[phi] is not None] for cell, elems in aut.delta
+    }
     omega = dict(zip(aut.states, aut.omega))
     return Automaton.make(aut.functor, aut.props, aut.states, aut.initial, omega, delta)
 
@@ -441,7 +421,8 @@ def normalize(aut: Automaton, bound: int = 3) -> Automaton:
     then prune unrealizable elements.  Idempotent.
 
     Exact for functors with a functorial lifting; ``bound`` caps the
-    realizing models only where a monotone part is present (see
+    realizing models only where a monotone part is present (realizability
+    is decided by :func:`_realizations`, through
     :func:`prune_unsatisfiable`).
     """
     if find_true_state(aut) is None:

@@ -367,6 +367,12 @@ class CodeSweep:
         """The code tuple numbered ``m``."""
         return tuple(m // w % self.radix for w in self.places)
 
+    def structure_codes(self, r: int) -> int:
+        """The codes whose successor structure is ``elems[r]``, as a bitmask
+        (bit v for code v)."""
+        width = len(self.colorings)
+        return ((1 << width) - 1) << r * width
+
 
 @lru_cache(maxsize=32)
 def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> CodeSweep:

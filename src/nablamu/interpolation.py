@@ -109,7 +109,7 @@ class _TupleView:
     __slots__ = ("functor", "size", "atoms", "sweep", "start", "count", "selectors")
 
     def __init__(self, sweep: CodeSweep, start: int, count: int):
-        n, radix, width = len(sweep.states), sweep.radix, len(sweep.colorings)
+        n, radix = len(sweep.states), sweep.radix
         self.functor, self.size = sweep.functor, n * count
         self.sweep, self.start, self.count = sweep, start, count
 
@@ -120,8 +120,7 @@ class _TupleView:
         for p in sweep.props:
             held = rows(sum(1 << v for v in range(radix) if p in sweep.gamma_of(v)))
             self.atoms[p] = sum(row << i * count for i, row in enumerate(held))
-        block = (1 << width) - 1
-        self.selectors = [rows(block << r * width) for r in range(len(sweep.elems))]
+        self.selectors = [rows(sweep.structure_codes(r)) for r in range(len(sweep.elems))]
 
     def nabla(self, g, args: dict) -> int:
         """The bitset of ∇α, for ``g = ∇α`` and ``args`` mapping each formula

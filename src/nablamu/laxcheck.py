@@ -45,7 +45,7 @@ _LAX_CHECKS = (
 )
 
 
-class CheckReport(Record, frozen=False):
+class CheckReport(Record):
     """Outcome of an exhaustive axiom sweep: one entry per named check."""
 
     functor: str
@@ -184,18 +184,24 @@ def _lax_failures(F, telems, rows):
                 for ti, rb in enumerate(Rrows):
                     # LR;LS ⊆ rng(LS), so a composition failure fails this test too.
                     if rb and lifted[rb] != Crows[ti] & rng_mask:
-                        comp, full = lifted[rb], Crows[ti]
+                        comp, full = lifted[rb], Crows[ti] & rng_mask
                         pair = f"R={_fmt_rel(Rmask, m, k)}, S={_fmt_rel(Smask, k, j)}"
-                        if comp & ~full:
-                            yield "composition", (
-                                f"LR;LS ⊄ L(R;S) for {pair} at τ={render_telem(F, TX[ti])}, "
-                                f"ρ={render_telem(F, TZ[(comp & ~full).bit_length() - 1])}"
+                        at = f"for {pair} at τ={render_telem(F, TX[ti])}"
+                        extra = comp & ~full
+                        if extra:
+                            rho = render_telem(F, TZ[extra.bit_length() - 1])
+                            yield "composition", f"LR;LS ⊄ L(R;S) {at}, ρ={rho}"
+                        missing = full & ~comp
+                        if missing:
+                            yield "quasi-functorial", (
+                                f"no middle element {at}, "
+                                f"ρ={render_telem(F, TZ[missing.bit_length() - 1])} "
+                                f"despite τ ∈ dom(LR), ρ ∈ rng(LS)"
                             )
-                        yield "quasi-functorial", (
-                            f"no middle element for {pair} at τ={render_telem(F, TX[ti])}, "
-                            f"ρ={render_telem(F, TZ[(full & rng_mask & ~comp).bit_length() - 1])} "
-                            f"despite τ ∈ dom(LR), ρ ∈ rng(LS)"
-                        )
+                        else:  # the two differ only where L(R;S) misses LR;LS
+                            yield "quasi-functorial", (
+                                f"L(R;S) misses an element of LR;LS {at}, ρ={rho}"
+                            )
 
     # converse: L(R°) = (LR)°.
     for (m, k), table in rows.items():

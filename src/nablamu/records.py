@@ -5,10 +5,10 @@ class-level defaults.  Subclassing :class:`Record` gives it an ``__init__``
 taking the fields positionally or by keyword (then calling
 ``__post_init__`` if the class has one, looked up on the instance at every
 construction), ``==`` between instances of the same class only, ``hash``
-equal to the hash of the tuple of the fields, ``repr`` as
+equal to the hash of the tuple of the fields (so a record with a dict
+field is unhashable, as its field tuple is), ``repr`` as
 ``Name(field=value, ...)``, and ``AttributeError`` on assigning or deleting
-an attribute.  ``class R(Record, frozen=False)`` keeps attributes
-assignable and instances unhashable.
+an attribute: every record is frozen.
 
 The methods are closures made when the class is created.  No source is
 generated, so importing the package loads neither ``inspect`` nor ``ast``,
@@ -32,7 +32,7 @@ class Record:
     __slots__ = ()
     _fields: tuple = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__
         names = tuple(own.get("__annotations__", ()))
@@ -41,11 +41,7 @@ class Record:
             cls.__init__ = _make_init(cls, names)
         if "__eq__" not in own:
             cls.__eq__ = _make_eq(names)
-        if not frozen:
-            cls.__hash__ = None
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-        elif own.get("__hash__") is None:
+        if own.get("__hash__") is None:
             cls.__hash__ = _make_hash(names)
 
     def __repr__(self) -> str:

@@ -21,6 +21,7 @@ from nablamu import (
     random_model,
 )
 from nablamu.games import Arena
+from nablamu import automata
 from nablamu.translation import formula_to_automaton
 from nablamu.automata import (
     Automaton,
@@ -410,28 +411,35 @@ def test_prune_drops_rejecting_cells():
     assert prune_unsatisfiable(A_P, bound=2).delta == A_P.delta
 
 
-def test_prune_builds_no_model(monkeypatch):
-    # over a functorial lifting, pruning reads only who wins the
-    # nonemptiness game; the strategy model is witness_coalgebra's
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_prune_keeps_exactly_the_elements_realizations_realize(name):
+    # one decision: pruning keeps φ iff _realizations gives φ a τ
+    rng = random.Random(29)
+    for _ in range(20):
+        aut = random_automaton(SHAPES[name], ("p",), rng)
+        _, tau_of, _ = automata._realizations(aut, 2)
+        kept = [(c, tuple(phi for phi in es if tau_of[phi] is not None)) for c, es in aut.delta]
+        assert prune_unsatisfiable(aut, 2).delta == tuple((c, es) for c, es in kept if es)
+
+
+def test_prune_follows_realizations_and_witness_builds_one_model(monkeypatch):
+    # pruning asks _realizations and nothing else: whatever it decides is kept
+    elems = automata._elements(A_P)
+    real = automata._realizations
+    tau_of = {phi: phi if i % 2 else None for i, phi in enumerate(elems)}
+    monkeypatch.setattr(automata, "_realizations", lambda aut, bound: (None, tau_of, None))
+    kept = {phi for _, es in prune_unsatisfiable(A_P).delta for phi in es}
+    assert kept == set(elems[1::2])
+    monkeypatch.setattr(automata, "_realizations", real)
+    # the strategy model is built once, by ColoredModel.make
     built = []
     checked = ColoredModel.__post_init__
-    unchecked = ColoredModel._unchecked.__func__
 
-    def counted_checked(self):
+    def counted(self):
         built.append(self)
         checked(self)
 
-    def counted_unchecked(cls, *args):
-        built.append(args)
-        return unchecked(cls, *args)
-
-    monkeypatch.setattr(ColoredModel, "__post_init__", counted_checked)
-    monkeypatch.setattr(ColoredModel, "_unchecked", classmethod(counted_unchecked))
-    rng = random.Random(21)
-    auts = [ODD_LOOP, A_P] + [random_automaton(POWERSET, ("p",), rng) for _ in range(20)]
-    pruned = [prune_unsatisfiable(aut) for aut in auts]
-    assert built == []
-    assert pruned[0].delta == () and pruned[1].delta == A_P.delta
+    monkeypatch.setattr(ColoredModel, "__post_init__", counted)
     witness_coalgebra(A_P)
     assert len(built) == 1
 

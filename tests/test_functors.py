@@ -496,6 +496,20 @@ def test_lax_checks_fail_on_broken_liftings(monkeypatch, broken, check, name):
     assert witness
 
 
+def test_quasi_functorial_failure_names_the_element_that_differs():
+    # under _needs_pairs, L(R;S) lacks the element LR;LS has wherever R;S is
+    # empty, and never the other way: each quasi-functorial failure names
+    # that element, as the composition failure at the same (R, S, τ) does
+    tables = per_mask_tables(POWERSET, 2, DEFAULT_CAP, _needs_pairs)
+    failures = list(laxcheck._lax_failures(POWERSET, *tables))
+    composition = [why for name, why in failures if name == "composition"]
+    quasi = [why for name, why in failures if name == "quasi-functorial"]
+    side = "L(R;S) misses an element of LR;LS"
+    assert quasi[0] == f"{side} for R={{(0,1)}}, S={{(0,0)}} at τ={{}}, ρ={{}}"
+    assert len(quasi) == 32
+    assert [why.replace(side, "LR;LS ⊄ L(R;S)") for why in quasi] == composition
+
+
 def test_canon_key_orders_mixed_payloads():
     items = [fs(), fs({"x"}), ("inl", "x"), "plain", fs({fs({"x"})})]
     ordered = sorted(items, key=canon_key)

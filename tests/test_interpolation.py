@@ -620,7 +620,8 @@ def test_exact_holds_sweeps_no_models(monkeypatch):
 
         return counted
 
-    # every binding of the enumeration, of its codes and of its models
+    # the sweep's one entry, and every binding of the enumeration and its models
+    monkeypatch.setattr(interpolation, "_tuple_views", counting(interpolation._tuple_views))
     for module in (coalgebra, automata, interpolation):
         for name in ("canonical_codes", "canonical_models"):
             if hasattr(module, name):
