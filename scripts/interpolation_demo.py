@@ -2,7 +2,7 @@
 """Compute a uniform interpolant and verify its defining properties.
 
 Given a formula and a vocabulary to keep, hides the remaining propositions
-one by one through automaton projection, then verifies on all small models
+together in one automaton projection, then verifies on all small models
 that the input entails the interpolant and that the interpolant proves
 exactly the same kept-vocabulary consequences as the input (demonstrated
 against a consequent supplied with --against).

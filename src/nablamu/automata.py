@@ -33,7 +33,7 @@ from .functors import (
     t_map,
     unfold_lifting,
 )
-from .games import Arena, ParitySolution, solve_parity
+from .games import Arena, solve_parity
 from .logic import _fresh
 from .parsing import Cursor
 from .records import Record

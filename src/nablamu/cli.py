@@ -17,13 +17,7 @@ import sys
 
 from .automata import normalize, parse_automaton, render_automaton
 from .automata import accepts as automaton_accepts
-from .coalgebra import (
-    ColoredModel,
-    PointedModel,
-    greatest_bisimulation,
-    parse_model,
-    render_model,
-)
+from .coalgebra import PointedModel, greatest_bisimulation, parse_model, render_model
 from .functors import DEFAULT_CAP, CapExceeded, functor_tag, parse_functor
 from .interpolation import entails, entails_bounded, uniform_interpolant
 from .laxcheck import _selftest_reports

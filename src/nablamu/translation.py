@@ -400,12 +400,11 @@ def _couplings(F: FunctorDescriptor, a, b, join) -> tuple:
         return _couplings(outer, a, b, lambda u, v: _couplings(inner, u, v, join))
     # powerset: every set of joined cells whose projections cover both sides
     cells = [(x, y, z) for x in a for y in b for z in join(x, y)]
-    out = []
-    for bits in itertools.product((False, True), repeat=len(cells)):
-        Z = [cell for cell, keep in zip(cells, bits) if keep]
-        if {x for x, _, _ in Z} == a and {y for _, y, _ in Z} == b:
-            out.append(frozenset(z for _, _, z in Z))
-    return tuple(out)
+    return tuple(
+        frozenset(z for _, _, z in Z)
+        for Z in subsets(cells)
+        if {x for x, _, _ in Z} == a and {y for _, y, _ in Z} == b
+    )
 
 
 def _merge_pair(F: FunctorDescriptor, x, y):
@@ -461,16 +460,15 @@ class _Decomposer:
                     "a conjunction couples two fixpoint computations: "
                     f"{busy} conjuncts carry bound variables"
                 )
-            res = set()
             pools = [self.run(p, c) for p in g.parts]
-            for combo in itertools.product(*pools):
-                cands = (TRUE,)
-                for psi, _ in combo:
-                    cands = tuple(
-                        m for cand in cands for m in _merge_pair(sysm.F, cand, psi)
-                    )
-                r = max((r for _, r in combo), default=0)
-                res.update((cand, r) for cand in cands)
+            res = {(TRUE, 0)} if all(pools) else set()
+            for pool in pools:
+                res = {
+                    (m, max(r, s))
+                    for cand, r in res
+                    for psi, s in pool
+                    for m in _merge_pair(sysm.F, cand, psi)
+                }
             res = frozenset(res)
         else:  # NNabla
             res = frozenset(((g, 0),))
@@ -504,10 +502,9 @@ def formula_to_automaton(
     system = _System(F, to_nnf(f, F))
     dec = _Decomposer(system)
 
-    true_state = (TRUE, 0)
+    true_elems = enumerate_t(F, frozenset(((TRUE, 0),)))
     colors = list(subsets(props))
     initial = (system.root, 0)
-    states = [initial]
     seen = {initial}
     delta = {}
     queue = [initial]
@@ -517,25 +514,18 @@ def formula_to_automaton(
             elems = set()
             for psi, r in dec.run(g, c):
                 if psi == TRUE:
-                    elems.update(enumerate_t(F, frozenset((true_state,))))
+                    elems.update(true_elems)
                 else:
                     elems.add(t_map(F, lambda h: (h, r), psi.payload))
             if elems:
                 delta[((g, k), c)] = elems
-            for t in sorted(elems, key=canon_key):
-                for q in sorted(base(F, t), key=canon_key):
+            for t in elems:
+                for q in base(F, t):
                     if q not in seen:
                         seen.add(q)
-                        states.append(q)
                         queue.append(q)
-    if true_state in seen:
-        full = enumerate_t(F, frozenset((true_state,)))
-        for c in colors:
-            delta[(true_state, c)] = full
-    omega = {q: q[1] for q in states}
-    return Automaton.make(
-        F, props, sorted(states, key=canon_key), initial, omega, delta
-    )
+    omega = {q: q[1] for q in seen}
+    return Automaton.make(F, props, sorted(seen, key=canon_key), initial, omega, delta)
 
 
 # --------------------------------------------------------------------------
@@ -601,7 +591,7 @@ def _reachable_states(aut: Automaton):
         a = queue.pop(0)
         for c in subsets(aut.props):
             for phi in aut.delta_of(a, c):
-                for b in sorted(base(aut.functor, phi), key=canon_key):
+                for b in base(aut.functor, phi):
                     if b not in seen:
                         seen.add(b)
                         queue.append(b)

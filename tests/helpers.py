@@ -720,6 +720,23 @@ def brute_merge_pair(x, y):
     return tuple(sorted(out, key=canon_key))
 
 
+def per_combination_fold(F, pools):
+    """A conjunction's disjuncts from its conjuncts' ``pools`` of
+    ``(obligation, priority)`` pairs: every combination of one pair per pool
+    is merged from TRUE on, with the combination's maximal priority (the
+    decomposition before the conjuncts were folded one pool at a time)."""
+    from nablamu.translation import TRUE, _merge_pair
+
+    res = set()
+    for combo in itertools.product(*pools):
+        cands = (TRUE,)
+        for psi, _ in combo:
+            cands = tuple(m for cand in cands for m in _merge_pair(F, cand, psi))
+        r = max((r for _, r in combo), default=0)
+        res.update((cand, r) for cand in cands)
+    return frozenset(res)
+
+
 # --------------------------------------------------------------------------
 # The character-level reader that ``nablamu.parsing.Cursor`` replaced, kept
 # unchanged as the oracle for the token stream: same results, same errors.

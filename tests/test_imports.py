@@ -1,0 +1,34 @@
+"""Every module of the package reads each name it imports."""
+
+import ast
+from pathlib import Path
+
+import nablamu
+
+PACKAGE = Path(nablamu.__file__).parent
+
+
+def _unread_imports(tree: ast.Module) -> list:
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__ imports names only to export them
+    unread = {
+        path.name: _unread_imports(ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert len(unread) > 1
+    assert not {name: names for name, names in unread.items() if names}

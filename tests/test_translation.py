@@ -1,12 +1,21 @@
 """Formula ⇄ automaton translation: NNF, fragment limits, equivalence."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from formula_corpus import random_guarded_formula
-from helpers import SHAPES, brute_eval_formula, brute_merge_pair, random_automaton
+from formula_corpus import TRANSLATION_CORPUS, random_guarded_formula
+from helpers import (
+    SHAPES,
+    brute_eval_formula,
+    brute_merge_pair,
+    per_combination_fold,
+    random_automaton,
+)
 
 from nablamu import (
     MONOTONE,
@@ -270,6 +279,78 @@ def test_monotone_conjunction_without_a_modal_merge_translates():
     for P in models:
         ext = eval_formula(P.model, f)
         assert accepts(aut, P) == (P.point in ext), P.point
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedFragment as exc:
+        return str(exc)
+
+
+def test_conjunction_fold_matches_the_per_combination_oracle(monkeypatch):
+    # every (conjunction, colour) the translations reach decomposes as the
+    # per-combination fold does, and raises UnsupportedFragment exactly
+    # where it does; a conjunction with two busy conjuncts raises before
+    # its conjuncts run, so it is left to the decomposer
+    run = translation._Decomposer.run
+    compared = set()
+
+    def checked(self, g, c):
+        F = self.system.F
+        if (
+            not isinstance(g, NAnd)
+            or (g, c) in self.memo
+            or sum(1 for p in g.parts if nnf_free_vars(F, p)) > 1
+        ):
+            return run(self, g, c)
+        pools = [self.run(p, c) for p in g.parts]
+        want = _outcome(per_combination_fold, F, pools)
+        got = _outcome(run, self, g, c)
+        assert got == want, (g, c)
+        compared.add((F.kind, isinstance(got, str)))
+        if isinstance(got, str):
+            raise UnsupportedFragment(got)
+        return got
+
+    monkeypatch.setattr(translation._Decomposer, "run", checked)
+    cases = [(pf(src), POWERSET, None) for src in TRANSLATION_CORPUS]
+    for F in SHAPES.values():
+        rng = random.Random(7)
+        cases += [
+            (random_guarded_formula(rng, F, ("p", "q"), 4), F, ("p", "q"))
+            for _ in range(60)
+        ]
+    for f, F, props in cases:
+        try:
+            formula_to_automaton(f, F, props)
+        except UnsupportedFragment:
+            pass
+    assert {kind for kind, _ in compared} == {F.kind for F in SHAPES.values()}
+    assert ("monotone", True) in compared
+
+
+def test_conjunction_with_an_empty_pool_merges_nothing():
+    # p /\ ~p has no disjunct under any colour, so the two modal conjuncts
+    # are never merged and monotone needs no distributive law; the fold
+    # meets the conjuncts in hash order, so each seed runs in its own process
+    code = (
+        "import sys\n"
+        "from nablamu import MONOTONE, formula_to_automaton, parse_formula\n"
+        "aut = formula_to_automaton(parse_formula(sys.argv[1], MONOTONE))\n"
+        "print(len(aut.states), len(aut.delta))\n"
+    )
+    src = "((nabla {{q}} /\\ nabla {{p}}) /\\ (p /\\ ~p))"
+    for seed in "0123":
+        done = subprocess.run(
+            [sys.executable, "-c", code, src],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            timeout=60,
+        )
+        assert done.returncode == 0, (seed, done.stderr)
+        assert done.stdout.split() == ["1", "0"], seed
 
 
 # --------------------------------------------------------------------------
