@@ -3,8 +3,9 @@
 
 Starting from a formula with a distinguished proposition p, the script builds
 the equivalent automaton, hides p by normalizing and merging transition
-cells, then scans every small model over the reduced vocabulary: for each one
-the projected automaton accepts, it reconstructs a full model that restores p
+cells, then scans every small model over the reduced vocabulary, one per
+code tuple, so isomorphic copies each get a turn: for each one the
+projected automaton accepts, it reconstructs a full model that restores p
 — bisimilar to the accepted model apart from p and accepted by the original
 automaton — and prints the first few witnesses in full.
 """
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from nablamu import (
-    canonical_pointed_models,
+    PointedModel,
     free_props,
     parse_formula,
     parse_functor,
@@ -23,8 +24,20 @@ from nablamu import (
 )
 from nablamu.automata import accepts, normalize
 from nablamu.cli import _positive
+from nablamu.coalgebra import CodeSweep
 from nablamu.projection import construct_projection_witness, project_automaton
 from nablamu.translation import automaton_to_formula, formula_to_automaton
+
+
+def _pointed_models(F, props, max_states):
+    """Every pointed model of every code tuple with at most ``max_states``
+    states, smallest first."""
+    for n in range(1, max_states + 1):
+        sweep = CodeSweep(F, props, n)
+        for m in range(sweep.radix**n):
+            M = sweep.model(sweep.decode(m))
+            for s in M.states:
+                yield PointedModel(M, s)
 
 
 def main(argv=None) -> int:
@@ -63,9 +76,9 @@ def main(argv=None) -> int:
     print(f"reads back as  {render_formula(automaton_to_formula(proj))}")
     print()
 
-    visible = tuple(q for q in free_props(f) if q != args.hide)
+    visible = tuple(sorted(free_props(f) - {args.hide}))
     shown = accepted = scanned = 0
-    for P in canonical_pointed_models(F, visible, args.max_model_size):
+    for P in _pointed_models(F, visible, args.max_model_size):
         scanned += 1
         if not accepts(proj, P):
             continue

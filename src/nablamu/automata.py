@@ -14,10 +14,7 @@ the same winners as the one where the existential player picks Z outright.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from types import MappingProxyType
-
-from .coalgebra import CodeSweep, ColoredModel, PointedModel, canonical_codes
+from .coalgebra import CodeSweep, ColoredModel, PointedModel
 from .coalgebra import coproduct as model_coproduct
 from .functors import (
     FunctorDescriptor,
@@ -25,6 +22,7 @@ from .functors import (
     canon_key,
     enumerate_t,
     functor_tag,
+    lift_bits,
     lift_member,
     parse_functor,
     parse_telem,
@@ -34,7 +32,7 @@ from .functors import (
     unfold_lifting,
 )
 from .games import Arena, solve_parity
-from .logic import _fresh
+from .logic import _eval_bits, _fresh
 from .parsing import Cursor
 from .records import Record
 
@@ -302,42 +300,78 @@ def _elements(aut: Automaton) -> list:
     return list(dict.fromkeys(phi for _, elems in aut.delta for phi in elems))
 
 
-@lru_cache(maxsize=32)
-def bounded_realizations(aut: Automaton, bound: int) -> MappingProxyType:
+def bounded_realizations(aut: Automaton, bound: int) -> dict:
     """The first model realization of each transition element, if any.
 
-    Sweeps the canonical models of at most ``bound`` states over the
-    automaton's vocabulary once, in order, building each from its code only
-    when the sweep reaches it, and maps each element φ to the
-    first ``(M, τ, Z)`` found: ``τ ∈ T(M.states)`` whose lifting of the
-    winning pairs W of the acceptance game on ``M`` reaches φ, and
-    ``Z = W ∩ (base(τ) × base(φ))``, a frozenset of (model state, automaton
-    state) pairs.  By support restriction that Z is a witness for ``(τ, φ)``
-    inside W.  Elements no such model realizes map to ``None``.  The sweep
-    stops as soon as every element is realized.
+    Sweeps the models of at most ``bound`` states over the automaton's
+    vocabulary, size by size while some element is unrealized, on the tuple
+    views of ``entails_bounded`` (``interpolation._tuple_views``).  The
+    column of an automaton state b, the states of every tuple from which
+    the automaton rooted at b accepts, is the extension of that automaton's
+    formula (:func:`translation.automaton_to_formula`) on the view.  A
+    tuple's model realizes φ iff some τ ∈ T(n) lifts its winning pairs to
+    φ, so the tuples realizing φ are the OR over τ of ``lift_bits(F, τ, φ,
+    atom, full)``, where ``atom(t, b)`` is t's row of b's column.
+
+    Each element φ maps to ``(M, τ, Z)`` read off the model M of the least
+    tuple realizing it, the only models built: τ is the first element of
+    ``T(M.states)`` whose lifting of the winning pairs W of the acceptance
+    game on M reaches φ, and ``Z = W ∩ (base(τ) × base(φ))``, a frozenset
+    of (model state, automaton state) pairs.  By support restriction that
+    Z is a witness for ``(τ, φ)`` inside W.  Realizability is invariant
+    under relabeling, so that tuple is the least of its isomorphism class.
+    Elements no such model realizes map to ``None``.
 
     Used only where a monotone part is present (see :func:`_realizations`).
     """
+    from .interpolation import _tuple_views
+    from .translation import automaton_to_formula
+
     F = aut.functor
     found = dict.fromkeys(_elements(aut))
     todo = list(found)
+    formula_of = {
+        b: automaton_to_formula(Automaton(F, aut.props, aut.states, b, aut.omega, aut.delta))
+        for b in {b for phi in todo for b in base(F, phi)}
+    }
     for n in range(1, bound + 1):
-        # every n-state canonical model has the states s0 … s{n−1}
-        taus = enumerate_t(F, frozenset(f"s{i}" for i in range(n)))
-        sweep = canonical_codes(F, aut.props, n)
-        for code in sweep.codes:
-            if not todo:
-                return MappingProxyType(found)
-            M = sweep.model(code)
-            W = winning_pairs(aut, M)
+        if not todo:
+            break
+        first = {}  # φ ↦ the number of the least n-state tuple realizing it
+        for view in _tuple_views(F, aut.props, n):
+            sweep, count = view.sweep, view.count
+            full = (1 << count) - 1
+            cols = {}  # b ↦ per model state x, the tuples where (x, b) is won
+            for b, f in formula_of.items():
+                ext = _eval_bits(view, f, {})
+                cols[b] = [ext >> x * count & full for x in range(n)]
+
+            def atom(t, b):
+                return cols[b][sweep.index[t]]
+
             for phi in todo:
-                tau = next((t for t in taus if lift_member(F, W, t, phi)), None)
-                if tau is not None:
-                    dom, cod = base(F, tau), base(F, phi)
-                    Z = frozenset((t, b) for t, b in W if t in dom and b in cod)
-                    found[phi] = (M, tau, Z)
-            todo = [phi for phi in todo if found[phi] is None]
-    return MappingProxyType(found)
+                hits = 0
+                for tau in sweep.elems:
+                    hits |= lift_bits(F, tau, phi, atom, full)
+                if hits:
+                    first[phi] = view.start + (hits & -hits).bit_length() - 1
+            todo = [phi for phi in todo if phi not in first]
+            if not todo:
+                break
+        taus = enumerate_t(F, frozenset(sweep.states))
+        games = {}  # tuple number ↦ its model and winning pairs
+        for phi, m in first.items():
+            if m not in games:
+                M = sweep.model(sweep.decode(m))
+                games[m] = M, winning_pairs(aut, M)
+            M, W = games[m]
+            tau = next((t for t in taus if lift_member(F, W, t, phi)), None)
+            if tau is None:
+                raise AssertionError("the realizing tuple's game lifts no τ to φ")
+            dom, cod = base(F, tau), base(F, phi)
+            Z = frozenset((t, b) for t, b in W if t in dom and b in cod)
+            found[phi] = (M, tau, Z)
+    return found
 
 
 def _realizations(aut: Automaton, bound: int):

@@ -9,11 +9,6 @@ liftings makes the single-direction condition self-dual.
 
 from __future__ import annotations
 
-import itertools
-import math
-from functools import lru_cache
-from operator import mul
-
 from .functors import (
     DEFAULT_CAP,
     CapExceeded,
@@ -323,15 +318,14 @@ class CodeSweep:
     len(colorings)]`` and the coloring ``gamma_of(v) = colorings[v %
     len(colorings)]``, and a model is the tuple of its states' codes, or
     the number m < radix^n whose digit of place value ``places[i]`` is the
-    code of state i (:meth:`decode`).  ``codes`` holds the tuples
-    :func:`canonical_codes` keeps, one per isomorphism class in model
-    order, and is empty in a sweep built directly, which only decodes
-    tuples.  ``index`` maps each state to its position.  Raises
+    code of state i (:meth:`decode`).  Code tuples compare as the tuples of
+    their states' (rendered successor structure, sorted colors) pairs do.
+    ``index`` maps each state to its position.  Raises
     CapExceeded, before ordering any element, past ``DEFAULT_CAP`` tuples.
     """
 
     __slots__ = ("functor", "props", "states", "elems", "colorings", "radix",
-                 "places", "codes", "index", "sigma_of", "gamma_of")
+                 "places", "index", "sigma_of", "gamma_of")
 
     def __init__(self, functor: FunctorDescriptor, props: tuple, n: int):
         states = tuple(f"s{i}" for i in range(n))
@@ -346,7 +340,7 @@ class CodeSweep:
         elems = tuple(sorted(elems, key=lambda t: render_telem(functor, t)))
         colorings = tuple(sorted(subsets(props), key=sorted))
         self.functor, self.props, self.states = functor, props, states
-        self.elems, self.colorings, self.codes = elems, colorings, ()
+        self.elems, self.colorings = elems, colorings
         self.places = [radix ** (n - 1 - i) for i in range(n)]
         self.index = {s: i for i, s in enumerate(states)}
         self.sigma_of = [t for t in elems for _ in range(width)].__getitem__
@@ -372,96 +366,6 @@ class CodeSweep:
         (bit v for code v)."""
         width = len(self.colorings)
         return ((1 << width) - 1) << r * width
-
-
-@lru_cache(maxsize=32)
-def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> CodeSweep:
-    """The ``n``-state models over ``F`` and ``props``, one per isomorphism
-    class, as code tuples (:class:`CodeSweep`), in increasing order.
-
-    A state's code is the rank of its successor structure by rendering,
-    times the number of colorings, plus the rank of its coloring by sorted
-    names, so code tuples compare exactly as the keys of
-    :func:`canonical_models` do.  Each kept tuple is the least of its class.
-
-    Read as mixed-radix integers, the code tuples are walked in increasing
-    order with orbit marking (McKay, *Isomorph-free exhaustive generation*,
-    J. Algorithms 1998): a combination not yet marked is the least of its
-    class, as every smaller class has been marked already, so it is kept
-    and its relabelings are marked, in a mark array of one byte per
-    combination.  Marking applies the n! − 1 non-identity permutations to
-    the kept code, so each runs once per kept class, not once per
-    combination; where that could cost more than twice the combinations
-    (few codes, many states, as for a constant functor), a transposition and
-    an n-cycle are applied to each newly marked code until the class is
-    closed instead.  Raises CapExceeded when there are more than
-    ``DEFAULT_CAP`` combinations to walk (:class:`CodeSweep`), which also
-    bounds the mark array.  This is the one cache of the enumeration:
-    models are built from it on demand.
-    """
-    props = tuple(sorted(props))
-    sweep = CodeSweep(F, props, n)
-    states, elems, radix = sweep.states, sweep.elems, sweep.radix
-    width, places, decode = len(sweep.colorings), sweep.places, sweep.decode
-    rank = {t: r for r, t in enumerate(elems)}
-    # There are at most B(B+1)…(B+n−1)/n! classes for B = radix, as many as
-    # multisets of codes (reached by a constant functor), so marking by
-    # every permutation makes up to B(B+1)…(B+n−1) relabelings; closing
-    # each class under two generators of the permutations makes 2·B^n.
-    closed = math.prod(range(radix, radix + n)) > 2 * radix**n
-    perms = itertools.islice(itertools.permutations(range(n)), 1, None)
-    if closed:
-        perms = ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))
-    # Per permutation π: the table c ↦ code of c relabeled by π, and the
-    # weight of each state's relabeled code, that of its target position π(i).
-    relabelings = []
-    for perm in perms:
-        pi = {states[i]: states[j] for i, j in enumerate(perm)}
-        table = [rank[t_map(F, pi, t)] * width + c for t in elems for c in range(width)]
-        relabelings.append((table.__getitem__, [places[j] for j in perm]))
-    marked = bytearray(radix**n)
-    out = []
-    index = marked.find(0)
-    while index >= 0:
-        code = decode(index)
-        out.append(code)
-        marked[index] = 1
-        stack = [code]
-        while stack:
-            code = stack.pop()
-            for table, weights in relabelings:
-                image = sum(map(mul, map(table, code), weights))
-                if not marked[image]:
-                    marked[image] = 1
-                    if closed:
-                        stack.append(decode(image))
-        index = marked.find(0, index + 1)
-    sweep.codes = tuple(out)
-    return sweep
-
-
-def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
-    """All ``n``-state models over ``F`` and ``props``, one per isomorphism class.
-
-    States are named ``s0 … s{n−1}`` and each returned model is the least
-    relabeling of its class, so repeated calls are deterministic.  Models
-    are ordered by their key, the tuple of ``(render_telem(σ(s)),
-    sorted(γ(s)))`` over the states in order.  They are built, without
-    re-validation, from the cached code tuples of :func:`canonical_codes`,
-    which also raises CapExceeded past the enumeration cap; equal calls
-    return equal (not identical) models.
-    """
-    sweep = canonical_codes(F, tuple(sorted(props)), n)
-    return tuple(map(sweep.model, sweep.codes))
-
-
-def canonical_pointed_models(F: FunctorDescriptor, props: tuple, max_states: int):
-    """Every pointed model with at most ``max_states`` states, up to isomorphism."""
-    out = []
-    for n in range(1, max_states + 1):
-        for M in canonical_models(F, tuple(sorted(props)), n):
-            out.extend(PointedModel(M, s) for s in M.states)
-    return out
 
 
 def random_model(F: FunctorDescriptor, props, n: int, rng) -> ColoredModel:

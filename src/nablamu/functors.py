@@ -26,6 +26,7 @@ whenever ``U ⊆ X``, and equality of elements is payload equality.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from itertools import chain, repeat
 
@@ -202,17 +203,22 @@ def subsets(xs):
 
 
 def _antichains(xs: tuple, cap: int):
-    """All ⊆-antichains of subsets of ``xs`` (generators of upward-closed families)."""
+    """All ⊆-antichains of subsets of ``xs`` (generators of upward-closed families).
+
+    Raises CapExceeded past ``cap`` antichains, up front when every family of
+    middle-layer subsets, an antichain each, already exceeds it.
+    """
+    k = len(xs)
+    too_many = f"more than {cap} monotone neighborhood elements over a {k}-element carrier"
+    if 2 ** math.comb(k, k // 2) > cap:
+        raise CapExceeded(too_many)
     subs = list(subsets(xs))
     out = []
 
     def rec(i: int, chosen: list):
         if i == len(subs):
             if len(out) >= cap:
-                raise CapExceeded(
-                    f"more than {cap} monotone neighborhood elements over a "
-                    f"{len(xs)}-element carrier"
-                )
+                raise CapExceeded(too_many)
             out.append(frozenset(chosen))
             return
         rec(i + 1, chosen)

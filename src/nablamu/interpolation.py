@@ -204,12 +204,10 @@ def entails_bounded(
     Boolean operations, fixpoint iteration and the view's ∇ rule all work
     on each tuple's bits as they would on that model alone.
 
-    The countermodel is the first point of ``canonical_pointed_models``
-    satisfying ``a ∧ ¬b``: the lowest tuple with a set bit, decoded, and
+    The countermodel is the lowest tuple with a set bit, decoded, and
     pointed at its lowest such state.  Satisfaction is invariant under
-    relabeling, so the least tuple with a satisfying state is the least of
-    its isomorphism class, which is the tuple ``canonical_codes`` keeps for
-    it; every smaller kept tuple has no satisfying state.  The sweep stops
+    relabeling, so that tuple is the least of its isomorphism class, and
+    no smaller class has a point satisfying ``a ∧ ¬b``.  The sweep stops
     at the slice holding it and builds that model, and no other.  Sizes
     past the countermodel are never swept; a size beyond the enumeration
     cap raises CapExceeded when the sweep reaches it.

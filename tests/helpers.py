@@ -6,9 +6,12 @@ optimized library code.
 """
 
 import itertools
+import math
 import string
 import sys
 from collections import deque
+from functools import lru_cache
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -24,6 +27,7 @@ from nablamu import (
     compose,
     constant,
     coproduct,
+    enumerate_t,
     eval_formula,
     formula_to_automaton,
     free_props,
@@ -35,7 +39,7 @@ from nablamu import (
     t_map,
 )
 from nablamu import laxcheck
-from nablamu.coalgebra import canonical_codes
+from nablamu.coalgebra import CodeSweep
 from nablamu.functors import _FnPairs
 from nablamu.parsing import ParseError
 
@@ -213,6 +217,135 @@ def full_family_lift(R, fam1, fam2):
     return clause1 and clause2
 
 
+@lru_cache(maxsize=32)
+def canonical_codes(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
+    """The ``n``-state models over ``F`` and ``props``, one per isomorphism
+    class, as ``(sweep, codes)``: the :class:`~nablamu.coalgebra.CodeSweep`
+    and its code tuples, in increasing order.
+
+    A state's code is the rank of its successor structure by rendering,
+    times the number of colorings, plus the rank of its coloring by sorted
+    names, so code tuples compare exactly as the keys of
+    :func:`canonical_models` do.  Each kept tuple is the least of its class.
+
+    Read as mixed-radix integers, the code tuples are walked in increasing
+    order with orbit marking (McKay, *Isomorph-free exhaustive generation*,
+    J. Algorithms 1998): a combination not yet marked is the least of its
+    class, as every smaller class has been marked already, so it is kept
+    and its relabelings are marked, in a mark array of one byte per
+    combination.  Marking applies the n! − 1 non-identity permutations to
+    the kept code, so each runs once per kept class, not once per
+    combination; where that could cost more than twice the combinations
+    (few codes, many states, as for a constant functor), a transposition and
+    an n-cycle are applied to each newly marked code until the class is
+    closed instead.  Raises CapExceeded when there are more than
+    ``DEFAULT_CAP`` combinations to walk (``CodeSweep``), which also
+    bounds the mark array.  This is the one cache of the enumeration:
+    models are built from it on demand.
+    """
+    props = tuple(sorted(props))
+    sweep = CodeSweep(F, props, n)
+    states, elems, radix = sweep.states, sweep.elems, sweep.radix
+    width, places, decode = len(sweep.colorings), sweep.places, sweep.decode
+    rank = {t: r for r, t in enumerate(elems)}
+    # There are at most B(B+1)…(B+n−1)/n! classes for B = radix, as many as
+    # multisets of codes (reached by a constant functor), so marking by
+    # every permutation makes up to B(B+1)…(B+n−1) relabelings; closing
+    # each class under two generators of the permutations makes 2·B^n.
+    closed = math.prod(range(radix, radix + n)) > 2 * radix**n
+    perms = itertools.islice(itertools.permutations(range(n)), 1, None)
+    if closed:
+        perms = ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))
+    # Per permutation π: the table c ↦ code of c relabeled by π, and the
+    # weight of each state's relabeled code, that of its target position π(i).
+    relabelings = []
+    for perm in perms:
+        pi = {states[i]: states[j] for i, j in enumerate(perm)}
+        table = [rank[t_map(F, pi, t)] * width + c for t in elems for c in range(width)]
+        relabelings.append((table.__getitem__, [places[j] for j in perm]))
+    marked = bytearray(radix**n)
+    out = []
+    index = marked.find(0)
+    while index >= 0:
+        code = decode(index)
+        out.append(code)
+        marked[index] = 1
+        stack = [code]
+        while stack:
+            code = stack.pop()
+            for table, weights in relabelings:
+                image = sum(map(mul, map(table, code), weights))
+                if not marked[image]:
+                    marked[image] = 1
+                    if closed:
+                        stack.append(decode(image))
+        index = marked.find(0, index + 1)
+    return sweep, tuple(out)
+
+
+def canonical_models(F: FunctorDescriptor, props: tuple, n: int) -> tuple:
+    """All ``n``-state models over ``F`` and ``props``, one per isomorphism class.
+
+    States are named ``s0 … s{n−1}`` and each returned model is the least
+    relabeling of its class, so repeated calls are deterministic.  Models
+    are ordered by their key, the tuple of ``(render_telem(σ(s)),
+    sorted(γ(s)))`` over the states in order.  They are built, without
+    re-validation, from the cached code tuples of :func:`canonical_codes`,
+    which also raises CapExceeded past the enumeration cap; equal calls
+    return equal (not identical) models.
+    """
+    sweep, codes = canonical_codes(F, tuple(sorted(props)), n)
+    return tuple(map(sweep.model, codes))
+
+
+def canonical_pointed_models(F: FunctorDescriptor, props: tuple, max_states: int):
+    """Every pointed model with at most ``max_states`` states, up to isomorphism."""
+    out = []
+    for n in range(1, max_states + 1):
+        for M in canonical_models(F, tuple(sorted(props)), n):
+            out.extend(PointedModel(M, s) for s in M.states)
+    return out
+
+
+def per_model_realizations(aut, bound):
+    """The first model realization of each transition element, by one
+    acceptance game per isomorphism class: the oracle for
+    ``automata.bounded_realizations``, which reads every code tuple of a
+    size on one bitset view instead.
+
+    Sweeps the canonical models of at most ``bound`` states over the
+    automaton's vocabulary once, in order, building each from its code only
+    when the sweep reaches it, and maps each element φ to the
+    first ``(M, τ, Z)`` found: ``τ ∈ T(M.states)`` whose lifting of the
+    winning pairs W of the acceptance game on ``M`` reaches φ, and
+    ``Z = W ∩ (base(τ) × base(φ))``, a frozenset of (model state, automaton
+    state) pairs.  Elements no such model realizes map to ``None``.  The
+    sweep stops as soon as every element is realized.
+    """
+    from nablamu.automata import _elements, winning_pairs
+
+    F = aut.functor
+    found = dict.fromkeys(_elements(aut))
+    todo = list(found)
+    for n in range(1, bound + 1):
+        # every n-state canonical model has the states s0 … s{n−1}
+        taus = enumerate_t(F, frozenset(f"s{i}" for i in range(n)))
+        sweep, codes = canonical_codes(F, aut.props, n)
+        for code in codes:
+            if not todo:
+                return found
+            M = sweep.model(code)
+            W = winning_pairs(aut, M)
+            for phi in todo:
+                tau = next((t for t in taus if lift_member(F, W, t, phi)), None)
+                if tau is not None:
+                    dom, cod = base(F, tau), base(F, phi)
+                    Z = frozenset((t, b) for t, b in W if t in dom and b in cod)
+                    found[phi] = (M, tau, Z)
+            todo = [phi for phi in todo if found[phi] is None]
+    return found
+
+
 def brute_canonical_models(F, props, n):
     """Every ``n``-state model over ``F`` and ``props``, one per isomorphism
     class, by relabeling each combination under every state permutation and
@@ -261,8 +394,8 @@ def brute_entails_bounded(a, b, max_states=3, functor=None):
     props = tuple(sorted(set(free_props(a)) | set(free_props(b))))
     witness = mk_and(a, mk_neg(b))
     for n in range(1, max_states + 1):
-        sweep = canonical_codes(F, props, n)
-        for code in sweep.codes:
+        sweep, codes = canonical_codes(F, props, n)
+        for code in codes:
             M = sweep.model(code)
             ext = eval_formula(M, witness)
             for s in M.states:

@@ -24,6 +24,8 @@ from formula_corpus import (
     random_guarded_formula,
 )
 from helpers import (
+    canonical_models,
+    canonical_pointed_models,
     expand_family,
     full_family_lift,
     oracle_winners,
@@ -40,8 +42,6 @@ from nablamu import (
     ColoredModel,
     PointedModel,
     UnsupportedFragment,
-    canonical_models,
-    canonical_pointed_models,
     check_lax_axioms,
     check_support_restriction,
     compose,

@@ -5,19 +5,22 @@ from pathlib import Path
 
 import pytest
 
-from helpers import SHAPES, brute_winning_pairs, random_automaton
+from helpers import SHAPES, brute_winning_pairs, per_model_realizations, random_automaton
 
 from nablamu import (
     MONOTONE,
     POWERSET,
+    CapExceeded,
     ColoredModel,
     ParseError,
     PointedModel,
+    compose,
     enumerate_t,
     eval_formula,
     greatest_bisimulation,
     lift_member,
     parse_formula,
+    product,
     random_model,
 )
 from nablamu.games import Arena
@@ -481,6 +484,37 @@ def test_game_pruning_matches_bounded_sweep():
                     kept += swept
                     dropped += not swept
     assert (kept, dropped) == (95, 6)
+
+
+# (functor, bound, automata per vocabulary, seed).  comp(monotone,powerset)
+# draws from seed 0: seed 11 gives it elements no 2-state model realizes, where
+# the per-model sweep plays one game per isomorphism class, about 56,000 over
+# p (110 s) and more over p, q, while the tuple views take about a second
+REALIZATION_CASES = {
+    **{name: (F, 2 if name == "comp" else 3, 4, 11) for name, F in SHAPES.items()},
+    "product(monotone,powerset)": (product(MONOTONE, POWERSET), 3, 2, 11),
+    "comp(monotone,powerset)": (compose(MONOTONE, POWERSET), 2, 2, 0),
+}
+
+
+def _realizations_or_cap(fn, aut, bound):
+    try:
+        return fn(aut, bound)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(REALIZATION_CASES))
+def test_bounded_realizations_match_the_per_model_sweep(name):
+    # the tuple views find each element's first realizing model, τ and Z, or
+    # the cap, exactly where one game per isomorphism class does
+    F, bound, count, seed = REALIZATION_CASES[name]
+    rng = random.Random(seed)
+    for props in (("p",), ("p", "q")):
+        for _ in range(count):
+            aut = random_automaton(F, props, rng)
+            got = _realizations_or_cap(bounded_realizations, aut, bound)
+            assert got == _realizations_or_cap(per_model_realizations, aut, bound), aut
 
 
 def test_monotone_keeps_element_with_dead_base_state():

@@ -29,9 +29,6 @@ def test_every_lru_cache_is_bounded():
     assert not unbounded, unbounded
 
 
-def test_the_model_enumeration_is_cached_once():
-    # the code tuples are cached; the models built from them are not
-    found = dict(_lru_wrappers())
-    enumeration = [q for q in found if q.startswith("nablamu.coalgebra.canonical_")]
-    assert enumeration == ["nablamu.coalgebra.canonical_codes"], enumeration
-    assert found[enumeration[0]].cache_parameters()["maxsize"] is not None
+def test_the_only_cache_is_the_member_sort():
+    # the sweeps build what they read per call; only payload members are memoized
+    assert list(dict(_lru_wrappers())) == ["nablamu.functors._members"]

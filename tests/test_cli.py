@@ -5,16 +5,18 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from helpers import canonical_pointed_models
 
 import nablamu.cli as cli
 from nablamu import (
     IDENTITY,
     MONOTONE,
     POWERSET,
-    canonical_pointed_models,
     parse_formula,
     parse_model,
     render_formula,
@@ -436,6 +438,32 @@ def test_automaton_normalize_roundtrips(write, capsys):
     assert len(normed.states) == len(CELL_AUT.states) + 1
 
 
+# an element no model realizes: a0 loops through itself at odd priority
+ODD_MONOTONE_LOOP = """functor monotone;
+props {};
+initial a0;
+state a0 priority 1;
+delta a0 {} : [{{a0}}];
+"""
+
+
+def test_realizability_sweep_past_the_cap_exits_2(write, capsys):
+    # the unrealized element sends the monotone sweep on to 4 states, whose
+    # 168^4 combinations exceed the cap
+    aut = write("odd.aut", ODD_MONOTONE_LOOP)
+    code, out, err = run(capsys, "automaton", "normalize", aut, "--witness-bound", "4")
+    assert code == 2 and out == ""
+    assert "4-state combinations to sweep exceed the cap" in err
+
+
+def test_realized_elements_end_the_sweep_before_the_cap(write, capsys):
+    # at even priority one state realizes every element, so bound 4 is never swept
+    aut = write("even.aut", ODD_MONOTONE_LOOP.replace("priority 1", "priority 0"))
+    code, out, err = run(capsys, "automaton", "normalize", aut, "--witness-bound", "4")
+    assert code == 0 and err == ""
+    assert run(capsys, "automaton", "normalize", aut, "--witness-bound", "3") == (code, out, err)
+
+
 # --------------------------------------------------------------------------
 # to-automaton, interpolate, entails
 
@@ -549,6 +577,23 @@ def test_entails_beyond_the_enumeration_cap_exits_2(capsys):
     # whose 16^4 · 4^4 combinations exceed the cap
     code, out, err = run(capsys, "entails", "(p /\\ q)", "p", "--max-model-size", "4")
     assert code == 2 and out == "" and "cap" in err
+
+
+def test_entails_refuses_a_huge_monotone_carrier_at_once():
+    # the 3-state sweep reads monotone families over the 8 subsets of 3
+    # states; the 2^70 families of their 4-element sets, antichains all,
+    # exceed the cap before any antichain is enumerated
+    argv = ["entails", "nabla {{{p}}}", "nabla {{{p}}}", "--functor", "comp(monotone,powerset)"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "nablamu.cli", *argv], capture_output=True, timeout=60
+    )
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr == (
+        b"error: more than 1000000 monotone neighborhood elements over a "
+        b"8-element carrier\n"
+    )
 
 
 def test_entails_refutes_past_the_max_model_size(capsys):

@@ -12,8 +12,6 @@ from nablamu import (
     CapExceeded,
     ColoredModel,
     PointedModel,
-    canonical_models,
-    canonical_pointed_models,
     compose,
     constant,
     coproduct,
@@ -32,7 +30,7 @@ from nablamu.coalgebra import CodeSweep
 from nablamu.functors import DEFAULT_CAP, enumerate_t
 from nablamu.parsing import ParseError
 
-from helpers import SHAPES
+from helpers import SHAPES, canonical_models, canonical_pointed_models
 
 fs = frozenset
 

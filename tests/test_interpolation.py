@@ -16,6 +16,9 @@ from helpers import (
     SHAPES,
     brute_entails_bounded,
     brute_eval_formula,
+    canonical_codes,
+    canonical_models,
+    canonical_pointed_models,
     iterated_interpolant,
 )
 
@@ -27,8 +30,6 @@ from nablamu import (
     TOP,
     CapExceeded,
     PointedModel,
-    canonical_models,
-    canonical_pointed_models,
     compose,
     eval_formula,
     free_props,
@@ -42,7 +43,7 @@ from nablamu import (
 )
 from nablamu import interpolation
 from nablamu.automata import nonemptiness_game, normalize
-from nablamu.coalgebra import CodeSweep, ColoredModel, canonical_codes
+from nablamu.coalgebra import CodeSweep, ColoredModel
 from nablamu.interpolation import (
     entails,
     entails_bounded,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import SHAPES, random_automaton
+from helpers import SHAPES, canonical_pointed_models, random_automaton
 
 from nablamu import (
     IDENTITY,
@@ -13,7 +13,6 @@ from nablamu import (
     ColoredModel,
     PointedModel,
     base,
-    canonical_pointed_models,
     compose,
     constant,
     coproduct,

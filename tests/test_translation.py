@@ -13,6 +13,8 @@ from helpers import (
     SHAPES,
     brute_eval_formula,
     brute_merge_pair,
+    canonical_models,
+    canonical_pointed_models,
     per_combination_fold,
     random_automaton,
 )
@@ -23,8 +25,6 @@ from nablamu import (
     ColoredModel,
     PointedModel,
     canon_key,
-    canonical_models,
-    canonical_pointed_models,
     eval_formula,
     is_guarded,
     parse_formula,
