@@ -10,6 +10,12 @@ disjunct, and an atom (t, b) ∈ Z continues the play at that pair.  Priorities 
 at the paired positions and the maximal priority seen infinitely often
 decides the play.  Since every lifting here is monotone in Z, this game has
 the same winners as the one where the existential player picks Z outright.
+
+:func:`accepts` and :func:`winning_pairs` do not build the game: they read
+its winners off the automaton's parity fixpoint on the model's bitset view
+(:func:`_winning_columns`).  The arena (:func:`build_arena`,
+:func:`acceptance_game`) remains wherever a strategy is read, as in
+projection's witness reconstruction, and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .functors import (
     unfold_lifting,
 )
 from .games import Arena, solve_parity
-from .logic import _eval_bits, _fresh
+from .logic import Nabla, _bits, _BitView, _eval_bits, _fresh
 from .parsing import Cursor
 from .records import Record
 
@@ -78,30 +84,37 @@ class Automaton(Record):
             for t in elems:
                 if not base(self.functor, t) <= state_set:
                     raise ValueError("transition element leaves the state set")
+        self._add_lookups()
+
+    def _add_lookups(self):
         object.__setattr__(self, "_delta", dict(self.delta))
         object.__setattr__(
             self, "_omega", {s: k for s, k in zip(self.states, self.omega)}
         )
 
+    @classmethod
+    def _unchecked(cls, functor, props, states, initial, omega, delta) -> "Automaton":
+        """The automaton with these fields, built without ``__post_init__``'s
+        checks: for the package's own builders, whose automata are valid by
+        construction.  :func:`parse_automaton` and direct construction still
+        validate."""
+        aut = object.__new__(cls)
+        aut.__dict__.update(
+            functor=functor,
+            props=props,
+            states=states,
+            initial=initial,
+            omega=omega,
+            delta=delta,
+        )
+        aut._add_lookups()
+        return aut
+
     @staticmethod
     def make(functor, props, states, initial, omega: dict, delta: dict) -> "Automaton":
-        """Build an automaton from dicts, normalizing the cell layout."""
-        props = tuple(sorted(set(props)))
-        states = tuple(states)
-        cells = []
-        for (a, c), elems in delta.items():
-            elems = tuple(sorted(set(elems), key=canon_key))
-            if elems:
-                cells.append(((a, frozenset(c)), elems))
-        cells.sort(key=lambda cell: (canon_key(cell[0][0]), canon_key(cell[0][1])))
-        return Automaton(
-            functor,
-            props,
-            states,
-            initial,
-            tuple(omega[a] for a in states),
-            tuple(cells),
-        )
+        """Build an automaton from dicts, normalizing the cell layout, and
+        validate it."""
+        return Automaton(*_layout(functor, props, states, initial, omega, delta))
 
     def delta_of(self, a, c) -> tuple:
         return self._delta.get((a, frozenset(c)), ())
@@ -112,6 +125,26 @@ class Automaton(Record):
     def color_of(self, gamma) -> frozenset:
         """The cell color read from a model state's color set."""
         return frozenset(gamma) & frozenset(self.props)
+
+
+def _layout(functor, props, states, initial, omega: dict, delta: dict) -> tuple:
+    """The fields of :meth:`Automaton.make`'s automaton: sorted props, and
+    the nonempty cells with their elements in canonical order."""
+    props = tuple(sorted(set(props)))
+    states = tuple(states)
+    cells = []
+    for (a, c), elems in delta.items():
+        elems = tuple(sorted(set(elems), key=canon_key))
+        if elems:
+            cells.append(((a, frozenset(c)), elems))
+    cells.sort(key=lambda cell: (canon_key(cell[0][0]), canon_key(cell[0][1])))
+    return functor, props, states, initial, tuple(omega[a] for a in states), tuple(cells)
+
+
+def _built(functor, props, states, initial, omega: dict, delta: dict) -> Automaton:
+    """:meth:`Automaton.make` without the checks, for the package's own
+    builders (translation, true state, pruning, projection)."""
+    return Automaton._unchecked(*_layout(functor, props, states, initial, omega, delta))
 
 
 # --------------------------------------------------------------------------
@@ -205,19 +238,135 @@ def acceptance_game(aut: Automaton, M: ColoredModel, pairs=None):
 
 
 def winning_pairs(aut: Automaton, M: ColoredModel) -> frozenset:
-    """All pairs (model state, automaton state) won by the existential player."""
-    arena, sol = acceptance_game(aut, M)
+    """All pairs (model state, automaton state) won by the existential player
+    in the acceptance game, read off the parity fixpoint
+    (:func:`_winning_columns`) rather than a solved arena.  Raises
+    ValueError if the automaton and the model live over different
+    functors."""
+    states = M.states
     return frozenset(
-        (pos[1], pos[2])
-        for i, pos in enumerate(arena.positions)
-        if pos[0] == "state" and i in sol.win_e
+        (states[i], a)
+        for a, col in _winning_columns(aut, M, aut.states).items()
+        for i in _bits(col)
     )
 
 
 def accepts(aut: Automaton, P: PointedModel) -> bool:
-    """Whether the automaton accepts the pointed model."""
-    arena, sol = acceptance_game(aut, P.model, pairs=[(P.point, aut.initial)])
-    return arena.index(("state", P.point, aut.initial)) in sol.win_e
+    """Whether the automaton accepts the pointed model: the bit of the point
+    in the initial state's column of :func:`_winning_columns`, which solves
+    only the automaton states reachable from the initial one.  Raises
+    ValueError if the automaton and the model live over different
+    functors."""
+    col = _winning_columns(aut, P.model, (aut.initial,))[aut.initial]
+    return bool(col >> P.model._index[P.point] & 1)
+
+
+def _winning_columns(aut: Automaton, M: ColoredModel, roots) -> dict:
+    """For each automaton state a reachable from ``roots``, the bitset of the
+    model states s (bit i for ``M.states[i]``) such that the existential
+    player wins the acceptance game at (s, a).
+
+    The winners solve the automaton's hierarchical equation system
+    X_a = ⋁_c [color c] ∧ ⋁_{φ ∈ Δ(a, c)} ∇φ[X_b / b], with ν for even
+    priorities and μ for odd ones, the highest priority outermost (Emerson
+    and Jutla, FOCS 1991; Arnold and Niwiński, *Rudiments of μ-calculus*,
+    2001).  A run of priorities of one parity is one level.  Each level is
+    iterated from ⊤ (ν) or ⊥ (μ), Gauss–Seidel, with the levels inside it
+    solved afresh before every pass: a pass that changes nothing ends the
+    level.  Values taken from a stale inner solution lie between the
+    level's start and its fixpoint, since every ∇ is monotone, so the
+    iteration ends at the fixpoint all the same.
+
+    Each distinct element φ is one ∇ node of a :class:`logic._BitView`,
+    whose incremental rule re-checks only the predecessors of the states
+    where some X_b changed.  A node is decided again only after some X_b of
+    its base changed, and a state only after one of its nodes or its own
+    value did.  The nodes are built here, not interned, so they die with
+    the view.  Only the colors that occur in M are read, and only the
+    automaton states reachable through their cells.
+    """
+    F = aut.functor
+    if F != M.functor:
+        raise ValueError("automaton and model live over different functors")
+    full = (1 << len(M.states)) - 1
+    color_mask = {}  # cell color ↦ the bitset of the model states read with it
+    for i, gamma in enumerate(M.gamma):
+        c = aut.color_of(gamma)
+        color_mask[c] = color_mask.get(c, 0) | 1 << i
+    nodes = {}  # φ ↦ (its ∇ node, base(φ))
+    rows = {}  # a ↦ [(color bitset, the elements of its cell)]
+    users = {}  # b ↦ the elements φ with b ∈ base(φ)
+    readers = {}  # b ↦ the states a whose cells hold such a φ
+    todo = list(dict.fromkeys(roots))
+    for a in todo:
+        users[a], readers[a] = [], set()
+    for a in todo:
+        rows[a] = row = []
+        for c, mask in color_mask.items():
+            cell = aut.delta_of(a, c)
+            for phi in cell:
+                if phi not in nodes:
+                    nodes[phi] = Nabla(F, phi), base(F, phi)
+                    for b in nodes[phi][1]:
+                        if b not in users:
+                            todo.append(b)
+                            users[b], readers[b] = [], set()
+                        users[b].append(phi)
+                for b in nodes[phi][1]:
+                    readers[b].add(a)
+            if cell:
+                row.append((mask, cell))
+    levels = []  # (parity, states), outermost first
+    for a in sorted(rows, key=aut.omega_of, reverse=True):
+        odd = aut.omega_of(a) % 2
+        if not levels or levels[-1][0] != odd:
+            levels.append((odd, []))
+        levels[-1][1].append(a)
+    nabla = _BitView(M, {}).nabla
+    value = {}  # φ ↦ the bitset of ∇φ at the last X it was decided for
+    dirty = set(nodes)  # the elements some X_b of whose base changed since
+    stale = set(rows)  # the states whose right-hand side may differ from X_a
+    X = {a: 0 if odd else full for odd, states in levels for a in states}
+
+    def put(a, new):
+        X[a] = new
+        dirty.update(users[a])
+        stale.update(readers[a])
+
+    def solve(i):
+        odd, states = levels[i]
+        start = 0 if odd else full
+        for a in states:
+            if X[a] != start:
+                put(a, start)
+            stale.add(a)
+        while True:
+            if i + 1 < len(levels):
+                solve(i + 1)
+            changed = False
+            for a in states:
+                if a not in stale:
+                    continue
+                stale.discard(a)
+                new = 0
+                for mask, cell in rows[a]:
+                    hit = 0
+                    for phi in cell:
+                        if phi in dirty:
+                            dirty.discard(phi)
+                            g, bs = nodes[phi]
+                            value[phi] = nabla(g, {b: X[b] for b in bs})
+                        hit |= value[phi]
+                    new |= hit & mask
+                if new != X[a]:
+                    put(a, new)
+                    changed = True
+            if not changed:
+                return
+
+    if levels:
+        solve(0)
+    return X
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +388,7 @@ def add_true_state(aut: Automaton):
     omega = dict(zip(aut.states, aut.omega))
     omega[tt] = 0
     return (
-        Automaton.make(
+        _built(
             aut.functor,
             aut.props,
             aut.states + (tt,),
@@ -331,7 +480,9 @@ def bounded_realizations(aut: Automaton, bound: int) -> dict:
     found = dict.fromkeys(_elements(aut))
     todo = list(found)
     formula_of = {
-        b: automaton_to_formula(Automaton(F, aut.props, aut.states, b, aut.omega, aut.delta))
+        b: automaton_to_formula(
+            Automaton._unchecked(F, aut.props, aut.states, b, aut.omega, aut.delta)
+        )
         for b in {b for phi in todo for b in base(F, phi)}
     }
     for n in range(1, bound + 1):
@@ -442,12 +593,12 @@ def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
     cannot invalidate surviving elements.
     """
     _, tau_of, _ = _realizations(aut, bound)
-    # Automaton.make drops the cells left empty
+    # _built drops the cells left empty
     delta = {
         cell: [phi for phi in elems if tau_of[phi] is not None] for cell, elems in aut.delta
     }
     omega = dict(zip(aut.states, aut.omega))
-    return Automaton.make(aut.functor, aut.props, aut.states, aut.initial, omega, delta)
+    return _built(aut.functor, aut.props, aut.states, aut.initial, omega, delta)
 
 
 def normalize(aut: Automaton, bound: int = 3) -> Automaton:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from formula_corpus import TRANSLATION_CORPUS
 from helpers import SHAPES, brute_winning_pairs, per_model_realizations, random_automaton
 
 from nablamu import (
@@ -22,9 +23,11 @@ from nablamu import (
     parse_formula,
     product,
     random_model,
+    random_telem,
 )
 from nablamu.games import Arena
-from nablamu import automata
+from nablamu import automata, logic
+from nablamu.projection import project_automaton
 from nablamu.translation import formula_to_automaton
 from nablamu.automata import (
     Automaton,
@@ -349,6 +352,193 @@ def test_built_arenas_pass_validation():
             ):
                 copy = Arena(arena.positions, arena.owner, arena.priority, arena.moves)
                 assert arena == copy and arena._index == copy._index
+
+
+# --------------------------------------------------------------------------
+# Acceptance by the parity fixpoint, against the acceptance game
+
+FIXPOINT_SHAPES = dict(
+    SHAPES,
+    **{
+        "product(monotone,powerset)": product(MONOTONE, POWERSET),
+        "comp(monotone,powerset)": compose(MONOTONE, POWERSET),
+    },
+)
+
+
+def game_winners(aut, M, pairs=None):
+    """The pairs E wins in the solved arena of ``acceptance_game``."""
+    arena, sol = acceptance_game(aut, M, pairs)
+    return frozenset(
+        (pos[1], pos[2])
+        for i, pos in enumerate(arena.positions)
+        if pos[0] == "state" and i in sol.win_e
+    )
+
+
+def sparse_model(F, props, n, rng):
+    """A random model of n states whose successor structures each lie over
+    one or two states; over most functors the successor structures of
+    :func:`random_model` on 5–12 states are so wide that a random automaton
+    wins no pair."""
+    states = tuple(f"s{i}" for i in range(n))
+    return ColoredModel(
+        F,
+        props,
+        states,
+        tuple(random_telem(F, rng.sample(states, rng.randint(1, 2)), rng) for _ in states),
+        tuple(frozenset(p for p in props if rng.random() < 0.5) for _ in states),
+    )
+
+
+@pytest.mark.parametrize("name", list(FIXPOINT_SHAPES))
+def test_parity_fixpoint_matches_the_acceptance_game(name):
+    F = FIXPOINT_SHAPES[name]
+    largest = 6 if "monotone" in name or "comp" in name else 12
+    rng = random.Random(32)
+    won = lost = 0
+    for k in range(24):
+        props = ("p",) if rng.random() < 0.5 else ("p", "q")
+        aut = random_automaton(F, props, rng, max_states=6, max_priority=6, max_base=3)
+        model = random_model if k % 4 == 0 else sparse_model
+        M = model(F, props, rng.randint(5, largest), rng)
+        W = winning_pairs(aut, M)
+        assert W == game_winners(aut, M), name
+        won += len(W)
+        lost += len(M.states) * len(aut.states) - len(W)
+        for s in M.states:
+            start = (s, aut.initial)
+            assert accepts(aut, PointedModel(M, s)) == (start in game_winners(aut, M, [start]))
+    assert won and lost, name
+
+
+def ring(n, seed):
+    """A ring over props p, q with short forward chords, rare back edges and
+    rare dead ends; p on about one state in 12, q on four in five."""
+    rng = random.Random(seed)
+    sigma, gamma = {}, {}
+    for i in range(n):
+        succ = {(i + 1) % n}
+        if rng.random() < 0.6:
+            succ.add((i + rng.randint(2, 6)) % n)
+        if rng.random() < 0.1:
+            succ.add((i - rng.randint(1, 8)) % n)
+        if rng.random() < 0.05:
+            succ = set()
+        sigma[f"s{i}"] = frozenset(f"s{j}" for j in succ)
+        gamma[f"s{i}"] = frozenset(
+            x for x, share in (("p", 0.08), ("q", 0.8)) if rng.random() < share
+        )
+    return ColoredModel.make(POWERSET, sigma, gamma, props=("p", "q"))
+
+
+# The benchmark's model-checking formulas that translate, with the two that
+# nest three alternating fixpoints; `nu x. (mu y. (p \/ nabla {y, true}) /\
+# nabla {x, true})` is left out, since its conjunction couples two fixpoints
+# and the translation refuses it.
+MODELCHECK_FORMULAS = [
+    r"nu x. mu y. ((p /\ nabla {x, true}) \/ nabla {y, true})",
+    r"mu x. nu y. ((p /\ nabla {x, true}) \/ (~p /\ nabla {y, true}))",
+    r"nu x. mu y. \/{((p /\ q) /\ nabla {x, true}), (q /\ nabla {y, true})}",
+    r"nu x. mu y. nu z. \/{(p /\ nabla {x, true}), (q /\ nabla {y, true}), nabla {z, true}}",
+    r"mu x. nu y. mu z. \/{(p /\ nabla {x, true}), (q /\ nabla {y, true}), nabla {z, true}}",
+]
+
+
+def test_parity_fixpoint_decides_the_model_checking_formulas():
+    models = [ring(n, n) for n in (50, 120, 200)]
+    accepted = rejected = 0
+    for text in MODELCHECK_FORMULAS:
+        f = parse_formula(text, POWERSET)
+        aut = formula_to_automaton(f)
+        for M in models:
+            ext = eval_formula(M, f)
+            W = winning_pairs(aut, M)
+            assert {s for s, a in W if a == aut.initial} == ext, text
+            for s in M.states[::10]:
+                assert accepts(aut, PointedModel(M, s)) == (s in ext), (text, s)
+            accepted += len(ext)
+            rejected += len(M.states) - len(ext)
+    assert accepted and rejected
+
+
+def test_parity_fixpoint_over_eight_priorities():
+    # a_k has priority k; a0 accepts everything, and every other cell holds
+    # one element, ◇b as {b, a0} or □b as {b}: E picks a path of the ring,
+    # along which the colors choose the automaton states
+    rng = random.Random(9)
+    states = [f"a{k}" for k in range(8)]
+    delta = {}
+    for c in (NOP, P, frozenset(("q",)), frozenset(("p", "q"))):
+        delta[("a0", c)] = [frozenset(("a0",)), frozenset()]
+        for a in states[1:]:
+            b = rng.choice(states[1:])
+            delta[(a, c)] = [frozenset((b,)) if rng.random() < 0.3 else frozenset((b, "a0"))]
+    omega = {a: k for k, a in enumerate(states)}
+    aut = Automaton.make(POWERSET, ("p", "q"), states, "a1", omega, delta)
+    seen = set()
+    for n in (20, 50):
+        M = ring(n, 100 + n)
+        W = winning_pairs(aut, M)
+        assert W == game_winners(aut, M)
+        assert len(W) < n * len(states)
+        seen |= {a for _, a in W}
+        for s in M.states[::5]:
+            start = (s, aut.initial)
+            assert accepts(aut, PointedModel(M, s)) == (start in game_winners(aut, M, [start]))
+    assert seen == set(states)
+
+
+def test_parity_fixpoint_leaves_the_formula_table_alone():
+    # the solver's ∇ nodes are not interned, so solving grows no global table
+    rng = random.Random(9)
+    fresh = random_automaton(POWERSET, ("p", "q"), rng, max_states=4, max_priority=4)
+    ren = {a: f"intern_check_{a}" for a in fresh.states}
+    aut = Automaton.make(
+        POWERSET,
+        fresh.props,
+        [ren[a] for a in fresh.states],
+        ren[fresh.initial],
+        {ren[a]: k for a, k in zip(fresh.states, fresh.omega)},
+        {
+            (ren[a], c): [frozenset(ren[b] for b in phi) for phi in elems]
+            for (a, c), elems in fresh.delta
+        },
+    )
+    M = random_model(POWERSET, ("p", "q"), 8, rng)
+    before = len(logic._intern)
+    winning_pairs(aut, M)
+    accepts(aut, PointedModel(M, M.states[0]))
+    assert len(logic._intern) == before
+
+
+def test_acceptance_refuses_a_model_over_another_functor():
+    M = random_model(MONOTONE, ("p",), 2, random.Random(1))
+    message = "automaton and model live over different functors"
+    with pytest.raises(ValueError, match=message):
+        build_arena(A_P, M)
+    with pytest.raises(ValueError, match=message):
+        winning_pairs(A_P, M)
+    with pytest.raises(ValueError, match=message):
+        accepts(A_P, PointedModel(M, M.states[0]))
+
+
+def test_built_automata_pass_validation():
+    # the package's own builders skip Automaton's checks: each automaton they
+    # return must equal its validated copy
+    rng = random.Random(32)
+    built = []
+    for text in TRANSLATION_CORPUS[::4]:
+        aut = formula_to_automaton(parse_formula(text, POWERSET), POWERSET)
+        built += [aut, normalize(aut), project_automaton(aut, "p")]
+    for F in (POWERSET, MONOTONE):
+        for _ in range(4):
+            aut = random_automaton(F, ("p", "q"), rng)
+            built += [add_true_state(aut)[0], prune_unsatisfiable(aut, 2)]
+    for aut in built:
+        copy = Automaton(aut.functor, aut.props, aut.states, aut.initial, aut.omega, aut.delta)
+        assert aut == copy
+        assert aut._delta == copy._delta and aut._omega == copy._omega
 
 
 # --------------------------------------------------------------------------
