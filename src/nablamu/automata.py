@@ -114,7 +114,9 @@ class Automaton(Record):
     def make(functor, props, states, initial, omega: dict, delta: dict) -> "Automaton":
         """Build an automaton from dicts, normalizing the cell layout, and
         validate it."""
-        return Automaton(*_layout(functor, props, states, initial, omega, delta))
+        aut = _built(functor, props, states, initial, omega, delta)
+        aut.__post_init__()
+        return aut
 
     def delta_of(self, a, c) -> tuple:
         return self._delta.get((a, frozenset(c)), ())
@@ -127,10 +129,10 @@ class Automaton(Record):
         return frozenset(gamma) & frozenset(self.props)
 
 
-def _layout(functor, props, states, initial, omega: dict, delta: dict) -> tuple:
-    """The fields of :meth:`Automaton.make`'s automaton: sorted props, and
-    the nonempty cells with their elements in canonical order."""
-    props = tuple(sorted(set(props)))
+def _built(functor, props, states, initial, omega: dict, delta: dict) -> Automaton:
+    """:meth:`Automaton.make` without the checks, for the package's own
+    builders (translation, true state, pruning, projection): sorted props,
+    and the nonempty cells with their elements in canonical order."""
     states = tuple(states)
     cells = []
     for (a, c), elems in delta.items():
@@ -138,13 +140,14 @@ def _layout(functor, props, states, initial, omega: dict, delta: dict) -> tuple:
         if elems:
             cells.append(((a, frozenset(c)), elems))
     cells.sort(key=lambda cell: (canon_key(cell[0][0]), canon_key(cell[0][1])))
-    return functor, props, states, initial, tuple(omega[a] for a in states), tuple(cells)
-
-
-def _built(functor, props, states, initial, omega: dict, delta: dict) -> Automaton:
-    """:meth:`Automaton.make` without the checks, for the package's own
-    builders (translation, true state, pruning, projection)."""
-    return Automaton._unchecked(*_layout(functor, props, states, initial, omega, delta))
+    return Automaton._unchecked(
+        functor,
+        tuple(sorted(set(props))),
+        states,
+        initial,
+        tuple(omega[a] for a in states),
+        tuple(cells),
+    )
 
 
 # --------------------------------------------------------------------------

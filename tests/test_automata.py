@@ -378,7 +378,7 @@ def game_winners(aut, M, pairs=None):
 
 def sparse_model(F, props, n, rng):
     """A random model of n states whose successor structures each lie over
-    one or two states; over most functors the successor structures of
+    one or two states: over several functors the successor structures of
     :func:`random_model` on 5–12 states are so wide that a random automaton
     wins no pair."""
     states = tuple(f"s{i}" for i in range(n))
