@@ -84,39 +84,30 @@ class Automaton(Record):
             for t in elems:
                 if not base(self.functor, t) <= state_set:
                     raise ValueError("transition element leaves the state set")
-        self._add_lookups()
-
-    def _add_lookups(self):
         object.__setattr__(self, "_delta", dict(self.delta))
         object.__setattr__(
             self, "_omega", {s: k for s, k in zip(self.states, self.omega)}
         )
 
-    @classmethod
-    def _unchecked(cls, functor, props, states, initial, omega, delta) -> "Automaton":
-        """The automaton with these fields, built without ``__post_init__``'s
-        checks: for the package's own builders, whose automata are valid by
-        construction.  :func:`parse_automaton` and direct construction still
-        validate."""
-        aut = object.__new__(cls)
-        aut.__dict__.update(
-            functor=functor,
-            props=props,
-            states=states,
-            initial=initial,
-            omega=omega,
-            delta=delta,
-        )
-        aut._add_lookups()
-        return aut
-
     @staticmethod
     def make(functor, props, states, initial, omega: dict, delta: dict) -> "Automaton":
-        """Build an automaton from dicts, normalizing the cell layout, and
-        validate it."""
-        aut = _built(functor, props, states, initial, omega, delta)
-        aut.__post_init__()
-        return aut
+        """Build an automaton from dicts, normalizing the cell layout."""
+        props = tuple(sorted(set(props)))
+        states = tuple(states)
+        cells = []
+        for (a, c), elems in delta.items():
+            elems = tuple(sorted(set(elems), key=canon_key))
+            if elems:
+                cells.append(((a, frozenset(c)), elems))
+        cells.sort(key=lambda cell: (canon_key(cell[0][0]), canon_key(cell[0][1])))
+        return Automaton(
+            functor,
+            props,
+            states,
+            initial,
+            tuple(omega[a] for a in states),
+            tuple(cells),
+        )
 
     def delta_of(self, a, c) -> tuple:
         return self._delta.get((a, frozenset(c)), ())
@@ -127,27 +118,6 @@ class Automaton(Record):
     def color_of(self, gamma) -> frozenset:
         """The cell color read from a model state's color set."""
         return frozenset(gamma) & frozenset(self.props)
-
-
-def _built(functor, props, states, initial, omega: dict, delta: dict) -> Automaton:
-    """:meth:`Automaton.make` without the checks, for the package's own
-    builders (translation, true state, pruning, projection): sorted props,
-    and the nonempty cells with their elements in canonical order."""
-    states = tuple(states)
-    cells = []
-    for (a, c), elems in delta.items():
-        elems = tuple(sorted(set(elems), key=canon_key))
-        if elems:
-            cells.append(((a, frozenset(c)), elems))
-    cells.sort(key=lambda cell: (canon_key(cell[0][0]), canon_key(cell[0][1])))
-    return Automaton._unchecked(
-        functor,
-        tuple(sorted(set(props))),
-        states,
-        initial,
-        tuple(omega[a] for a in states),
-        tuple(cells),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -282,10 +252,9 @@ def _winning_columns(aut: Automaton, M: ColoredModel, roots) -> dict:
 
     Each distinct element φ is one ∇ node of a :class:`logic._BitView`,
     whose incremental rule re-checks only the predecessors of the states
-    where some X_b changed.  A node is decided again only after some X_b of
-    its base changed, and a state only after one of its nodes or its own
-    value did.  The nodes are built here, not interned, so they die with
-    the view.  Only the colors that occur in M are read, and only the
+    where some X_b changed, so deciding a node whose base kept its values
+    costs one comparison.  The nodes are built here, not interned, so they
+    die with the view.  Only the colors that occur in M are read, and only the
     automaton states reachable through their cells.
     """
     F = aut.functor
@@ -298,11 +267,8 @@ def _winning_columns(aut: Automaton, M: ColoredModel, roots) -> dict:
         color_mask[c] = color_mask.get(c, 0) | 1 << i
     nodes = {}  # φ ↦ (its ∇ node, base(φ))
     rows = {}  # a ↦ [(color bitset, the elements of its cell)]
-    users = {}  # b ↦ the elements φ with b ∈ base(φ)
-    readers = {}  # b ↦ the states a whose cells hold such a φ
     todo = list(dict.fromkeys(roots))
-    for a in todo:
-        users[a], readers[a] = [], set()
+    seen = set(todo)
     for a in todo:
         rows[a] = row = []
         for c, mask in color_mask.items():
@@ -310,13 +276,8 @@ def _winning_columns(aut: Automaton, M: ColoredModel, roots) -> dict:
             for phi in cell:
                 if phi not in nodes:
                     nodes[phi] = Nabla(F, phi), base(F, phi)
-                    for b in nodes[phi][1]:
-                        if b not in users:
-                            todo.append(b)
-                            users[b], readers[b] = [], set()
-                        users[b].append(phi)
-                for b in nodes[phi][1]:
-                    readers[b].add(a)
+                    todo.extend(nodes[phi][1] - seen)
+                    seen |= nodes[phi][1]
             if cell:
                 row.append((mask, cell))
     levels = []  # (parity, states), outermost first
@@ -326,43 +287,26 @@ def _winning_columns(aut: Automaton, M: ColoredModel, roots) -> dict:
             levels.append((odd, []))
         levels[-1][1].append(a)
     nabla = _BitView(M, {}).nabla
-    value = {}  # φ ↦ the bitset of ∇φ at the last X it was decided for
-    dirty = set(nodes)  # the elements some X_b of whose base changed since
-    stale = set(rows)  # the states whose right-hand side may differ from X_a
-    X = {a: 0 if odd else full for odd, states in levels for a in states}
-
-    def put(a, new):
-        X[a] = new
-        dirty.update(users[a])
-        stale.update(readers[a])
+    X = {}
 
     def solve(i):
         odd, states = levels[i]
-        start = 0 if odd else full
         for a in states:
-            if X[a] != start:
-                put(a, start)
-            stale.add(a)
+            X[a] = 0 if odd else full
         while True:
             if i + 1 < len(levels):
                 solve(i + 1)
             changed = False
             for a in states:
-                if a not in stale:
-                    continue
-                stale.discard(a)
                 new = 0
                 for mask, cell in rows[a]:
                     hit = 0
                     for phi in cell:
-                        if phi in dirty:
-                            dirty.discard(phi)
-                            g, bs = nodes[phi]
-                            value[phi] = nabla(g, {b: X[b] for b in bs})
-                        hit |= value[phi]
+                        g, bs = nodes[phi]
+                        hit |= nabla(g, {b: X[b] for b in bs})
                     new |= hit & mask
                 if new != X[a]:
-                    put(a, new)
+                    X[a] = new
                     changed = True
             if not changed:
                 return
@@ -391,7 +335,7 @@ def add_true_state(aut: Automaton):
     omega = dict(zip(aut.states, aut.omega))
     omega[tt] = 0
     return (
-        _built(
+        Automaton.make(
             aut.functor,
             aut.props,
             aut.states + (tt,),
@@ -483,9 +427,7 @@ def bounded_realizations(aut: Automaton, bound: int) -> dict:
     found = dict.fromkeys(_elements(aut))
     todo = list(found)
     formula_of = {
-        b: automaton_to_formula(
-            Automaton._unchecked(F, aut.props, aut.states, b, aut.omega, aut.delta)
-        )
+        b: automaton_to_formula(Automaton(F, aut.props, aut.states, b, aut.omega, aut.delta))
         for b in {b for phi in todo for b in base(F, phi)}
     }
     for n in range(1, bound + 1):
@@ -596,12 +538,12 @@ def prune_unsatisfiable(aut: Automaton, bound: int = 3) -> Automaton:
     cannot invalidate surviving elements.
     """
     _, tau_of, _ = _realizations(aut, bound)
-    # _built drops the cells left empty
+    # Automaton.make drops the cells left empty
     delta = {
         cell: [phi for phi in elems if tau_of[phi] is not None] for cell, elems in aut.delta
     }
     omega = dict(zip(aut.states, aut.omega))
-    return _built(aut.functor, aut.props, aut.states, aut.initial, omega, delta)
+    return Automaton.make(aut.functor, aut.props, aut.states, aut.initial, omega, delta)
 
 
 def normalize(aut: Automaton, bound: int = 3) -> Automaton:

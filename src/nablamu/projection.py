@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .automata import (
     Automaton,
-    _built,
     acceptance_game,
     accepts,
     find_true_state,
@@ -160,7 +159,7 @@ def _delta_p_merge(aut: Automaton, hidden: frozenset) -> Automaton:
     delta: dict = {}
     for (a, c), elems in aut.delta:
         delta.setdefault((a, c - hidden), set()).update(elems)
-    return _built(
+    return Automaton.make(
         aut.functor,
         props,
         aut.states,

@@ -22,7 +22,7 @@ import functools
 import itertools
 
 from . import logic
-from .automata import Automaton, _built, find_true_state
+from .automata import Automaton, find_true_state
 from .functors import FunctorDescriptor, base, canon_key, enumerate_t, subsets, t_map
 from .logic import (
     Atom,
@@ -525,7 +525,7 @@ def formula_to_automaton(
                         seen.add(q)
                         queue.append(q)
     omega = {q: q[1] for q in seen}
-    return _built(F, props, sorted(seen, key=canon_key), initial, omega, delta)
+    return Automaton.make(F, props, sorted(seen, key=canon_key), initial, omega, delta)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from formula_corpus import TRANSLATION_CORPUS
 from helpers import SHAPES, brute_winning_pairs, per_model_realizations, random_automaton
 
 from nablamu import (
@@ -27,7 +26,6 @@ from nablamu import (
 )
 from nablamu.games import Arena
 from nablamu import automata, logic
-from nablamu.projection import project_automaton
 from nablamu.translation import formula_to_automaton
 from nablamu.automata import (
     Automaton,
@@ -56,6 +54,16 @@ def kripke(sigma, gamma, props=("p",)):
         {s: frozenset(v) for s, v in sigma.items()},
         {s: frozenset(v) for s, v in gamma.items()},
         props=props,
+    )
+
+
+def game_winners(aut, M, pairs=None):
+    """The pairs E wins in the solved arena of ``acceptance_game``."""
+    arena, sol = acceptance_game(aut, M, pairs)
+    return frozenset(
+        (pos[1], pos[2])
+        for i, pos in enumerate(arena.positions)
+        if pos[0] == "state" and i in sol.win_e
     )
 
 
@@ -248,14 +256,17 @@ def test_arena_shape_on_atom_automaton():
 
 
 def test_unfolded_arena_matches_witness_arena():
-    # the oracle lets E pick a minimal witness relation and A a pair of it
+    # the oracle lets E pick a minimal witness relation and A a pair of it;
+    # the unfolded arena and the parity fixpoint must both agree with it
     rng = random.Random(6)
     for name, F in SHAPES.items():
         for _ in range(25):
             props = ("p",) if rng.random() < 0.5 else ("p", "q")
             aut = random_automaton(F, props, rng)
             M = random_model(F, props, rng.randint(1, 3), rng)
-            assert winning_pairs(aut, M) == brute_winning_pairs(aut, M), name
+            want = brute_winning_pairs(aut, M)
+            assert game_winners(aut, M) == want, name
+            assert winning_pairs(aut, M) == want, name
     # the benchmark's model-checking automata on a 150-state lasso: a path
     # with forward chords, rare back edges and dead ends at s49 and s99 runs
     # into a 30-state loop; p on every 7th path state, q off every 3rd state
@@ -278,8 +289,9 @@ def test_unfolded_arena_matches_witness_arena():
     data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
     for name in ("inf_p_path", "fin_p_path", "nu_mu_nu", "mu_nu_mu"):
         aut = parse_automaton((data / f"{name}.aut").read_text())
-        W = winning_pairs(aut, lasso)
-        assert W == brute_winning_pairs(aut, lasso), name
+        W = brute_winning_pairs(aut, lasso)
+        assert game_winners(aut, lasso) == W, name
+        assert winning_pairs(aut, lasso) == W, name
         accepted = [s for s in lasso.states if (s, aut.initial) in W]
         assert 0 < len(accepted) < n, name
 
@@ -302,6 +314,10 @@ def test_wide_branching_stays_polynomial():
         want = "r" in eval_formula(M, f)
         assert want == bool(last)
         assert accepts(aut, PointedModel(M, "r")) == want
+        start = ("r", aut.initial)
+        arena = build_arena(aut, M, [start])
+        assert len(arena.positions) <= 8 * len(M.states) * len(aut.states)
+        assert (start in game_winners(aut, M, [start])) == want
 
 
 def test_winning_pairs_matches_accepts():
@@ -311,6 +327,7 @@ def test_winning_pairs_matches_accepts():
             aut = random_automaton(F, ("p",), rng)
             M = random_model(F, ("p",), rng.randint(1, 3), rng)
             W = winning_pairs(aut, M)
+            assert W == game_winners(aut, M)
             for s in M.states:
                 assert ((s, aut.initial) in W) == accepts(
                     aut, PointedModel(M, s)
@@ -331,6 +348,7 @@ def test_acceptance_is_bisimulation_invariant():
             aut = random_automaton(F, ("p",), rng)
             W1 = winning_pairs(aut, M1)
             W2 = winning_pairs(aut, M2)
+            assert W1 == game_winners(aut, M1) and W2 == game_winners(aut, M2)
             for s, t in B:
                 for a in aut.states:
                     assert ((s, a) in W1) == ((t, a) in W2)
@@ -364,16 +382,6 @@ FIXPOINT_SHAPES = dict(
         "comp(monotone,powerset)": compose(MONOTONE, POWERSET),
     },
 )
-
-
-def game_winners(aut, M, pairs=None):
-    """The pairs E wins in the solved arena of ``acceptance_game``."""
-    arena, sol = acceptance_game(aut, M, pairs)
-    return frozenset(
-        (pos[1], pos[2])
-        for i, pos in enumerate(arena.positions)
-        if pos[0] == "state" and i in sol.win_e
-    )
 
 
 def sparse_model(F, props, n, rng):
@@ -521,24 +529,6 @@ def test_acceptance_refuses_a_model_over_another_functor():
         winning_pairs(A_P, M)
     with pytest.raises(ValueError, match=message):
         accepts(A_P, PointedModel(M, M.states[0]))
-
-
-def test_built_automata_pass_validation():
-    # the package's own builders skip Automaton's checks: each automaton they
-    # return must equal its validated copy
-    rng = random.Random(32)
-    built = []
-    for text in TRANSLATION_CORPUS[::4]:
-        aut = formula_to_automaton(parse_formula(text, POWERSET), POWERSET)
-        built += [aut, normalize(aut), project_automaton(aut, "p")]
-    for F in (POWERSET, MONOTONE):
-        for _ in range(4):
-            aut = random_automaton(F, ("p", "q"), rng)
-            built += [add_true_state(aut)[0], prune_unsatisfiable(aut, 2)]
-    for aut in built:
-        copy = Automaton(aut.functor, aut.props, aut.states, aut.initial, aut.omega, aut.delta)
-        assert aut == copy
-        assert aut._delta == copy._delta and aut._omega == copy._omega
 
 
 # --------------------------------------------------------------------------
