@@ -13,7 +13,9 @@ the same winners as the one where the existential player picks Z outright.
 
 :func:`accepts` and :func:`winning_pairs` do not build the game: they read
 its winners off the automaton's parity fixpoint on the model's bitset view
-(:func:`_winning_columns`).  The arena (:func:`build_arena`,
+(:func:`_winning_columns`).  The same fixpoint, on the sweep's tuple views
+(``logic._tuple_views``), gives :func:`bounded_realizations` the winners in
+every small model at once.  The arena (:func:`build_arena`,
 :func:`acceptance_game`) remains wherever a strategy is read, as in
 projection's witness reconstruction, and as the tests' oracle.
 """
@@ -38,7 +40,7 @@ from .functors import (
     unfold_lifting,
 )
 from .games import Arena, solve_parity
-from .logic import Nabla, _bits, _BitView, _eval_bits, _fresh
+from .logic import Nabla, _bits, _BitView, _fresh, _tuple_views
 from .parsing import Cursor
 from .records import Record
 
@@ -212,14 +214,14 @@ def acceptance_game(aut: Automaton, M: ColoredModel, pairs=None):
 
 def winning_pairs(aut: Automaton, M: ColoredModel) -> frozenset:
     """All pairs (model state, automaton state) won by the existential player
-    in the acceptance game, read off the parity fixpoint
-    (:func:`_winning_columns`) rather than a solved arena.  Raises
+    in the acceptance game, read off the parity fixpoint on the model's bit
+    view (:func:`_winning_columns`) rather than a solved arena.  Raises
     ValueError if the automaton and the model live over different
     functors."""
     states = M.states
     return frozenset(
         (states[i], a)
-        for a, col in _winning_columns(aut, M, aut.states).items()
+        for a, col in _winning_columns(aut, _BitView(M, aut.props), aut.states).items()
         for i in _bits(col)
     )
 
@@ -230,14 +232,15 @@ def accepts(aut: Automaton, P: PointedModel) -> bool:
     only the automaton states reachable from the initial one.  Raises
     ValueError if the automaton and the model live over different
     functors."""
-    col = _winning_columns(aut, P.model, (aut.initial,))[aut.initial]
+    col = _winning_columns(aut, _BitView(P.model, aut.props), (aut.initial,))[aut.initial]
     return bool(col >> P.model._index[P.point] & 1)
 
 
-def _winning_columns(aut: Automaton, M: ColoredModel, roots) -> dict:
+def _winning_columns(aut: Automaton, view, roots) -> dict:
     """For each automaton state a reachable from ``roots``, the bitset of the
-    model states s (bit i for ``M.states[i]``) such that the existential
-    player wins the acceptance game at (s, a).
+    states of ``view``, a model's :class:`logic._BitView` or a sweep's
+    :class:`logic._TupleView`, at which the existential player wins the
+    acceptance game from a.  The view's ``atoms`` give each state's color.
 
     The winners solve the automaton's hierarchical equation system
     X_a = ⋁_c [color c] ∧ ⋁_{φ ∈ Δ(a, c)} ∇φ[X_b / b], with ν for even
@@ -250,28 +253,36 @@ def _winning_columns(aut: Automaton, M: ColoredModel, roots) -> dict:
     level's start and its fixpoint, since every ∇ is monotone, so the
     iteration ends at the fixpoint all the same.
 
-    Each distinct element φ is one ∇ node of a :class:`logic._BitView`,
-    whose incremental rule re-checks only the predecessors of the states
-    where some X_b changed, so deciding a node whose base kept its values
-    costs one comparison.  The nodes are built here, not interned, so they
-    die with the view.  Only the colors that occur in M are read, and only the
-    automaton states reachable through their cells.
+    Each distinct element φ is one ∇ node, asked of the view on every pass.
+    A model's view re-checks only the predecessors of the states where some
+    X_b changed, so a node whose base kept its values costs one comparison;
+    a tuple view has no such rule and decides every node afresh.  The nodes
+    are built here, not interned, so they die with the solve.  Only the
+    colors that occur in the view are read, and only the automaton states
+    reachable through their cells.
     """
     F = aut.functor
-    if F != M.functor:
+    if F != view.functor:
         raise ValueError("automaton and model live over different functors")
-    full = (1 << len(M.states)) - 1
-    color_mask = {}  # cell color ↦ the bitset of the model states read with it
-    for i, gamma in enumerate(M.gamma):
-        c = aut.color_of(gamma)
-        color_mask[c] = color_mask.get(c, 0) | 1 << i
+    full = (1 << view.size) - 1
+    color_mask = {frozenset(): full}  # cell color ↦ the bitset of the states read with it
+    for p in aut.props:
+        held, split = view.atoms[p], {}
+        for c, mask in color_mask.items():
+            if mask & held:
+                split[c | {p}] = mask & held
+            if mask & ~held:
+                split[c] = mask & ~held
+        color_mask = split
+    # by lowest state: on a model, the order in which its states meet the colors
+    colors = sorted(color_mask.items(), key=lambda cm: cm[1] & -cm[1])
     nodes = {}  # φ ↦ (its ∇ node, base(φ))
     rows = {}  # a ↦ [(color bitset, the elements of its cell)]
     todo = list(dict.fromkeys(roots))
     seen = set(todo)
     for a in todo:
         rows[a] = row = []
-        for c, mask in color_mask.items():
+        for c, mask in colors:
             cell = aut.delta_of(a, c)
             for phi in cell:
                 if phi not in nodes:
@@ -286,7 +297,7 @@ def _winning_columns(aut: Automaton, M: ColoredModel, roots) -> dict:
         if not levels or levels[-1][0] != odd:
             levels.append((odd, []))
         levels[-1][1].append(a)
-    nabla = _BitView(M, {}).nabla
+    nabla = view.nabla
     X = {}
 
     def solve(i):
@@ -401,13 +412,13 @@ def bounded_realizations(aut: Automaton, bound: int) -> dict:
 
     Sweeps the models of at most ``bound`` states over the automaton's
     vocabulary, size by size while some element is unrealized, on the tuple
-    views of ``entails_bounded`` (``interpolation._tuple_views``).  The
-    column of an automaton state b, the states of every tuple from which
-    the automaton rooted at b accepts, is the extension of that automaton's
-    formula (:func:`translation.automaton_to_formula`) on the view.  A
-    tuple's model realizes φ iff some τ ∈ T(n) lifts its winning pairs to
-    φ, so the tuples realizing φ are the OR over τ of ``lift_bits(F, τ, φ,
-    atom, full)``, where ``atom(t, b)`` is t's row of b's column.
+    views of ``entails_bounded`` (``logic._tuple_views``).  On each view,
+    :func:`_winning_columns` gives the column of every automaton state b in
+    the base of an unrealized element: the states of every tuple from which
+    the existential player wins at b.  A tuple's model realizes φ iff some
+    τ ∈ T(n) lifts its winning pairs to φ, so the tuples realizing φ are the
+    OR over τ of ``lift_bits(F, τ, φ, atom, full)``, where ``atom(t, b)`` is
+    t's row of b's column.
 
     Each element φ maps to ``(M, τ, Z)`` read off the model M of the least
     tuple realizing it, the only models built: τ is the first element of
@@ -420,27 +431,18 @@ def bounded_realizations(aut: Automaton, bound: int) -> dict:
 
     Used only where a monotone part is present (see :func:`_realizations`).
     """
-    from .interpolation import _tuple_views
-    from .translation import automaton_to_formula
-
     F = aut.functor
     found = dict.fromkeys(_elements(aut))
     todo = list(found)
-    formula_of = {
-        b: automaton_to_formula(Automaton(F, aut.props, aut.states, b, aut.omega, aut.delta))
-        for b in {b for phi in todo for b in base(F, phi)}
-    }
     for n in range(1, bound + 1):
         if not todo:
             break
         first = {}  # φ ↦ the number of the least n-state tuple realizing it
+        roots = dict.fromkeys(b for phi in todo for b in base(F, phi))
         for view in _tuple_views(F, aut.props, n):
-            sweep, count = view.sweep, view.count
-            full = (1 << count) - 1
-            cols = {}  # b ↦ per model state x, the tuples where (x, b) is won
-            for b, f in formula_of.items():
-                ext = _eval_bits(view, f, {})
-                cols[b] = [ext >> x * count & full for x in range(n)]
+            sweep, full = view.sweep, (1 << view.count) - 1
+            # b ↦ per model state x, the tuples where (x, b) is won
+            cols = {b: view.rows(col) for b, col in _winning_columns(aut, view, roots).items()}
 
             def atom(t, b):
                 return cols[b][sweep.index[t]]

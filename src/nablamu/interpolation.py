@@ -17,12 +17,13 @@ results*, LMCS 2008).  Where a monotone part is present, and where
 ``a ∧ ¬b`` falls outside the translatable fragment, it is
 ``entails_bounded``: the desk-scale check that sweeps all pointed models
 up to a size bound, smallest first, and returns the first countermodel it
-meets.  The sweep evaluates ``a ∧ ¬b`` once per size on one bitset view of
-every tuple of state codes of that size (in slices of ``_SLICE`` tuples),
-not model by model: an atom, and "state i has successor structure t", is a
-periodic bit pattern over the tuples, and a ∇ node is decided once per
-successor structure for all tuples at once.  Only the countermodel is ever
-built, and no isomorphism classes are enumerated.
+meets.  The sweep evaluates ``a ∧ ¬b`` once per size on the bitset views
+of every tuple of state codes of that size (``logic._tuple_views``, which
+the realizability sweep reads too), not model by model: an atom, and
+"state i has successor structure t", is a periodic bit pattern over the
+tuples, and a ∇ node is decided once per successor structure for all
+tuples at once.  Only the countermodel is ever built, and no isomorphism
+classes are enumerated.
 ``entails_bounded`` also validates interpolants and serves as the oracle
 for ``entails``.
 """
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 from .automata import normalize, witness_coalgebra
 from .coalgebra import CodeSweep, PointedModel
-from .functors import POWERSET, FunctorDescriptor, lift_bits
+from .functors import POWERSET, FunctorDescriptor
 from .logic import (
     Formula,
-    _digit_mask,
     _eval_bits,
+    _tuple_views,
     eval_formula,
     free_props,
     mk_and,
@@ -49,10 +50,6 @@ from .translation import (
     automaton_to_formula,
     formula_to_automaton,
 )
-
-# Code tuples per bitset view in ``entails_bounded``: a size with more goes
-# in consecutive slices, so a view's rows stay at most 4 KiB long.
-_SLICE = 1 << 15
 
 
 def _functor_for(f: Formula, functor=None) -> FunctorDescriptor:
@@ -94,99 +91,6 @@ def uniform_interpolant(
     return automaton_to_formula(_delta_p_merge(normalize(aut, bound), hidden))
 
 
-class _TupleView:
-    """The code tuples ``start … start + count − 1`` of ``sweep``'s n states,
-    as one bitset view for :func:`logic._eval_bits`.
-
-    A tuple is numbered as in :class:`CodeSweep`: its digit of place value
-    ``sweep.places[i]`` is the code of state i.  The view is state-major:
-    bit i·count + (m − start) stands for state i of tuple m, so row i holds
-    state i of every tuple.  An atom's bitset, and
-    the selector of the tuples whose state i has successor structure t, are
-    periodic patterns of one digit (:func:`logic._digit_mask`).
-    """
-
-    __slots__ = ("functor", "size", "atoms", "sweep", "start", "count", "selectors")
-
-    def __init__(self, sweep: CodeSweep, start: int, count: int):
-        n, radix = len(sweep.states), sweep.radix
-        self.functor, self.size = sweep.functor, n * count
-        self.sweep, self.start, self.count = sweep, start, count
-
-        def rows(digits):  # per state i, the tuples whose digit i is one of ``digits``
-            return [_digit_mask(digits, w, radix, start, count) for w in sweep.places]
-
-        self.atoms = {}
-        for p in sweep.props:
-            held = rows(sum(1 << v for v in range(radix) if p in sweep.gamma_of(v)))
-            self.atoms[p] = sum(row << i * count for i, row in enumerate(held))
-        self.selectors = [rows(sweep.structure_codes(r)) for r in range(len(sweep.elems))]
-
-    def nabla(self, g, args: dict) -> int:
-        """The bitset of ∇α, for ``g = ∇α`` and ``args`` mapping each formula
-        of base(α) to its extension, at every state of every tuple.
-
-        Whether state i of tuple m lies in ∇α depends only on its successor
-        structure t and on which of t's states satisfy which argument in
-        tuple m.  So the lifting is decided once per t ∈ T(n), for all
-        tuples at once, on the argument columns: state x's column of b is
-        row x of b's extension.  Powerset reads Egli–Milner on the columns,
-        every other functor :func:`functors.lift_bits`.  Each t's verdict is
-        kept, in row i, at the tuples whose state i has structure t.
-        """
-        F, count, sweep = self.functor, self.count, self.sweep
-        full, n, index = (1 << count) - 1, len(sweep.states), sweep.index
-        cols = {b: [ext >> x * count & full for x in range(n)] for b, ext in args.items()}
-        anywhere = [0] * n  # per state, the tuples where it satisfies some argument
-        for col in cols.values():
-            for x in range(n):
-                anywhere[x] |= col[x]
-
-        def atom(x, b):
-            return cols[b][index[x]]
-
-        rows = [0] * n
-        for t, selected in zip(sweep.elems, self.selectors):
-            if F.kind == "powerset":
-                # every member satisfies some argument, every argument has a member
-                lifted = full
-                for x in t:
-                    lifted &= anywhere[index[x]]
-                for b in cols:
-                    met = 0
-                    for x in t:
-                        met |= atom(x, b)
-                    lifted &= met
-            else:
-                lifted = lift_bits(F, t, g.payload, atom, full)
-            if lifted:
-                rows = [row | lifted & sel for row, sel in zip(rows, selected)]
-        return sum(row << i * count for i, row in enumerate(rows))
-
-    def countermodel(self, ext: int) -> PointedModel:
-        """The first point of the nonzero ``ext``: its lowest tuple, at that
-        tuple's lowest state; the one model the sweep builds."""
-        count, sweep = self.count, self.sweep
-        n, full = len(sweep.states), (1 << count) - 1
-        rows = [ext >> i * count & full for i in range(n)]
-        hits = 0
-        for row in rows:
-            hits |= row
-        m = (hits & -hits).bit_length() - 1
-        i = next(i for i, row in enumerate(rows) if row >> m & 1)
-        return PointedModel(sweep.model(sweep.decode(self.start + m)), sweep.states[i])
-
-
-def _tuple_views(F: FunctorDescriptor, props: tuple, n: int):
-    """The views of every ``n``-state code tuple, in slices of ``_SLICE``
-    consecutive tuples, in tuple order.  Raises CapExceeded past the
-    enumeration cap (:class:`coalgebra.CodeSweep`) when first read."""
-    sweep = CodeSweep(F, props, n)
-    total = sweep.radix**n
-    for start in range(0, total, _SLICE):
-        yield _TupleView(sweep, start, min(_SLICE, total - start))
-
-
 def entails_bounded(
     a: Formula,
     b: Formula,
@@ -196,10 +100,9 @@ def entails_bounded(
     """Whether ``a`` entails ``b`` on all pointed models of at most ``max_states``.
 
     Returns ``(True, None)`` or ``(False, countermodel)``.  The sweep goes
-    size by size and evaluates ``a ∧ ¬b`` with ``logic._eval_bits`` on one
-    bitset view of every n-state code tuple (:class:`_TupleView`), a size
-    with more than ``_SLICE`` tuples in consecutive slices of that many, in
-    tuple order.  No model is built and no isomorphism class is enumerated
+    size by size and evaluates ``a ∧ ¬b`` with ``logic._eval_bits`` on the
+    bitset views of every n-state code tuple (:func:`logic._tuple_views`),
+    in slices of consecutive tuples, in tuple order.  No model is built and no isomorphism class is enumerated
     on the way: every bit of the view is one state of one tuple, and
     Boolean operations, fixpoint iteration and the view's ∇ rule all work
     on each tuple's bits as they would on that model alone.

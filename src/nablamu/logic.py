@@ -18,7 +18,8 @@ rebuild it through :func:`_rebuild`, so a new node kind must be added to both.
 
 from __future__ import annotations
 
-from .functors import FunctorDescriptor, base, lift_bits, parse_telem, render_telem, t_map
+from .coalgebra import CodeSweep, PointedModel
+from .functors import POWERSET, FunctorDescriptor, base, lift_bits, parse_telem, render_telem, t_map
 from .parsing import Cursor
 
 RESERVED = frozenset({"mu", "nu", "nabla", "true", "false", "const", "id", "inl", "inr"})
@@ -281,19 +282,19 @@ def _digit_mask(digits: int, weight: int, radix: int, start: int, count: int) ->
 
 
 class _BitView:
-    """A model read through bitsets: what :func:`eval_formula` hands to
-    :func:`_eval_bits`.
+    """A model read through bitsets, by :func:`_eval_bits` and by the
+    automata's parity fixpoint.
 
-    Bit i stands for ``model.states[i]``, and ``atoms`` maps a proposition
-    to the bitset of the states colored with it.  :meth:`nabla` decides a ∇
-    node state by state and re-evaluates it incrementally.
+    Bit i stands for ``model.states[i]``, and ``atoms`` maps each of
+    ``props`` to the bitset of the states colored with it.  :meth:`nabla`
+    decides a ∇ node state by state and re-evaluates it incrementally.
     """
 
     __slots__ = ("functor", "size", "atoms", "model", "succ", "preds", "last")
 
-    def __init__(self, model, atoms: dict):
-        self.functor, self.size, self.atoms = model.functor, len(model.states), atoms
-        self.model = model
+    def __init__(self, model, props):
+        self.functor, self.size, self.model = model.functor, len(model.states), model
+        self.atoms = {p: sum(1 << i for i, g in enumerate(model.gamma) if p in g) for p in props}
         self.succ = None  # s ↦ bitset of base(σ(s)), built at the first ∇ node
         self.preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, at the first re-check
         self.last = {}  # ∇ node ↦ (argument bitsets, result) of its last evaluation
@@ -362,6 +363,111 @@ class _BitView:
         return out
 
 
+# Code tuples per :class:`_TupleView`: a size with more goes in consecutive
+# slices, so a view's rows stay at most 4 KiB long.
+_SLICE = 1 << 15
+
+
+class _TupleView:
+    """The code tuples ``start … start + count − 1`` of ``sweep``'s n states
+    as one bitset view, read by :func:`_eval_bits` and by the automata's
+    parity fixpoint.
+
+    A tuple is numbered as in :class:`coalgebra.CodeSweep`: its digit of
+    place value ``sweep.places[i]`` is the code of state i.  The view is
+    state-major: bit i·count + (m − start) stands for state i of tuple m, so
+    row i (:meth:`rows`) holds state i of every tuple.  An atom's bitset,
+    and the selector of the tuples whose state i has successor structure t,
+    are periodic patterns of one digit (:func:`_digit_mask`).
+    """
+
+    __slots__ = ("functor", "size", "atoms", "sweep", "start", "count", "selectors")
+
+    def __init__(self, sweep: CodeSweep, start: int, count: int):
+        n, radix = len(sweep.states), sweep.radix
+        self.functor, self.size = sweep.functor, n * count
+        self.sweep, self.start, self.count = sweep, start, count
+
+        def per_state(digits):  # per state i, the tuples whose digit i is one of ``digits``
+            return [_digit_mask(digits, w, radix, start, count) for w in sweep.places]
+
+        self.atoms = {}
+        for p in sweep.props:
+            held = per_state(sum(1 << v for v in range(radix) if p in sweep.gamma_of(v)))
+            self.atoms[p] = sum(row << i * count for i, row in enumerate(held))
+        self.selectors = [per_state(sweep.structure_codes(r)) for r in range(len(sweep.elems))]
+
+    def rows(self, ext: int) -> list:
+        """``ext`` split by state: row i is the bitset of the tuples (bit
+        m − start for tuple m) at whose state i ``ext`` holds."""
+        count, full = self.count, (1 << self.count) - 1
+        return [ext >> i * count & full for i in range(len(self.sweep.states))]
+
+    def nabla(self, g, args: dict) -> int:
+        """The bitset of ∇α, for ``g = ∇α`` and ``args`` mapping each member
+        of base(α) to its extension, at every state of every tuple.
+
+        Whether state i of tuple m lies in ∇α depends only on its successor
+        structure t and on which of t's states satisfy which argument in
+        tuple m.  So the lifting is decided once per t ∈ T(n), for all
+        tuples at once, on the argument columns: state x's column of b is
+        row x of b's extension.  Powerset reads Egli–Milner on the columns,
+        every other functor :func:`functors.lift_bits`.  Each t's verdict is
+        kept, in row i, at the tuples whose state i has structure t.  Every
+        call decides the node afresh: the view keeps no earlier verdict.
+        """
+        F, count, sweep = self.functor, self.count, self.sweep
+        full, n, index = (1 << count) - 1, len(sweep.states), sweep.index
+        cols = {b: self.rows(ext) for b, ext in args.items()}
+        anywhere = [0] * n  # per state, the tuples where it satisfies some argument
+        for col in cols.values():
+            for x in range(n):
+                anywhere[x] |= col[x]
+
+        def atom(x, b):
+            return cols[b][index[x]]
+
+        rows = [0] * n
+        for t, selected in zip(sweep.elems, self.selectors):
+            if F.kind == "powerset":
+                # every member satisfies some argument, every argument has a member
+                lifted = full
+                for x in t:
+                    lifted &= anywhere[index[x]]
+                for b in cols:
+                    met = 0
+                    for x in t:
+                        met |= atom(x, b)
+                    lifted &= met
+            else:
+                lifted = lift_bits(F, t, g.payload, atom, full)
+            if lifted:
+                rows = [row | lifted & sel for row, sel in zip(rows, selected)]
+        return sum(row << i * count for i, row in enumerate(rows))
+
+    def countermodel(self, ext: int) -> PointedModel:
+        """The first point of the nonzero ``ext``: its lowest tuple, at that
+        tuple's lowest state; the one model the sweep builds."""
+        sweep = self.sweep
+        rows = self.rows(ext)
+        hits = 0
+        for row in rows:
+            hits |= row
+        m = (hits & -hits).bit_length() - 1
+        i = next(i for i, row in enumerate(rows) if row >> m & 1)
+        return PointedModel(sweep.model(sweep.decode(self.start + m)), sweep.states[i])
+
+
+def _tuple_views(F: FunctorDescriptor, props: tuple, n: int):
+    """The views of every ``n``-state code tuple, in slices of ``_SLICE``
+    consecutive tuples, in tuple order.  Raises CapExceeded past the
+    enumeration cap (:class:`coalgebra.CodeSweep`) when first read."""
+    sweep = CodeSweep(F, props, n)
+    total = sweep.radix**n
+    for start in range(0, total, _SLICE):
+        yield _TupleView(sweep, start, min(_SLICE, total - start))
+
+
 def eval_formula(M, f: Formula, env=None) -> frozenset:
     """The set of states of ``M`` satisfying ``f``.
 
@@ -389,12 +495,7 @@ def eval_formula(M, f: Formula, env=None) -> frozenset:
                 )
             mask |= 1 << index[s]
         masks[name] = mask
-    atoms = {
-        p: sum(1 << i for i, colors in enumerate(M.gamma) if p in colors)
-        for p in free_props(f)
-        if p not in masks
-    }
-    view = _BitView(M, atoms)
+    view = _BitView(M, free_props(f))
     return frozenset(states[i] for i in _bits(_eval_bits(view, f, masks)))
 
 
@@ -407,8 +508,8 @@ def _eval_bits(view, f: Formula, env: dict) -> int:
     ``atoms``, and a ∇ rule: ``view.nabla(g, args)`` is the bitset of the
     node ``g`` given the extensions ``args`` of its arguments.  The model
     view (:class:`_BitView`) decides a ∇ node state by state; the sweep's
-    view (``interpolation._TupleView``) decides it for every tuple of
-    successor structures at once.
+    view (:class:`_TupleView`) decides it for every tuple of successor
+    structures at once.
 
     State sets are Python ints used as bitsets.  ¬, ⋁ and the fixpoint test
     are ``^``, ``|`` and ``==`` on ints, and a node's memo key is the node
@@ -634,8 +735,6 @@ def _strip_one_negation(x: str, f: Formula) -> Formula:
 
 def parse_formula(text: str, functor: FunctorDescriptor = None) -> Formula:
     """Parse a formula; ∇ payloads are parsed according to ``functor``."""
-    from .functors import POWERSET
-
     F = POWERSET if functor is None else functor
     cur = Cursor(text)
     f = _parse(cur, F)

@@ -420,6 +420,41 @@ def test_parity_fixpoint_matches_the_acceptance_game(name):
     assert won and lost, name
 
 
+TUPLE_VIEW_SHAPES = dict(SHAPES, **{"product(monotone,powerset)": product(MONOTONE, POWERSET)})
+
+
+@pytest.mark.parametrize(
+    "name, tuples_per_view",
+    [(name, logic._SLICE) for name in TUPLE_VIEW_SHAPES] + [("monotone", 7)],
+)
+def test_parity_fixpoint_on_tuple_views_matches_each_model(name, tuples_per_view, monkeypatch):
+    # every bit of every column the fixpoint solves on the sweep's views, at
+    # 1 and 2 states (comp: 1), against winning_pairs on that tuple's model;
+    # slices of 7 tuples start views mid-digit, so bit k is tuple start + k
+    monkeypatch.setattr(logic, "_SLICE", tuples_per_view)
+    F = TUPLE_VIEW_SHAPES[name]
+    largest = 1 if name == "comp" else 2
+    rng = random.Random(33)
+    won = lost = 0
+    for _ in range(4):
+        props = ("p",) if rng.random() < 0.5 else ("p", "q")
+        aut = random_automaton(F, props, rng, max_priority=4)
+        for n in range(1, largest + 1):
+            for view in logic._tuple_views(F, aut.props, n):
+                cols = automata._winning_columns(aut, view, aut.states)
+                assert set(cols) == set(aut.states)
+                for k in range(view.count):
+                    M = view.sweep.model(view.sweep.decode(view.start + k))
+                    W = winning_pairs(aut, M)
+                    for a, col in cols.items():
+                        for i, s in enumerate(M.states):
+                            bit = col >> i * view.count + k & 1
+                            assert bit == ((s, a) in W), (name, view.start + k, s, a)
+                            won += bit
+                            lost += 1 - bit
+    assert won and lost, name
+
+
 def ring(n, seed):
     """A ring over props p, q with short forward chords, rare back edges and
     rare dead ends; p on about one state in 12, q on four in five."""

@@ -1,4 +1,5 @@
-"""Every module of the package reads each name it imports."""
+"""Every module of the package imports at its top and reads each name it
+imports."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,25 @@ def test_no_module_imports_a_name_it_never_reads():
     }
     assert len(unread) > 1
     assert not {name: names for name, names in unread.items() if names}
+
+
+def _function_imports(tree: ast.Module) -> list:
+    return sorted(
+        {
+            node.lineno
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_no_module_imports_inside_a_function():
+    # an import inside a function hides a dependency between the modules
+    found = {
+        path.name: _function_imports(ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert len(found) > 1
+    assert not {name: lines for name, lines in found.items() if lines}

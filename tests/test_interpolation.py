@@ -41,7 +41,7 @@ from nablamu import (
     subst,
     up_to_p_bisimilar,
 )
-from nablamu import interpolation
+from nablamu import interpolation, logic
 from nablamu.automata import nonemptiness_game, normalize
 from nablamu.coalgebra import CodeSweep, ColoredModel
 from nablamu.interpolation import (
@@ -360,7 +360,7 @@ def test_entails_bounded_slice_boundaries(monkeypatch):
     evaluated = _counting_eval_bits(monkeypatch)
     # the countermodel first, in the middle and last in the second slice
     for K in (501, 300, 251):
-        monkeypatch.setattr(interpolation, "_SLICE", K)
+        monkeypatch.setattr(logic, "_SLICE", K)
         evaluated.clear()
         got = entails_bounded(a, BOT, 3)
         assert got == (False, expected) and got[1].model == M, K
@@ -379,8 +379,8 @@ def test_entails_bounded_evaluates_each_slice_once(monkeypatch):
     a, b = pf("nabla {p}"), pf("nabla {p, true}")
     # sizes of 4, 64 and 4,096 tuples with one proposition over powerset
     tuples = [4, 64, 4096]
-    for K in (interpolation._SLICE, 100):
-        monkeypatch.setattr(interpolation, "_SLICE", K)
+    for K in (logic._SLICE, 100):
+        monkeypatch.setattr(logic, "_SLICE", K)
         evaluated.clear()
         assert entails_bounded(a, b, 3) == (True, None)
         expected = [
@@ -400,7 +400,7 @@ def test_tuple_view_masks_match_every_tuple():
         sweep = CodeSweep(F, props, 2)
         total = sweep.radix**2
         for start, count in [(0, total)] + [(s, min(7, total - s)) for s in range(0, total, 7)]:
-            view = interpolation._TupleView(sweep, start, count)
+            view = logic._TupleView(sweep, start, count)
             codes = [divmod(m, sweep.radix) for m in range(start, start + count)]
             for p in props:
                 naive = sum(
@@ -621,8 +621,9 @@ def test_exact_holds_sweeps_no_models(monkeypatch):
 
         return counted
 
-    # the sweep's one entry, and every binding of the enumeration and its models
-    monkeypatch.setattr(interpolation, "_tuple_views", counting(interpolation._tuple_views))
+    # every binding of the sweep's one entry, and of the enumeration and its models
+    for module in (logic, interpolation, automata):
+        monkeypatch.setattr(module, "_tuple_views", counting(module._tuple_views))
     for module in (coalgebra, automata, interpolation):
         for name in ("canonical_codes", "canonical_models"):
             if hasattr(module, name):
