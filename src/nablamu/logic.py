@@ -18,6 +18,8 @@ rebuild it through :func:`_rebuild`, so a new node kind must be added to both.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .coalgebra import CodeSweep, PointedModel
 from .functors import POWERSET, FunctorDescriptor, base, lift_bits, parse_telem, render_telem, t_map
 from .parsing import Cursor
@@ -252,12 +254,23 @@ def subst(f: Formula, var: str, repl: Formula) -> Formula:
 # Semantics
 
 
+_BYTE_BITS = [()]  # byte value ↦ the positions of its set bits, ascending
+for _k in range(8):
+    _BYTE_BITS += [bits + (_k,) for bits in _BYTE_BITS]
+del _k
+
+
 def _bits(mask: int):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The indices of the set bits of ``mask``, lowest first.
+
+    ``mask`` is read once as little-endian bytes; ``compress`` skips the
+    zero bytes, and each other byte's bits come from ``_BYTE_BITS``.
+    """
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    for i in compress(range(len(data)), data):
+        offset = i << 3
+        for k in _BYTE_BITS[data[i]]:
+            yield offset + k
 
 
 def _digit_mask(digits: int, weight: int, radix: int, start: int, count: int) -> int:
@@ -296,7 +309,7 @@ class _BitView:
         self.functor, self.size, self.model = model.functor, len(model.states), model
         self.atoms = {p: sum(1 << i for i, g in enumerate(model.gamma) if p in g) for p in props}
         self.succ = None  # s ↦ bitset of base(σ(s)), built at the first ∇ node
-        self.preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, at the first re-check
+        self.preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, built with ``succ``
         self.last = {}  # ∇ node ↦ (argument bitsets, result) of its last evaluation
 
     def nabla(self, g: Nabla, args: dict) -> int:
@@ -319,36 +332,41 @@ class _BitView:
         under ``env`` overrides.
         """
         F, M = self.functor, self.model
-        full = (1 << self.size) - 1
-        succ = self.succ
+        succ, preds = self.succ, self.preds
         if succ is None:
-            index = M._index
-            succ = self.succ = [sum(1 << index[t] for t in base(F, x)) for x in M.sigma]
-        if g in self.last:
-            preds = self.preds
-            if preds is None:
-                preds = self.preds = [0] * self.size
-                for s, bits in enumerate(succ):
-                    for t in _bits(bits):
-                        preds[t] |= 1 << s
-            old_args, out = self.last[g]
-            changed = 0
+            index, succ, preds = M._index, [], [0] * self.size
+            for s, x in enumerate(M.sigma):
+                bits = 0
+                for t in base(F, x):
+                    bits |= 1 << index[t]
+                    preds[index[t]] |= 1 << s
+                succ.append(bits)
+            self.succ, self.preds = succ, preds
+        last = self.last.get(g)
+        if last is None:
+            todo, out = range(self.size), 0
+        else:
+            old_args, out = last
+            changed = hit = 0
             for b, mask in args.items():
                 changed |= mask ^ old_args[b]
-            todo = 0
             for t in _bits(changed):
-                todo |= preds[t]
-            out &= ~todo
-        else:
-            todo, out = full, 0
+                hit |= preds[t]
+            out &= ~hit
+            todo = _bits(hit)
         if F.kind == "powerset":
-            outside = full
+            outside = (1 << self.size) - 1
             for mask in args.values():
                 outside &= ~mask
             needed = tuple(args.values())
-            for s in _bits(todo):
+            for s in todo:
                 bits = succ[s]
-                if not bits & outside and all(bits & mask for mask in needed):
+                if bits & outside:
+                    continue
+                for mask in needed:
+                    if not bits & mask:
+                        break
+                else:
                     out |= 1 << s
         else:
             index, sigma = M._index, M.sigma
@@ -356,7 +374,7 @@ class _BitView:
             def atom(t, b):
                 return args[b] >> index[t] & 1
 
-            for s in _bits(todo):
+            for s in todo:
                 if lift_bits(F, sigma[s], g.payload, atom, 1):
                     out |= 1 << s
         self.last[g] = (args, out)
@@ -381,7 +399,7 @@ class _TupleView:
     are periodic patterns of one digit (:func:`_digit_mask`).
     """
 
-    __slots__ = ("functor", "size", "atoms", "sweep", "start", "count", "selectors")
+    __slots__ = ("functor", "size", "atoms", "sweep", "start", "count", "selectors", "last")
 
     def __init__(self, sweep: CodeSweep, start: int, count: int):
         n, radix = len(sweep.states), sweep.radix
@@ -396,6 +414,7 @@ class _TupleView:
             held = per_state(sum(1 << v for v in range(radix) if p in sweep.gamma_of(v)))
             self.atoms[p] = sum(row << i * count for i, row in enumerate(held))
         self.selectors = [per_state(sweep.structure_codes(r)) for r in range(len(sweep.elems))]
+        self.last = {}  # ∇ node ↦ (argument bitsets, result) of its last evaluation
 
     def rows(self, ext: int) -> list:
         """``ext`` split by state: row i is the bitset of the tuples (bit
@@ -413,9 +432,13 @@ class _TupleView:
         tuples at once, on the argument columns: state x's column of b is
         row x of b's extension.  Powerset reads Egli–Milner on the columns,
         every other functor :func:`functors.lift_bits`.  Each t's verdict is
-        kept, in row i, at the tuples whose state i has structure t.  Every
-        call decides the node afresh: the view keeps no earlier verdict.
+        kept, in row i, at the tuples whose state i has structure t.  A call
+        whose arguments are those of the node's last call returns that
+        call's result; any other call decides the node afresh.
         """
+        last = self.last.get(g)
+        if last is not None and last[0] == args:
+            return last[1]
         F, count, sweep = self.functor, self.count, self.sweep
         full, n, index = (1 << count) - 1, len(sweep.states), sweep.index
         cols = {b: self.rows(ext) for b, ext in args.items()}
@@ -443,7 +466,9 @@ class _TupleView:
                 lifted = lift_bits(F, t, g.payload, atom, full)
             if lifted:
                 rows = [row | lifted & sel for row, sel in zip(rows, selected)]
-        return sum(row << i * count for i, row in enumerate(rows))
+        out = sum(row << i * count for i, row in enumerate(rows))
+        self.last[g] = (args, out)
+        return out
 
     def countermodel(self, ext: int) -> PointedModel:
         """The first point of the nonzero ``ext``: its lowest tuple, at that

@@ -477,6 +477,16 @@ def round_refinement(M1, M2, Q=None):
     return pairs, steps
 
 
+def loop_bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first, by clearing
+    the lowest set bit one at a time (``logic._bits`` before it read the
+    mask byte by byte)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def brute_eval_formula(M, f, env=None) -> frozenset:
     """Knaster–Tarski evaluation that re-checks every state at every ∇ node
     on every iteration (the evaluator before it became incremental)."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from formula_corpus import random_guarded_formula
-from helpers import SHAPES, brute_eval_formula
+from helpers import SHAPES, brute_eval_formula, loop_bits
 from nablamu import (
     BOT,
     MONOTONE,
@@ -15,10 +15,13 @@ from nablamu import (
     ColoredModel,
     Mu,
     PointedModel,
+    base,
+    enumerate_t,
     eval_formula,
     free_props,
     guard,
     is_guarded,
+    lift_member,
     mk_and,
     mk_atom,
     mk_mu,
@@ -34,6 +37,8 @@ from nablamu import (
     subst,
     validate_monotone,
 )
+from nablamu.functors import random_telem
+from nablamu.logic import Nabla, _bits, _BitView
 from nablamu.parsing import ParseError
 
 fs = frozenset
@@ -355,6 +360,86 @@ def test_powerset_kernel_matches_brute_evaluator_on_larger_models():
                     assert eval_formula(M, g.body, env) == brute_eval_formula(
                         M, g.body, env
                     )
+
+
+def _bitview_model(rng, F, n):
+    """A random model of ``n`` states over ``F`` in which about one state in
+    five is a deadlock (an element of T∅), where ``F`` has one."""
+    M = random_model(F, (), n, rng)
+    dead = enumerate_t(F, ())
+    sigma = tuple(
+        rng.choice(dead) if dead and (i == 0 or rng.random() < 0.2) else x
+        for i, x in enumerate(M.sigma)
+    )
+    return ColoredModel(F, (), M.states, sigma, M.gamma)
+
+
+def _argument_maps(rng, keys, n):
+    """About 20 argument maps over ``keys``, each bitset of ``n`` bits: a
+    random start, then growing, shrinking, mixed, single-bit, identical and
+    all-equal steps."""
+    def some():
+        return rng.getrandbits(n) & rng.getrandbits(n)
+
+    args = {b: rng.getrandbits(n) for b in keys}
+    yield args
+    for step in range(20):
+        kind = step % 6
+        if kind == 0:
+            args = {b: m | some() for b, m in args.items()}
+        elif kind == 1:
+            args = {b: m & ~some() for b, m in args.items()}
+        elif kind == 2:
+            args = {b: m ^ some() for b, m in args.items()}
+        elif kind == 3:
+            args = {b: m ^ 1 << rng.randrange(n) for b, m in args.items()}
+        elif kind == 4:
+            args = dict(args)
+        else:
+            shared = rng.getrandbits(n)
+            args = {b: shared for b in args}
+        yield args
+
+
+def test_bitview_incremental_nabla_matches_lift_member():
+    # One view and one ∇ node per model, driven through a run of argument
+    # maps; every answer is checked state by state against the lifting.
+    rng = random.Random(17)
+    atoms = tuple(mk_atom(x) for x in "abc")
+    for F in SHAPES.values():
+        empty = enumerate_t(F, ())
+        wide = [t for t in enumerate_t(F, atoms[:2]) if len(base(F, t)) == 2]
+        for k in range(9):
+            M = _bitview_model(rng, F, rng.randint(5, 40))
+            if k % 3 == 0 and empty:
+                alpha = rng.choice(empty)  # ∇{} and its kin
+            elif k % 3 == 1 and wide:
+                alpha = rng.choice(wide)  # two arguments, equal extensions at times
+            else:
+                alpha = random_telem(F, atoms, rng)
+            g = Nabla(F, alpha)
+            view = _BitView(M, ())
+            keys = base(F, alpha)
+            for args in _argument_maps(rng, keys, len(M.states)):
+                pairs = {(s, b) for b in keys for i, s in enumerate(M.states) if args[b] >> i & 1}
+                want = sum(
+                    1 << i for i, x in enumerate(M.sigma) if lift_member(F, pairs, x, alpha)
+                )
+                assert view.nabla(g, args) == want, (F, k, alpha)
+
+
+def test_bits_matches_the_loop_it_replaced():
+    rng = random.Random(19)
+    masks = [0] + [1 << i for i in (0, 7, 8, 15, 16, 1023)]
+    for n in (1, 8, 9, 64, 1000, 1 << 14, 1 << 17):
+        sparse = rng.getrandbits(n)
+        for _ in range(10):
+            sparse &= rng.getrandbits(n)
+        masks += [rng.getrandbits(n), sparse | 1 << n - 1]
+        if n < 1 << 17:  # the loop is quadratic in the mask's length
+            masks += [rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n), (1 << n) - 1]
+    for mask in masks:
+        assert list(_bits(mask)) == list(loop_bits(mask))
 
 
 def test_eval_rejects_env_naming_non_states():
