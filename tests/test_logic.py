@@ -412,7 +412,7 @@ def test_bitview_incremental_nabla_matches_lift_member():
         for k in range(9):
             M = _bitview_model(rng, F, rng.randint(5, 40))
             if k % 3 == 0 and empty:
-                alpha = rng.choice(empty)  # ∇{} and its kin
+                alpha = rng.choice(empty)  # no arguments, like ∇{}
             elif k % 3 == 1 and wide:
                 alpha = rng.choice(wide)  # two arguments, equal extensions at times
             else:
