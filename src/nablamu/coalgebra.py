@@ -9,8 +9,11 @@ liftings makes the single-direction condition self-dual.
 
 from __future__ import annotations
 
+import re
+
 from .functors import (
     DEFAULT_CAP,
+    POWERSET,
     CapExceeded,
     FunctorDescriptor,
     base,
@@ -403,8 +406,69 @@ def render_model(M, point=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The statement reader's patterns use the tokenizer's classes: identifiers
+# are ``[A-Za-z][A-Za-z0-9_]*`` and ``\s`` is exactly ``str.isspace``.  Each
+# repetition starts with a literal ``,``, so a failed match is linear in the
+# statement.
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_NAMES = rf"\{{\s*({_IDENT}\s*(?:,\s*{_IDENT}\s*)*)?\}}"
+_HEAD = re.compile(rf"\s*functor\s+powerset\s*;\s*props\s*{_NAMES}\s*;")
+_STATE = re.compile(
+    rf"\s*state\s+({_IDENT})\s*;\s*sigma\s*{_NAMES}\s*;\s*gamma\s*{_NAMES}\s*;"
+)
+_TAIL = re.compile(rf"(?:\s*point\s+({_IDENT})\s*;)?\s*\Z")
+
+
+def _names(group) -> frozenset:
+    """The identifiers of a list ``_NAMES`` matched (``None`` if empty)."""
+    return frozenset(map(str.strip, group.split(","))) if group else frozenset()
+
+
+def _read_statements(text: str):
+    """The model of a well-formed powerset model text, read one ``state``
+    statement per match, or ``None`` where ``parse_model``'s token reader
+    must decide: any other functor, a ``point`` that is not the last
+    statement, a second ``point``, anything malformed, or a model that
+    ``ColoredModel.make`` or ``PointedModel`` rejects (a state declared
+    twice, an undeclared successor, proposition or point)."""
+    m = _HEAD.match(text)
+    if m is None:
+        return None
+    props = _names(m[1])
+    states, sigma, gamma = [], {}, {}
+    pos = m.end()
+    match = _STATE.match
+    while (m := match(text, pos)) is not None:
+        name, t, g = m.groups()
+        states.append(name)
+        sigma[name] = _names(t)
+        gamma[name] = _names(g)
+        pos = m.end()
+    m = _TAIL.match(text, pos)
+    if m is None:
+        return None
+    try:
+        model = ColoredModel.make(
+            POWERSET, sigma, gamma, props=props, states=tuple(states)
+        )
+        return model if m[1] is None else PointedModel(model, m[1])
+    except ValueError:
+        return None
+
+
 def parse_model(text: str):
-    """Parse the model format; returns a PointedModel when a point is given."""
+    """Parse the model format; returns a PointedModel when a point is given.
+
+    A powerset model whose statements are all ``state`` statements, save an
+    optional last ``point``, is read by ``_read_statements``, one pattern
+    match per statement.  Every other text, and every text that reader
+    declines, goes through the token ``Cursor``, which alone raises the
+    ``ParseError``s; both build the model with ``ColoredModel.make``, so
+    they give equal models.
+    """
+    fast = _read_statements(text)
+    if fast is not None:
+        return fast
     cur = Cursor(text)
     cur.expect_word("functor")
     F = parse_functor(cur)
@@ -430,7 +494,10 @@ def parse_model(text: str):
             sigma[name] = t
             gamma[name] = g
         elif cur.take_word("point"):
-            point = cur.ident("state name")
+            name = cur.ident("state name")
+            if point is not None:
+                cur.error(f"duplicate point {name!r}")
+            point = name
             cur.expect(";")
         else:
             cur.error("expected 'state' or 'point'")

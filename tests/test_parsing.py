@@ -109,6 +109,12 @@ def test_unicode_whitespace_and_digits_read_alike(monkeypatch):
     _assert_same(monkeypatch, parse_formula, ["mu\u00a0x.\x1c(p\u2028\\/\u00a0x)"])
 
 
+_TWO_POINTS = (
+    "functor powerset; props {}; point s0; state s0; sigma {}; gamma {}; "
+    "state s1; sigma {}; gamma {}; point s1;"
+)
+
+
 def test_errors_after_a_consumed_token_read_alike(monkeypatch):
     """Some errors sit at the end of the token just read, before the
     whitespace that follows it, not at the start of the next token."""
@@ -124,6 +130,7 @@ def test_errors_after_a_consumed_token_read_alike(monkeypatch):
             "functor coproduct(identity,identity) ; props {} ;\n"
             "state s ; sigma inx : id : s ; gamma {} ;",
             "functor powerset ; props {} ;\n" + state + "point t ;\n",
+            _TWO_POINTS,
         ],
     )
     aut = "functor powerset ; props {} ; initial a ;\nstate a priority 0 ;\n"
@@ -140,6 +147,11 @@ def test_errors_after_a_consumed_token_read_alike(monkeypatch):
     )
 
 
+def test_a_second_point_is_an_error():
+    with pytest.raises(ParseError, match=r"^duplicate point 's1' \(line 1, column 107,"):
+        parse_model(_TWO_POINTS)
+
+
 def test_non_decimal_digits_end_a_number():
     """``str.isdigit`` accepts superscripts that ``int`` rejects: the old
     reader took them into a number and failed with an unpositioned
@@ -151,14 +163,19 @@ def test_non_decimal_digits_end_a_number():
         parse_automaton(head + "1²;\n")
 
 
-def test_large_model_and_automaton_round_trip():
-    """The sizes the benchmark reads: a 1000-state model, a 100-state automaton."""
-    rng = random.Random(1000)
+def _large_model(rng):
+    """A 1000-state powerset model pointed at its last state."""
     states = tuple(f"s{i}" for i in range(1000))
     sigma = {s: frozenset(rng.sample(states, rng.randint(0, 4))) for s in states}
     gamma = {s: frozenset(p for p in "pq" if rng.random() < 0.5) for s in states}
     M = ColoredModel.make(POWERSET, sigma, gamma, props=("p", "q"), states=states)
-    P = PointedModel(M, "s999")
+    return PointedModel(M, "s999")
+
+
+def test_large_model_and_automaton_round_trip():
+    """The sizes the benchmark reads: a 1000-state model, a 100-state automaton."""
+    rng = random.Random(1000)
+    P = _large_model(rng)
     assert parse_model(render_model(P)) == P
 
     names = [f"a{i}" for i in range(100)]
@@ -170,3 +187,73 @@ def test_large_model_and_automaton_round_trip():
     omega = {a: rng.randint(0, 3) for a in names}
     aut = Automaton.make(POWERSET, ("p",), names, "a0", omega, delta)
     assert parse_automaton(render_automaton(aut)) == aut
+
+
+def _statement_reader_texts():
+    """Powerset model texts, each with whether the token reader accepts it
+    and whether the statement reader reads the whole text."""
+    M = random_model(POWERSET, ("p", "q"), 8, random.Random(8))
+    pointed = render_model(PointedModel(M, M.states[3]))
+    small = render_model(random_model(POWERSET, ("p",), 3, random.Random(3)))
+    head, states = small.split("\n", 2)[:2], small.split("\n", 2)[2]
+    spaced = (
+        pointed.replace("\n", "\r\n")
+        .replace("; ", " ;\t")
+        .replace(", ", "\x1c,\u2003")
+        .replace(" {", "\u00a0{")
+    )
+    return [
+        (pointed, True, True),
+        (render_model(M), True, True),
+        (spaced, True, True),
+        ("\n".join(head) + "\npoint s2;\n" + states, True, False),
+        (small + small.split("\n")[3] + "\n", False, False),
+        (small + "point s9;\n", False, False),
+        (small.replace("gamma {", "gamma {r, "), False, False),
+    ]
+
+
+def test_statement_reader_agrees_with_the_token_reader(monkeypatch):
+    """``coalgebra._read_statements`` gives ``None`` or the token reader's
+    model on every truncation and deletion of powerset model texts, and
+    ``parse_model`` answers (models and ``ParseError`` messages alike) as
+    the character reader does when the statement reader is switched off."""
+    texts = _statement_reader_texts()
+    variants = [list(_variants(text)) for text, _, _ in texts]
+    flat = [v for vs in variants for v in vs]
+    fast = [coalgebra._read_statements(v) for v in flat]
+    shipped = [_outcome(parse_model, v) for v in flat]
+    with monkeypatch.context() as m:
+        m.setattr(coalgebra, "_read_statements", lambda text: None)
+        tokens = [_outcome(parse_model, v) for v in flat]
+        for mod in _MODULES:
+            m.setattr(mod, "Cursor", CharCursor)
+        chars = [_outcome(parse_model, v) for v in flat]
+    for v, f, new, tok, old in zip(flat, fast, shipped, tokens, chars):
+        assert f is None or ("ok", f) == tok, v
+        assert new == old, v
+    taken = iter(f is not None for f in fast)
+    for (text, valid, whole), vs in zip(texts, variants):
+        took = [next(taken) for _ in vs]
+        assert took[0] == whole, text
+        assert (shipped[flat.index(text)][0] == "ok") == valid, text
+        if valid:
+            assert any(took), text
+
+
+def test_rendered_powerset_models_take_the_statement_path(monkeypatch):
+    """``render_model``'s powerset output never reaches the token reader, so
+    a change to the format cannot send large files back to it unnoticed."""
+
+    def refuse(text):
+        raise AssertionError("the token reader was used")
+
+    monkeypatch.setattr(coalgebra, "Cursor", refuse)
+    rng = random.Random(40)
+    for n in range(1, 41):
+        M = random_model(POWERSET, ("p", "q")[: n % 3], n, rng)
+        assert parse_model(render_model(M)) == M
+        P = PointedModel(M, M.states[rng.randrange(n)])
+        assert parse_model(render_model(P)) == P
+    P = _large_model(random.Random(1000))
+    assert parse_model(render_model(P)) == P
