@@ -11,13 +11,15 @@ at the paired positions and the maximal priority seen infinitely often
 decides the play.  Since every lifting here is monotone in Z, this game has
 the same winners as the one where the existential player picks Z outright.
 
-:func:`accepts` and :func:`winning_pairs` do not build the game: they read
-its winners off the automaton's parity fixpoint on the model's bitset view
-(:func:`_winning_columns`).  The same fixpoint, on the sweep's tuple views
-(``logic._tuple_views``), gives :func:`bounded_realizations` the winners in
-every small model at once.  The arena (:func:`build_arena`,
-:func:`acceptance_game`) remains wherever a strategy is read, as in
-projection's witness reconstruction, and as the tests' oracle.
+Nothing here builds the game: its winners are read off the automaton's
+parity fixpoint (:func:`_winning_columns`) on a bitset view.  On the
+model's view it gives :func:`accepts` and :func:`winning_pairs`; on the
+sweep's tuple views (``logic._tuple_views``) it gives
+:func:`bounded_realizations` the winners in every small model at once; on
+a view with one state per cell color it decides the nonemptiness game
+(:func:`_realizations`).  The fixpoint also records a positional winning
+strategy, which is where the strategy model and projection's witnesses are
+read.  The arena and Zielonka's algorithm are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from .functors import (
     render_telem,
     subsets,
     t_map,
-    unfold_lifting,
 )
-from .games import Arena, solve_parity
 from .logic import Nabla, _bits, _BitView, _fresh, _tuple_views
 from .parsing import Cursor
 from .records import Record
@@ -123,93 +123,7 @@ class Automaton(Record):
 
 
 # --------------------------------------------------------------------------
-# Acceptance games
-
-
-def build_arena(aut: Automaton, M: ColoredModel, pairs=None) -> Arena:
-    """The acceptance game arena restricted to positions reachable from
-    ``pairs`` (default: every model-state/automaton-state pair).
-
-    ('state', s, a) is owned by E with priority Ω(a); E moves to
-    ('elem', σ(s), φ) for some φ ∈ Δ(a, c), c the color of s.  From there
-    the players evaluate ``(σ(s), φ) ∈ L(Z)`` one quantifier at a time, by
-    :func:`~nablamu.functors.unfold_lifting` with Z left open: its 'A' and
-    'E' nodes are positions of their owners, and the atom ``(t, b) ∈ Z`` is
-    the position ('state', t, b).  An empty 'A' node leaves A stuck, an empty
-    'E' node E.
-
-    Positions between 'elem' and 'state' have priority 0.  Their labels name
-    the clause and the payloads it reads, so elements share them (every τ
-    containing t shares ('fwd', (), t, φ)).  An element whose lifting is a
-    single atom (identity) gets an E position with that one move.
-
-    Every lifting here is monotone in Z, so E wins ('elem', τ, φ) iff the
-    pairs E wins lift to (τ, φ): the winners are those of the game where E
-    picks a witness relation and A a pair of it (Venema, *Automata and fixed
-    point logic: a coalgebraic perspective*, Inf. & Comput. 2006).
-    """
-    if aut.functor != M.functor:
-        raise ValueError("automaton and model live over different functors")
-    if pairs is None:
-        pairs = [(s, a) for s in M.states for a in aut.states]
-    index = {}
-    positions = []
-    owner = []
-    priority = []
-    moves = []
-    todo = []
-
-    def node(label, who, succ, k=0):
-        """The position ``label``, where ``who`` picks one of ``succ``."""
-        i = index.get(label)
-        if i is None:
-            i = index[label] = len(positions)
-            positions.append(label)
-            owner.append(who)
-            priority.append(k)
-            moves.append(())
-            moves[i] = tuple(succ)
-        return i
-
-    def state(s, a):
-        label = ("state", s, a)
-        i = index.get(label)
-        if i is None:
-            i = node(label, "E", (), aut.omega_of(a))
-            todo.append(i)
-        return i
-
-    def elem(tau, phi):
-        label = ("elem", tau, phi)
-        i = index.get(label)
-        if i is None:
-            i = unfold_lifting(aut.functor, tau, phi, state, node, (), label)
-            if label not in index:  # a lone atom (identity): E moves to it
-                i = node(label, "E", (i,))
-        return i
-
-    for s, a in pairs:
-        state(s, a)
-    colors = {}
-    k = 0
-    while k < len(todo):
-        i = todo[k]
-        k += 1
-        _, s, a = positions[i]
-        c = colors.get(s)
-        if c is None:
-            c = colors[s] = aut.color_of(M.gamma_of(s))
-        tau = M.sigma_of(s)
-        moves[i] = tuple([elem(tau, phi) for phi in aut.delta_of(a, c)])
-    return Arena._unchecked(
-        tuple(positions), tuple(owner), tuple(priority), tuple(moves), index
-    )
-
-
-def acceptance_game(aut: Automaton, M: ColoredModel, pairs=None):
-    """Build and solve the acceptance game; returns (arena, solution)."""
-    arena = build_arena(aut, M, pairs)
-    return arena, solve_parity(arena)
+# Acceptance by the parity fixpoint
 
 
 def winning_pairs(aut: Automaton, M: ColoredModel) -> frozenset:
@@ -236,11 +150,12 @@ def accepts(aut: Automaton, P: PointedModel) -> bool:
     return bool(col >> P.model._index[P.point] & 1)
 
 
-def _winning_columns(aut: Automaton, view, roots) -> dict:
+def _winning_columns(aut: Automaton, view, roots, choices=None) -> dict:
     """For each automaton state a reachable from ``roots``, the bitset of the
-    states of ``view``, a model's :class:`logic._BitView` or a sweep's
-    :class:`logic._TupleView`, at which the existential player wins the
-    acceptance game from a.  The view's ``atoms`` give each state's color.
+    states of ``view`` (a model's :class:`logic._BitView`, a sweep's
+    :class:`logic._TupleView`, or :class:`_ColorView`) at which the
+    existential player wins the acceptance game from a.  The view's
+    ``atoms`` give each state's color.
 
     The winners solve the automaton's hierarchical equation system
     X_a = ⋁_c [color c] ∧ ⋁_{φ ∈ Δ(a, c)} ∇φ[X_b / b], with ν for even
@@ -261,6 +176,23 @@ def _winning_columns(aut: Automaton, view, roots) -> dict:
     are built here, not interned, so they die with the solve.  Only the
     colors that occur in the view are read, and only the automaton states
     reachable through their cells.
+
+    Given a dict ``choices``, the solve also records a positional strategy
+    for the existential player.  A pass records each pair (view state s,
+    automaton state a) of its new X_a that has no record yet, as
+    ``choices[s, a] = (φ, args)``: the first element φ of the cell whose ∇
+    held at s, and ``args``, the columns b ↦ X_b it held on.  So a μ pass
+    records the pairs it adds.  A ν pass that changes anything drops every
+    record made since it began, its inner levels' included, since those
+    rest on values that then fell.  The records that survive cover exactly
+    the won pairs, and the first one of each pair wins: it was made on
+    values of the enclosing ν levels that no later pass lowers, and, at a
+    μ level, on arguments won at earlier stages of that level than the
+    pair itself.  Along a play that follows the records through pairs
+    their arguments hold, the stages of the highest μ level seen
+    infinitely often would decrease forever, so that highest priority is
+    even (progress measures: Jurdziński, STACS 2000; strategies from
+    fixpoint iteration: Bruse, Falk and Lange, GandALF 2014).
     """
     F = aut.functor
     if F != view.functor:
@@ -300,12 +232,15 @@ def _winning_columns(aut: Automaton, view, roots) -> dict:
         levels[-1][1].append(a)
     nabla = view.nabla
     X = {}
+    recorded = dict.fromkeys(rows, 0)  # a ↦ the bitset of the states with a record at a
+    log = []  # the recorded pairs, oldest first
 
     def solve(i):
         odd, states = levels[i]
         for a in states:
             X[a] = 0 if odd else full
         while True:
+            mark = len(log)
             if i + 1 < len(levels):
                 solve(i + 1)
             changed = False
@@ -315,13 +250,26 @@ def _winning_columns(aut: Automaton, view, roots) -> dict:
                     hit = 0
                     for phi in cell:
                         g, bs = nodes[phi]
-                        hit |= nabla(g, {b: X[b] for b in bs})
+                        args = {b: X[b] for b in bs}
+                        got = nabla(g, args)
+                        fresh = 0 if choices is None else got & mask & ~(hit | recorded[a])
+                        if fresh:
+                            recorded[a] |= fresh
+                            for s in _bits(fresh):
+                                choices[s, a] = phi, args
+                                log.append((s, a))
+                        hit |= got
                     new |= hit & mask
                 if new != X[a]:
                     X[a] = new
                     changed = True
             if not changed:
                 return
+            if not odd:
+                for s, a in log[mark:]:
+                    del choices[s, a]
+                    recorded[a] &= ~(1 << s)
+                del log[mark:]
 
     if levels:
         solve(0)
@@ -368,39 +316,6 @@ def find_true_state(aut: Automaton):
         if all(set(aut.delta_of(a, c)) == want for c in subsets(aut.props)):
             return a
     return None
-
-
-def nonemptiness_game(aut: Automaton):
-    """Build and solve the nonemptiness game; returns (arena, solution).
-
-    Positions: ('state', a) owned by E with priority Ω(a), who moves to any
-    ('elem', φ) with φ in some cell Δ(a, c); ('elem', φ) owned by A, who
-    moves to ('state', b) for any b ∈ base(φ) and loses when that is empty.
-    For a functor with a functorial lifting, E wins at a exactly when a
-    accepts some model (Kupke & Venema, *Coalgebraic automata theory: basic
-    results*, LMCS 2008): a winning play follows a realization, and E's
-    positional strategy is itself a model (see :func:`_realizations`).
-    """
-    F = aut.functor
-    phis = _elements(aut)
-    positions = [("state", a) for a in aut.states] + [("elem", phi) for phi in phis]
-    index = {pos: i for i, pos in enumerate(positions)}
-    picks = {a: {} for a in aut.states}  # ordered sets of element positions
-    for (a, _), elems in aut.delta:
-        picks[a].update((index[("elem", phi)], None) for phi in elems)
-    moves = [tuple(picks[a]) for a in aut.states] + [
-        tuple(index[("state", b)] for b in sorted(base(F, phi), key=canon_key))
-        for phi in phis
-    ]
-    n, m = len(aut.states), len(phis)
-    arena = Arena._unchecked(
-        tuple(positions),
-        ("E",) * n + ("A",) * m,
-        aut.omega + (0,) * m,
-        tuple(moves),
-        index,
-    )
-    return arena, solve_parity(arena)
 
 
 def _elements(aut: Automaton) -> list:
@@ -473,6 +388,29 @@ def bounded_realizations(aut: Automaton, bound: int) -> dict:
     return found
 
 
+class _ColorView:
+    """A view with one state per color in ``colors``, on which a ∇ node
+    holds at every state or at none: at all of them iff each of its
+    arguments holds at some state.
+
+    On it, :func:`_winning_columns` solves the nonemptiness game, where E
+    picks an element of a cell of a and A a state of its base: X_a is
+    nonzero iff E wins at a.  For a functorial lifting that means a accepts
+    some model (Kupke & Venema, *Coalgebraic automata theory: basic
+    results*, LMCS 2008): some τ lifts a relation R to φ iff base(φ) ⊆
+    rng(R), so φ is realized over the winners iff its base lies inside them.
+    """
+
+    __slots__ = ("functor", "size", "atoms")
+
+    def __init__(self, functor, props, colors):
+        self.functor, self.size = functor, len(colors)
+        self.atoms = {p: sum(1 << i for i, c in enumerate(colors) if p in c) for p in props}
+
+    def nabla(self, g, args: dict) -> int:
+        return (1 << self.size) - 1 if all(args.values()) else 0
+
+
 def _realizations(aut: Automaton, bound: int):
     """Decide which transition elements some model realizes, and realize
     them in one model: the one decision that pruning, normalization and
@@ -482,35 +420,31 @@ def _realizations(aut: Automaton, bound: int):
     automaton state) pairs the construction takes the existential player E
     to win.
 
-    Exact for a functor with a functorial lifting: the model is the
-    nonemptiness game's strategy model (E's winning states, each with the
-    element E's strategy picks and the color of a cell holding it), and
-    τ_φ = φ, through the diagonal, iff E wins φ's position.  Where a monotone
-    part is present, base(φ) alone does not decide realizability (the ∀∃
-    lifting can relate one model state to several automaton states): the
-    model is the coproduct of the models of :func:`bounded_realizations`,
-    or the model of the 1-state code tuple (0,) if none realizes anything.
+    Exact for a functor with a functorial lifting: the parity fixpoint on
+    the :class:`_ColorView` of the cell colors, in ``canon_key`` order,
+    decides the nonemptiness game, and its records are E's strategy.  The
+    model is the strategy model: E's winning states, each with the element
+    and the color of its first record (the first cell, in delta order,
+    holding that element), and τ_φ = φ, through the diagonal, iff base(φ)
+    lies inside the winning states.  Where a monotone part is present,
+    base(φ) alone does not decide realizability (the ∀∃ lifting can relate
+    one model state to several automaton states): the model is the
+    coproduct of the models of :func:`bounded_realizations`, or the model
+    of the 1-state code tuple (0,) if none realizes anything.
     """
     F = aut.functor
     if F.has_functorial_lifting:
-        arena, sol = nonemptiness_game(aut)
-        win = [a for a in aut.states if arena.index(("state", a)) in sol.win_e]
-        # the color of the first cell, in delta order, holding each element
-        color_of = {}
-        for (b, c), elems in aut.delta:
-            for phi in elems:
-                color_of.setdefault((b, phi), c)
+        colors = sorted({c for (_, c), _ in aut.delta}, key=canon_key)
+        choices = {}
+        _winning_columns(aut, _ColorView(F, aut.props, colors), aut.states, choices)
         sigma = {}
         gamma = {}
-        for a in win:
-            phi = arena.positions[sol.strategy_e[arena.index(("state", a))]][1]
-            sigma[a] = phi
-            gamma[a] = color_of[(a, phi)]
+        for (s, a), (phi, _) in choices.items():
+            if a not in sigma:
+                sigma[a], gamma[a] = phi, colors[s]
+        win = [a for a in aut.states if a in sigma]
         model = ColoredModel.make(F, sigma, gamma, props=aut.props, states=win)
-        tau_of = {
-            phi: phi if arena.index(("elem", phi)) in sol.win_e else None
-            for phi in _elements(aut)
-        }
+        tau_of = {phi: phi if base(F, phi).issubset(sigma) else None for phi in _elements(aut)}
         return model, tau_of, frozenset((a, a) for a in win)
     found = bounded_realizations(aut, bound)
     used = list(dict.fromkeys(r[0] for r in found.values() if r is not None)) or [
@@ -578,8 +512,10 @@ class WitnessCoalgebra(Record):
 
 def witness_coalgebra(aut: Automaton, bound: int = 3) -> WitnessCoalgebra:
     """Realize every transition element of a totally satisfiable automaton
-    by the model of :func:`_realizations`, whose claimed pairs are checked
-    against the acceptance game on that model.
+    by the model of :func:`_realizations`: over a functorial lifting, the
+    strategy model read off the records of the nonemptiness fixpoint.  Its
+    claimed pairs are checked against :func:`winning_pairs` on that model,
+    so a strategy that does not win raises AssertionError.
 
     Raises ValueError if some element has no realization (run
     :func:`prune_unsatisfiable` first).

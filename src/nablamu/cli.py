@@ -371,9 +371,10 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
         help="entailment between two formulas",
         description="Whether formula_a entails formula_b. Exact over every "
         "functor without a monotone part when a /\\ ~b translates to an "
-        "automaton: the nonemptiness game decides it. A failed entailment "
-        "prints the first countermodel of at most N states, or, if there is "
-        "none, the game's strategy model, which may be larger. Functors with a "
+        "automaton: the nonemptiness game, solved as a parity fixpoint, decides "
+        "it. A failed entailment prints the first countermodel of at most N "
+        "states, or, if there is none, the part of the fixpoint's strategy "
+        "model that the point reaches, which may be larger. Functors with a "
         "monotone part and formulas outside the fragment (a negated modality "
         "outside powerset among them) are swept over all models of at most N "
         "states.",

@@ -13,17 +13,17 @@ only where a monotone part is present.
 a functorial lifting, a ⊨ b holds iff the automaton of ``a ∧ ¬b`` accepts
 nothing, i.e. iff the existential player loses its initial state in the
 nonemptiness game (Kupke & Venema, *Coalgebraic automata theory: basic
-results*, LMCS 2008).  Where a monotone part is present, and where
-``a ∧ ¬b`` falls outside the translatable fragment, it is
-``entails_bounded``: the desk-scale check that sweeps all pointed models
-up to a size bound, smallest first, and returns the first countermodel it
-meets.  The sweep evaluates ``a ∧ ¬b`` once per size on the bitset views
-of every tuple of state codes of that size (``logic._tuple_views``, which
-the realizability sweep reads too), not model by model: an atom, and
-"state i has successor structure t", is a periodic bit pattern over the
-tuples, and a ∇ node is decided once per successor structure for all
-tuples at once.  Only the countermodel is ever built, and no isomorphism
-classes are enumerated.
+results*, LMCS 2008), which normalization solves as a parity fixpoint.
+Where a monotone part is present, and where ``a ∧ ¬b`` falls outside the
+translatable fragment, it is ``entails_bounded``: the desk-scale check that
+sweeps all pointed models up to a size bound, smallest first, and returns
+the first countermodel it meets.  The sweep evaluates ``a ∧ ¬b`` once per
+size on the bitset views of every tuple of state codes of that size
+(``logic._tuple_views``, which the realizability sweep reads too), not
+model by model: an atom, and "state i has successor structure t", is a
+periodic bit pattern over the tuples, and a ∇ node is decided once per
+successor structure for all tuples at once.  Only the countermodel is ever
+built, and no isomorphism classes are enumerated.
 ``entails_bounded`` also validates interpolants and serves as the oracle
 for ``entails``.
 """
@@ -31,8 +31,8 @@ for ``entails``.
 from __future__ import annotations
 
 from .automata import normalize, witness_coalgebra
-from .coalgebra import CodeSweep, PointedModel
-from .functors import POWERSET, FunctorDescriptor
+from .coalgebra import CodeSweep, ColoredModel, PointedModel
+from .functors import POWERSET, FunctorDescriptor, base
 from .logic import (
     Formula,
     _eval_bits,
@@ -141,10 +141,12 @@ def entails(
     game, leaves the initial state none.  Then ``max_states`` bounds only what
     the answer reports.  A failed entailment returns the countermodel
     of ``entails_bounded(a, b, max_states)``, or, when no model of at most
-    ``max_states`` states refutes it, the game's strategy model pointed at the
-    initial state, which may be larger.  A holding entailment raises
-    CapExceeded exactly where the sweep would: at the first size up to
-    ``max_states`` past the enumeration cap.
+    ``max_states`` states refutes it, the strategy model that normalization's
+    nonemptiness fixpoint records (:func:`automata.witness_coalgebra`): its
+    submodel generated by the initial state, pointed there, and checked
+    against ``a ∧ ¬b``.  It may be larger than ``max_states``.  A holding
+    entailment raises CapExceeded exactly where the sweep would: at the
+    first size up to ``max_states`` past the enumeration cap.
 
     Every other input (a functor with a monotone part, or ``a ∧ ¬b`` outside
     the fragment, which holds every negated modality outside powerset) gets
@@ -170,6 +172,18 @@ def entails(
     if not ok:
         return ok, cm
     model = witness_coalgebra(aut).model
+    reach, todo = {aut.initial}, [aut.initial]
+    while todo:
+        new = base(F, model.sigma_of(todo.pop())) - reach
+        reach |= new
+        todo.extend(new)
+    model = ColoredModel.make(
+        F,
+        {q: model.sigma_of(q) for q in reach},
+        {q: model.gamma_of(q) for q in reach},
+        props=model.props,
+        states=[q for q in model.states if q in reach],
+    )
     if aut.initial not in eval_formula(model, witness):
         raise AssertionError("the strategy model does not refute the entailment")
     return False, PointedModel(model, aut.initial)

@@ -8,17 +8,19 @@ the automaton may now *guess* p at every step.
 ``construct_projection_witness`` justifies the guesses: from a model the
 projected automaton accepts, it constructs a model over the full vocabulary
 that the original automaton accepts and that is bisimilar to the input up to
-p.  The successor structure of the witness is produced by ``qf_middle``,
-which realizes the quasi-functorial factorization property of the lifting:
-any pair in the lifting of a composite R;S factors through a middle element
-related to both sides.
+p.  It follows the winning strategy that the projected automaton's parity
+fixpoint records on the model (no arena is built).  The successor
+structure of the witness is produced by ``qf_middle``, which realizes the
+quasi-functorial factorization property of the lifting: any pair in the
+lifting of a composite R;S factors through a middle element related to
+both sides.
 """
 
 from __future__ import annotations
 
 from .automata import (
     Automaton,
-    acceptance_game,
+    _winning_columns,
     accepts,
     find_true_state,
     normalize,
@@ -34,6 +36,7 @@ from .functors import (
     lift_member,
     t_map,
 )
+from .logic import _BitView
 
 
 def qf_middle(
@@ -173,30 +176,11 @@ def project_automaton(aut: Automaton, p: str, bound: int = 3) -> Automaton:
     """The automaton for ∃p: normalize, then let every step guess ``p``.
 
     Exact for functors with a functorial lifting, where normalization
-    decides realizability by the nonemptiness game.  Only where a monotone
-    part is present are realizing models bounded by ``bound`` states.
+    decides realizability by the nonemptiness game's parity fixpoint.  Only
+    where a monotone part is present are realizing models bounded by
+    ``bound`` states.
     """
     return _delta_p_merge(normalize(aut, bound), frozenset((p,)))
-
-
-def _committed_pairs(arena, strat, j) -> frozenset:
-    """The pairs (t, b) whose ('state', t, b) positions a play from position
-    ``j`` can reach first when E follows ``strat``: the relation E's strategy
-    proves the element's lifting with."""
-    out = set()
-    seen = {j}
-    todo = [j]
-    while todo:
-        v = todo.pop()
-        pos = arena.positions[v]
-        if pos[0] == "state":
-            out.add(pos[1:])
-            continue
-        for w in (strat[v],) if arena.owner[v] == "E" else arena.moves[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return frozenset(out)
 
 
 def _shrink_witness(F: FunctorDescriptor, pairs, tau, phi) -> frozenset:
@@ -222,15 +206,18 @@ def construct_projection_witness(
 
     Given ``P`` accepted by ``project_automaton(aut, p, bound)``, returns a
     pointed model over the full vocabulary that ``aut`` (normalized) accepts
-    and that is bisimilar to ``P`` up to ``p``.  Its states are the pairs of
-    a model state and an automaton state that E's winning strategy reaches
-    from the point, plus the witness-coalgebra states their middles mention.
-    At a pair (s, a) the strategy picks an element φ.  The pairs the
-    strategy can reach next through the unfolded lifting prove (σ(s), φ), so
-    the relation Z behind the step is a ⊆-minimal subset of them that still
-    does, and every play the witness allows is one the strategy wins.
-    Raises ValueError if the projection rejects ``P``; both claims about the
-    result are re-verified and failures raise AssertionError.
+    and that is bisimilar to ``P`` up to ``p``.  The projection's parity
+    fixpoint on ``P``'s model (:func:`automata._winning_columns`) records a
+    winning strategy for the existential player E.  The witness's states
+    are the pairs of a model state and an automaton state that strategy
+    reaches from the point, plus the witness-coalgebra states their middles
+    mention.  At a pair (s, a) the record gives an element φ and the
+    columns it held on, so the pairs (t, b) with t ∈ base(σ(s)), b ∈ base(φ)
+    and t in b's column prove (σ(s), φ).  The relation Z behind the step is
+    a ⊆-minimal subset of them that still does, and every play the witness
+    allows is one the strategy wins.  Raises ValueError if the projection
+    rejects ``P``; both claims about the result are re-verified and
+    failures raise AssertionError.
     """
     F = aut.functor
     if F != P.functor:
@@ -242,18 +229,17 @@ def construct_projection_witness(
     pset = frozenset((p,))
     E = _delta_p_merge(autn, pset)
     M = P.model
-    # the uncovered successors go to the true state, so its pairs join the arena
-    arena, sol = acceptance_game(
-        E, M, pairs=[(P.point, E.initial)] + [(t, att) for t in M.states]
-    )
-    if arena.index(("state", P.point, E.initial)) not in sol.win_e:
+    index = M._index
+    # the uncovered successors go to the true state, so its pairs are solved too
+    choices = {}
+    cols = _winning_columns(E, _BitView(M, E.props), (E.initial, att), choices)
+    if not cols[E.initial] >> index[P.point] & 1:
         raise ValueError("the projection automaton rejects this pointed model")
     wc = witness_coalgebra(autn, bound)
-    strat = sol.strategy_e
     eprops = frozenset(E.props)
     w_pairs = frozenset((("w", q), b) for q, b in wc.winning)
 
-    # walk from the point along E's winning strategy: every pair it reaches
+    # walk from the point along E's recorded strategy: every pair it reaches
     # is won by E, and the middles mention only such pairs and witness states
     sigma: dict = {}
     gamma: dict = {}
@@ -268,9 +254,12 @@ def construct_projection_witness(
             gamma[tok] = wc.model.gamma_of(q)
         else:
             _, s, a = tok
-            j = strat[arena.index(("state", s, a))]
-            _, tau, phi = arena.positions[j]
-            Zpairs = _shrink_witness(F, _committed_pairs(arena, strat, j), tau, phi)
+            phi, args = choices[index[s], a]
+            tau = M.sigma_of(s)
+            held = {
+                (t, b) for t in base(F, tau) for b, col in args.items() if col >> index[t] & 1
+            }
+            Zpairs = _shrink_witness(F, held, tau, phi)
             covered = {t for t, _ in Zpairs}
             Zp = set(Zpairs) | {(t, att) for t in M.states if t not in covered}
             R1 = frozenset((t, ("m", t, b)) for t, b in Zp)

@@ -39,9 +39,11 @@ from nablamu import (
     t_map,
 )
 from nablamu import laxcheck
+from nablamu.automata import _elements
 from nablamu.coalgebra import CodeSweep
-from nablamu.functors import _FnPairs
+from nablamu.functors import _FnPairs, unfold_lifting
 from nablamu.parsing import ParseError
+from nablamu.records import Record
 
 CARRIER = ("x", "y", "z")
 
@@ -322,7 +324,7 @@ def per_model_realizations(aut, bound):
     state) pairs.  Elements no such model realizes map to ``None``.  The
     sweep stops as soon as every element is realized.
     """
-    from nablamu.automata import _elements, winning_pairs
+    from nablamu.automata import winning_pairs
 
     F = aut.functor
     found = dict.fromkeys(_elements(aut))
@@ -545,7 +547,309 @@ def brute_eval_formula(M, f, env=None) -> frozenset:
 
 
 # --------------------------------------------------------------------------
-# Parity games
+# Parity games: arenas, Zielonka's solver and the automata's games, the
+# oracle for the parity fixpoint (``automata._winning_columns``) and the
+# strategies it records.
+#
+# Conventions: priorities are maximized along plays, even priorities favor
+# the existential player 'E', odd ones the universal player 'A'; a player
+# stuck at a position they own loses immediately.  Winning strategies are
+# positional, and the solver returns one for each player on their winning
+# region.
+
+
+class Arena(Record):
+    """A finite parity game arena.
+
+    ``positions`` are arbitrary hashable labels; ``owner``, ``priority`` and
+    ``moves`` align with them by index, ``moves[i]`` listing successor
+    indices.  The constructor validates the arena; the builders below,
+    whose arenas are valid by construction, skip the checks through
+    ``_unchecked``.
+    """
+
+    positions: tuple
+    owner: tuple
+    priority: tuple
+    moves: tuple
+
+    def __post_init__(self):
+        n = len(self.positions)
+        if len(set(self.positions)) != n:
+            raise ValueError("duplicate positions")
+        if not (len(self.owner) == len(self.priority) == len(self.moves) == n):
+            raise ValueError("owner/priority/moves must align with positions")
+        if any(o not in ("E", "A") for o in self.owner):
+            raise ValueError("owners must be 'E' or 'A'")
+        if any(p < 0 for p in self.priority):
+            raise ValueError("priorities must be nonnegative")
+        for succ in self.moves:
+            for j in succ:
+                if not (0 <= j < n):
+                    raise ValueError(f"move target {j} out of range")
+        object.__setattr__(
+            self, "_index", {p: i for i, p in enumerate(self.positions)}
+        )
+
+    @classmethod
+    def _unchecked(cls, positions, owner, priority, moves, index) -> "Arena":
+        """The arena with these fields, built without ``__post_init__``'s
+        checks: for callers that construct only valid arenas.  ``index``
+        maps each position to its index."""
+        arena = object.__new__(cls)
+        arena.__dict__.update(
+            positions=positions,
+            owner=owner,
+            priority=priority,
+            moves=moves,
+            _index=index,
+        )
+        return arena
+
+    def index(self, position) -> int:
+        return self._index[position]
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
+class ParitySolution(Record):
+    """The winning regions of both players and a positional strategy for each.
+
+    ``strategy_e`` and ``strategy_a`` are dicts from position index to the
+    index of the chosen successor.  Each covers its player's own positions in
+    their winning region, and every choice stays inside that region.
+    """
+
+    win_e: frozenset
+    win_a: frozenset
+    strategy_e: dict
+    strategy_a: dict
+
+    def winner(self, v: int) -> str:
+        return "E" if v in self.win_e else "A"
+
+
+def solve_parity(arena: Arena) -> ParitySolution:
+    """Solve the parity game by Zielonka's recursive algorithm.
+
+    Dead ends are handled by routing them to virtual sinks lost by the stuck
+    player, so the recursion only ever sees total games.
+    """
+    n = len(arena.positions)
+    # totalize: position n is a sink winning for A (odd self-loop, reached by
+    # stuck E positions), position n+1 a sink winning for E.
+    owner = list(arena.owner) + ["E", "A"]
+    priority = list(arena.priority) + [1, 0]
+    moves = [tuple(m) for m in arena.moves] + [(n,), (n + 1,)]
+    for v in range(n):
+        if not moves[v]:
+            moves[v] = (n,) if owner[v] == "E" else ((n + 1),)
+    preds = [[] for _ in range(n + 2)]
+    for v in range(n + 2):
+        for w in moves[v]:
+            preds[w].append(v)
+
+    def attractor(target, player, sub):
+        """Positions in ``sub`` from which ``player`` forces a visit to target."""
+        attr = set(target)
+        strat = {}
+        # an opponent position's count of in-subgame moves not yet known to
+        # lead into attr, taken when the attractor first reaches it
+        cnt = {}
+        queue = deque(target)
+        while queue:
+            w = queue.popleft()
+            for v in preds[w]:
+                if v not in sub or v in attr:
+                    continue
+                if owner[v] == player:
+                    attr.add(v)
+                    strat[v] = w
+                    queue.append(v)
+                else:
+                    k = cnt.get(v)
+                    if k is None:
+                        k = sum(map(sub.__contains__, moves[v]))
+                    cnt[v] = k = k - 1
+                    if k == 0:
+                        attr.add(v)
+                        queue.append(v)
+        return frozenset(attr), strat
+
+    def zielonka(sub: frozenset):
+        """Returns ({player: winning region}, {player: strategy}) for the
+        total subgame.
+
+        The call on ``sub ∖ A`` recurses; A holds the top priority, so the
+        depth is at most the number of priorities.  The call on ``sub ∖ B``
+        is a loop: each round peels the opponent's attractor B off ``sub``,
+        and the peeled regions are joined back innermost first.
+        """
+        peeled = []
+        while sub:
+            d = max(map(priority.__getitem__, sub))
+            player, other = ("E", "A") if d % 2 == 0 else ("A", "E")
+            Z = frozenset([v for v in sub if priority[v] == d])
+            if len(Z) < len(sub):
+                A, strat_attr = attractor(Z, player, sub)
+                win, strat = zielonka(sub - A)
+            else:
+                # one priority left: the attractor is sub itself and the
+                # recursion sees the empty game
+                strat_attr = {}
+                win, strat = {"E": frozenset(), "A": frozenset()}, {"E": {}, "A": {}}
+            if not win[other]:
+                # the favored player wins the whole subgame: recurse-region
+                # strategy inside sub∖A, attractor strategy on A∖Z, and any
+                # in-subgame move on the top-priority positions themselves.
+                st = dict(strat[player])
+                st.update(strat_attr)
+                for v in Z:
+                    if owner[v] == player:
+                        st[v] = next(w for w in moves[v] if w in sub)
+                win = {player: frozenset(sub), other: frozenset()}
+                strat = {player: st, other: {}}
+                break
+            B, strat_b = attractor(win[other], other, sub)
+            st = dict(strat[other])
+            st.update(strat_b)
+            peeled.append((other, B, st))
+            sub = sub - B
+        else:
+            win, strat = {"E": frozenset(), "A": frozenset()}, {"E": {}, "A": {}}
+        for other, B, st in reversed(peeled):
+            st.update(strat[other])
+            win[other], strat[other] = frozenset(win[other] | B), st
+        return win, strat
+
+    win, strat = zielonka(frozenset(range(n + 2)))
+    real = set(range(n))
+    return ParitySolution(
+        frozenset(win["E"] & real),
+        frozenset(win["A"] & real),
+        {v: w for v, w in strat["E"].items() if v < n and w < n},
+        {v: w for v, w in strat["A"].items() if v < n and w < n},
+    )
+
+
+def build_arena(aut, M, pairs=None) -> Arena:
+    """The acceptance game arena restricted to positions reachable from
+    ``pairs`` (default: every model-state/automaton-state pair).
+
+    ('state', s, a) is owned by E with priority Ω(a); E moves to
+    ('elem', σ(s), φ) for some φ ∈ Δ(a, c), c the color of s.  From there
+    the players evaluate ``(σ(s), φ) ∈ L(Z)`` one quantifier at a time, by
+    :func:`nablamu.functors.unfold_lifting` with Z left open: its 'A' and
+    'E' nodes are positions of their owners, and the atom ``(t, b) ∈ Z`` is
+    the position ('state', t, b).  An empty 'A' node leaves A stuck, an empty
+    'E' node E.
+
+    Positions between 'elem' and 'state' have priority 0.  Their labels name
+    the clause and the payloads it reads, so elements share them (every τ
+    containing t shares ('fwd', (), t, φ)).  An element whose lifting is a
+    single atom (identity) gets an E position with that one move.
+
+    Every lifting here is monotone in Z, so E wins ('elem', τ, φ) iff the
+    pairs E wins lift to (τ, φ): the winners are those of the game where E
+    picks a witness relation and A a pair of it (Venema, *Automata and fixed
+    point logic: a coalgebraic perspective*, Inf. & Comput. 2006).
+    """
+    if aut.functor != M.functor:
+        raise ValueError("automaton and model live over different functors")
+    if pairs is None:
+        pairs = [(s, a) for s in M.states for a in aut.states]
+    index = {}
+    positions = []
+    owner = []
+    priority = []
+    moves = []
+    todo = []
+
+    def node(label, who, succ, k=0):
+        """The position ``label``, where ``who`` picks one of ``succ``."""
+        i = index.get(label)
+        if i is None:
+            i = index[label] = len(positions)
+            positions.append(label)
+            owner.append(who)
+            priority.append(k)
+            moves.append(())
+            moves[i] = tuple(succ)
+        return i
+
+    def state(s, a):
+        label = ("state", s, a)
+        i = index.get(label)
+        if i is None:
+            i = node(label, "E", (), aut.omega_of(a))
+            todo.append(i)
+        return i
+
+    def elem(tau, phi):
+        label = ("elem", tau, phi)
+        i = index.get(label)
+        if i is None:
+            i = unfold_lifting(aut.functor, tau, phi, state, node, (), label)
+            if label not in index:  # a lone atom (identity): E moves to it
+                i = node(label, "E", (i,))
+        return i
+
+    for s, a in pairs:
+        state(s, a)
+    colors = {}
+    k = 0
+    while k < len(todo):
+        i = todo[k]
+        k += 1
+        _, s, a = positions[i]
+        c = colors.get(s)
+        if c is None:
+            c = colors[s] = aut.color_of(M.gamma_of(s))
+        tau = M.sigma_of(s)
+        moves[i] = tuple([elem(tau, phi) for phi in aut.delta_of(a, c)])
+    return Arena._unchecked(
+        tuple(positions), tuple(owner), tuple(priority), tuple(moves), index
+    )
+
+
+def acceptance_game(aut, M, pairs=None):
+    """Build and solve the acceptance game; returns (arena, solution)."""
+    arena = build_arena(aut, M, pairs)
+    return arena, solve_parity(arena)
+
+
+def nonemptiness_game(aut):
+    """Build and solve the nonemptiness game; returns (arena, solution).
+
+    Positions: ('state', a) owned by E with priority Ω(a), who moves to any
+    ('elem', φ) with φ in some cell Δ(a, c); ('elem', φ) owned by A, who
+    moves to ('state', b) for any b ∈ base(φ) and loses when that is empty.
+    For a functor with a functorial lifting, E wins at a exactly when a
+    accepts some model (Kupke & Venema, *Coalgebraic automata theory: basic
+    results*, LMCS 2008): a winning play follows a realization, and E's
+    positional strategy is itself a model (``automata._realizations``).
+    """
+    F = aut.functor
+    phis = _elements(aut)
+    positions = [("state", a) for a in aut.states] + [("elem", phi) for phi in phis]
+    index = {pos: i for i, pos in enumerate(positions)}
+    picks = {a: {} for a in aut.states}  # ordered sets of element positions
+    for (a, _), elems in aut.delta:
+        picks[a].update((index[("elem", phi)], None) for phi in elems)
+    moves = [tuple(picks[a]) for a in aut.states] + [
+        tuple(index[("state", b)] for b in sorted(base(F, phi), key=canon_key))
+        for phi in phis
+    ]
+    n, m = len(aut.states), len(phis)
+    arena = Arena._unchecked(
+        tuple(positions),
+        ("E",) * n + ("A",) * m,
+        aut.omega + (0,) * m,
+        tuple(moves),
+        index,
+    )
+    return arena, solve_parity(arena)
 
 
 def random_arena(rng, max_positions=8, max_priority=3, max_degree=2):
@@ -554,8 +858,6 @@ def random_arena(rng, max_positions=8, max_priority=3, max_degree=2):
     The existential out-degree stays small so the brute-force oracle (which
     enumerates every positional strategy) remains cheap.
     """
-    from nablamu.games import Arena
-
     n = rng.randint(1, max_positions)
     moves = []
     for _ in range(n):
@@ -671,8 +973,6 @@ def brute_build_arena(aut, M, pairs=None):
     """The acceptance game as first defined: at ('elem', τ, φ) the existential
     player picks a ⊆-minimal witness relation Z, at ('rel', Z) the universal
     player picks a pair of Z, which leads to its ('state', t, b) position."""
-    from nablamu.games import Arena
-
     if pairs is None:
         pairs = [(s, a) for s in M.states for a in aut.states]
     index, positions, owner, priority, moves = {}, [], [], [], []
@@ -711,8 +1011,6 @@ def brute_build_arena(aut, M, pairs=None):
 
 def brute_winning_pairs(aut, M):
     """The pairs the existential player wins in :func:`brute_build_arena`."""
-    from nablamu.games import solve_parity
-
     arena = brute_build_arena(aut, M)
     sol = solve_parity(arena)
     return frozenset(
@@ -726,8 +1024,6 @@ def reference_solve_parity(arena):
     """Zielonka's algorithm as first written, whose attractors count every
     position's in-subgame moves up front; the library solver must return the
     same regions and strategies."""
-    from nablamu.games import ParitySolution
-
     n = len(arena.positions)
     # totalize: position n is a sink winning for A (odd self-loop, reached by
     # stuck E positions), position n+1 a sink winning for E.

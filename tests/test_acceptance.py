@@ -24,6 +24,7 @@ from formula_corpus import (
     random_guarded_formula,
 )
 from helpers import (
+    acceptance_game,
     canonical_models,
     canonical_pointed_models,
     expand_family,
@@ -31,6 +32,7 @@ from helpers import (
     oracle_winners,
     random_arena,
     random_automaton,
+    solve_parity,
     subsets,
     validate_parity_solution,
 )
@@ -66,12 +68,10 @@ from nablamu import (
     render_formula,
     render_model,
     satisfies,
-    solve_parity,
     uniform_interpolant,
     up_to_p_bisimilar,
 )
 from nablamu.automata import (
-    acceptance_game,
     accepts,
     add_true_state,
     normalize,
@@ -79,6 +79,7 @@ from nablamu.automata import (
     winning_pairs,
     witness_coalgebra,
 )
+from nablamu import automata, logic
 from nablamu.coalgebra import random_model
 from nablamu.projection import construct_projection_witness, project_automaton
 from nablamu.translation import automaton_to_formula, formula_to_automaton
@@ -90,7 +91,8 @@ def pf(src: str):
 
 def _initial_column(aut, M):
     """Model states accepted from the automaton's initial state, solving one
-    acceptance game restricted to the reachable part of that column."""
+    acceptance game restricted to the reachable part of that column: the
+    arena oracle, kept on the 1-state models of each test below."""
     seeds = [(s, aut.initial) for s in M.states]
     arena, sol = acceptance_game(aut, M, pairs=seeds)
     return frozenset(
@@ -98,6 +100,12 @@ def _initial_column(aut, M):
         for s in M.states
         if arena.index(("state", s, aut.initial)) in sol.win_e
     )
+
+
+def _initial_bits(aut, view):
+    """The states of every tuple of a sweep's view (``logic._tuple_views``)
+    accepted from the automaton's initial state, by the parity fixpoint."""
+    return automata._winning_columns(aut, view, (aut.initial,))[aut.initial]
 
 
 # --------------------------------------------------------------------------
@@ -193,6 +201,8 @@ def test_bisimulation_invariance_sampled():
 
 
 def test_translation_contracts_on_corpus():
+    # every state of every code tuple of at most 3 states, one view at a
+    # time; the acceptance game checks the 1-state models state by state
     done = 0
     for src in TRANSLATION_CORPUS:
         f = pf(src)
@@ -200,17 +210,19 @@ def test_translation_contracts_on_corpus():
         g = automaton_to_formula(aut)
         props = tuple(sorted(free_props(f)))
         for n in (1, 2, 3):
-            for M in canonical_models(POWERSET, props, n):
-                ext_f = eval_formula(M, f)
-                ext_g = eval_formula(M, g)
-                col = _initial_column(aut, M)
-                for s in M.states:
-                    accepted = s in col
-                    assert accepted == (s in ext_f), (src, s)
-                    assert (s in ext_g) == accepted, (src, s)
-                    if n == 1:
-                        direct = accepts(aut, PointedModel(M, s))
-                        assert direct == accepted, (src, s)
+            for view in logic._tuple_views(POWERSET, props, n):
+                col = _initial_bits(aut, view)
+                assert col == logic._eval_bits(view, f, {}), (src, n, view.start)
+                assert col == logic._eval_bits(view, g, {}), (src, n, view.start)
+        for M in canonical_models(POWERSET, props, 1):
+            ext_f = eval_formula(M, f)
+            ext_g = eval_formula(M, g)
+            col = _initial_column(aut, M)
+            for s in M.states:
+                accepted = s in col
+                assert accepted == (s in ext_f), (src, s)
+                assert (s in ext_g) == accepted, (src, s)
+                assert accepts(aut, PointedModel(M, s)) == accepted, (src, s)
         ok, counter = entails_bounded(f, g, 3)
         assert ok and counter is None, (src, "forward")
         ok, counter = entails_bounded(g, f, 3)
@@ -256,12 +268,17 @@ def test_surgery_preserves_acceptance_and_witnesses_win():
             with_tt, _ = add_true_state(aut)
             pruned = prune_unsatisfiable(aut, 3)
             for n in (1, 2, 3):
-                for M in canonical_models(F, props, n):
-                    col = _initial_column(aut, M)
-                    assert col == _initial_column(with_tt, M), (F.kind, n)
+                for view in logic._tuple_views(F, props, n):
+                    col = _initial_bits(aut, view)
+                    assert col == _initial_bits(with_tt, view), (F.kind, n)
                     if pruned == aut:
                         continue
-                    assert col == _initial_column(pruned, M), (F.kind, n)
+                    assert col == _initial_bits(pruned, view), (F.kind, n)
+            for M in canonical_models(F, props, 1):
+                col = _initial_column(aut, M)
+                assert col == {s for s in M.states if accepts(aut, PointedModel(M, s))}
+                assert col == _initial_column(with_tt, M), F.kind
+                assert col == _initial_column(pruned, M), F.kind
             normalized = normalize(aut, 3)
             wc = witness_coalgebra(normalized, 3)
             assert wc.winning <= winning_pairs(normalized, wc.model)
@@ -287,13 +304,16 @@ def test_projection_automaton_correspondence():
             normalized = normalize(aut, 3)
             proj = project_automaton(aut, "p", 3)
             assert proj.props == ()
+            # proj reads no proposition, so it runs on the views over p
             for n in (1, 2, 3):
-                for M in canonical_models(F, ("p",), n):
-                    col = _initial_column(normalized, M)
-                    if not col:
-                        continue
-                    reduct_col = _initial_column(proj, project_model(M, ()))
-                    assert col <= reduct_col, (F.kind, n)
+                for view in logic._tuple_views(F, ("p",), n):
+                    col = _initial_bits(normalized, view)
+                    assert not col & ~_initial_bits(proj, view), (F.kind, n)
+            for M in canonical_models(F, ("p",), 1):
+                col = _initial_column(normalized, M)
+                reduct_col = _initial_column(proj, project_model(M, ()))
+                assert col <= reduct_col, F.kind
+                assert col == {s for s in M.states if accepts(normalized, PointedModel(M, s))}
             for P in canonical_pointed_models(F, (), 3):
                 if not accepts(proj, P):
                     continue

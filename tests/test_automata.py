@@ -5,7 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from helpers import SHAPES, brute_winning_pairs, per_model_realizations, random_automaton
+from helpers import (
+    SHAPES,
+    Arena,
+    ParitySolution,
+    acceptance_game,
+    brute_winning_pairs,
+    build_arena,
+    nonemptiness_game,
+    per_model_realizations,
+    random_automaton,
+    validate_parity_solution,
+)
 
 from nablamu import (
     MONOTONE,
@@ -14,6 +25,7 @@ from nablamu import (
     ColoredModel,
     ParseError,
     PointedModel,
+    base,
     compose,
     enumerate_t,
     eval_formula,
@@ -24,18 +36,14 @@ from nablamu import (
     random_model,
     random_telem,
 )
-from nablamu.games import Arena
 from nablamu import automata, logic
 from nablamu.translation import formula_to_automaton
 from nablamu.automata import (
     Automaton,
-    acceptance_game,
     accepts,
     add_true_state,
     bounded_realizations,
-    build_arena,
     find_true_state,
-    nonemptiness_game,
     normalize,
     parse_automaton,
     prune_unsatisfiable,
@@ -530,6 +538,48 @@ def test_parity_fixpoint_over_eight_priorities():
             start = (s, aut.initial)
             assert accepts(aut, PointedModel(M, s)) == (start in game_winners(aut, M, [start]))
     assert seen == set(states)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_recorded_choices_are_a_winning_strategy(name):
+    # the records of the parity fixpoint cover exactly the won pairs; at
+    # (s, a) the recorded φ is in a's cell for s's color, and the pairs Z its
+    # argument columns hold on σ(s) lift (σ(s), φ); the graph (s, a) → Z,
+    # with the universal player picking from Z, stays among the recorded
+    # pairs and closes no cycle whose highest priority is odd
+    F = SHAPES[name]
+    rng = random.Random(36)
+    won = lost = 0
+    for _ in range(100):
+        props = ("p",) if rng.random() < 0.5 else ("p", "q")
+        aut = random_automaton(F, props, rng, max_states=6, max_priority=7, max_base=3)
+        M = random_model(F, props, rng.randint(1, 4), rng)
+        choices = {}
+        cols = automata._winning_columns(aut, logic._BitView(M, aut.props), aut.states, choices)
+        pairs = {(i, a) for a, col in cols.items() for i in logic._bits(col)}
+        assert set(choices) == pairs, name
+        moves = []
+        for (i, a), (phi, args) in choices.items():
+            s = M.states[i]
+            assert phi in aut.delta_of(a, aut.color_of(M.gamma_of(s))), name
+            tau = M.sigma_of(s)
+            Z = {(t, b) for t in base(F, tau) for b, col in args.items() if col >> M._index[t] & 1}
+            assert lift_member(F, Z, tau, phi), name
+            succ = {(M._index[t], b) for t, b in Z}
+            assert succ <= pairs, name
+            moves.append(succ)
+        index = {pair: k for k, pair in enumerate(choices)}
+        arena = Arena(
+            tuple(choices),
+            ("A",) * len(choices),
+            tuple(aut.omega_of(a) for _, a in choices),
+            tuple(tuple(index[v] for v in succ) for succ in moves),
+        )
+        everything = frozenset(index.values())
+        validate_parity_solution(arena, ParitySolution(everything, frozenset(), {}, {}))
+        won += len(pairs)
+        lost += len(M.states) * len(aut.states) - len(pairs)
+    assert won and lost, name
 
 
 def test_parity_fixpoint_leaves_the_formula_table_alone():

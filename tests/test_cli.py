@@ -597,15 +597,27 @@ def test_entails_refuses_a_huge_monotone_carrier_at_once():
 
 
 def test_entails_refutes_past_the_max_model_size(capsys):
-    # no countermodel has at most 3 states; the game's strategy model is printed
-    a = "mu x. nu y. nabla {\\/{(p /\\ y), x}, true}"
-    b = "nabla {nabla {p, true}, true}"
-    code, out, _ = run(capsys, "entails", a, b, "--format", "structured")
-    assert code == 1 and '"holds":false' in out
-    cm = parse_model(json.loads(out)["countermodel"])
-    assert len(cm.model.states) > 3
-    assert satisfies(cm, parse_formula(a, POWERSET))
-    assert not satisfies(cm, parse_formula(b, POWERSET))
+    # no countermodel has at most `size` states; the part of the strategy
+    # model that the point reaches is printed
+    cases = [
+        ("mu x. nu y. nabla {\\/{(p /\\ y), x}, true}", "nabla {nabla {p, true}, true}", "3"),
+        ("nabla {p}", "p", "1"),
+    ]
+    for a, b, size in cases:
+        code, out, _ = run(
+            capsys, "entails", a, b, "--max-model-size", size, "--format", "structured"
+        )
+        assert code == 1 and '"holds":false' in out
+        cm = parse_model(json.loads(out)["countermodel"])
+        assert len(cm.model.states) > int(size)
+        assert satisfies(cm, parse_formula(a, POWERSET))
+        assert not satisfies(cm, parse_formula(b, POWERSET))
+        reached, todo = {cm.point}, [cm.point]
+        while todo:
+            new = cm.model.sigma_of(todo.pop()) - reached
+            reached |= new
+            todo.extend(new)
+        assert reached == set(cm.model.states), a
 
 
 # --------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import sys
 
 import pytest
 
-from nablamu.games import Arena, solve_parity
-
 from helpers import (
+    Arena,
     oracle_winners,
     random_arena,
     reference_solve_parity,
+    solve_parity,
     validate_parity_solution,
 )
 

@@ -20,6 +20,7 @@ from helpers import (
     canonical_models,
     canonical_pointed_models,
     iterated_interpolant,
+    nonemptiness_game,
 )
 
 from nablamu import (
@@ -42,7 +43,7 @@ from nablamu import (
     up_to_p_bisimilar,
 )
 from nablamu import interpolation, logic
-from nablamu.automata import nonemptiness_game, normalize
+from nablamu.automata import normalize
 from nablamu.coalgebra import CodeSweep, ColoredModel
 from nablamu.interpolation import (
     entails,

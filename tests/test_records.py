@@ -12,10 +12,11 @@ import sys
 
 import pytest
 
+from helpers import Arena, ParitySolution
+
 from nablamu.automata import WitnessCoalgebra, parse_automaton
 from nablamu.coalgebra import ColoredModel, PointedModel
 from nablamu.functors import POWERSET, FunctorDescriptor, compose, constant, product
-from nablamu.games import Arena, ParitySolution
 from nablamu.laxcheck import CheckReport
 from nablamu.translation import NAnd, NFix, NLit, NNabla, NOr, NVar
 
