@@ -5,6 +5,11 @@ and prints either a human-readable report or one line of canonical JSON
 (``--format structured``).  Outputs are deterministic: identical inputs and
 flags produce byte-identical structured output.
 
+Each leaf command is declared once, in ``_COMMANDS``.  A well-formed command
+line (the command's words, its positionals, then ``--flag value`` pairs) is
+read from that table without argparse; help, usage errors and every other
+form of command line go to the argparse parser built from the same table.
+
 Exit codes: 0 success / semantic yes; 1 semantic no; 2 parse, file, or
 argument error; 3 formula outside the translatable fragment.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .automata import normalize, parse_automaton, render_automaton
 from .automata import accepts as automaton_accepts
@@ -228,7 +234,7 @@ def cmd_selftest(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# Parser
+# Command table and parsers
 
 
 def _positive(text: str) -> int:
@@ -241,9 +247,8 @@ def _positive(text: str) -> int:
     return value
 
 
-# The flags several subcommands share, each declared once; a subcommand
-# takes only those it reads.
-_SHARED_FLAGS = {
+# Every flag, declared once; each command names those it reads.
+_FLAGS = {
     "--format": dict(
         choices=("human", "structured"),
         default="human",
@@ -274,101 +279,84 @@ _SHARED_FLAGS = {
         metavar="C",
         help="enumeration cardinality cap (default: 10^6)",
     ),
-}
-
-
-class _Unbuilt:
-    """Stands in for the parser of a subcommand the command line does not
-    name, and takes its arguments and subcommands without building them."""
-
-    def _ignore(self, *args, **kwargs):
-        return self
-
-    add_argument = set_defaults = add_subparsers = add_parser = _ignore
-
-
-def _build_parser(argv=None) -> argparse.ArgumentParser:
-    """The CLI's parser; given ``argv``, only the subcommands it names get a
-    real parser.  That is exact: argparse dispatches only to a name that
-    occurs in ``argv``, and root help, usage and errors read only the names
-    and help texts, which every subcommand still registers."""
-
-    def parser_class(**kw):
-        # add_parser passes prog="<parent prog> <name>"
-        if argv is None or kw["prog"].rsplit(" ", 1)[1] in argv:
-            return argparse.ArgumentParser(**kw)
-        return _Unbuilt()
-
-    parser = argparse.ArgumentParser(
-        prog="nablamu",
-        description="Coalgebraic fixpoint logic: models, automata, interpolants.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
-
-    def command(group, name, handler, *positionals, flags=(), formula=False, **kw):
-        """Add subcommand ``name``: ``--format`` and the shared ``flags``, the
-        ``(name, help)`` positionals, then the formula source if it reads one."""
-        p = group.add_parser(name, **kw)
-        for flag in ("--format", *flags):
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        for dest, text in positionals:
-            p.add_argument(dest, help=text)
-        if formula:
-            p.add_argument("formula", nargs="?", help="formula text")
-            p.add_argument("--formula-file", help="read the formula from a file")
-        p.set_defaults(handler=handler)
-        return p
-
-    command(
-        sub, "check", cmd_check, ("model", "model file"), formula=True,
-        help="evaluate a formula on a model",
-    )
-    p = command(
-        sub, "bisim", cmd_bisim, ("model_a", "first model file"),
-        ("model_b", "second model file"), help="greatest bisimulation of two models",
-    )
-    p.add_argument("--disregard", metavar="P", help="ignore this proposition")
-
-    p = sub.add_parser("automaton", help="operate on an automaton file")
-    asub = p.add_subparsers(dest="sub", required=True, parser_class=parser_class)
-    aut = ("automaton", "automaton file")
-    command(
-        asub, "accept", cmd_accept, aut, ("model", "model file"),
-        help="run the acceptance game",
-    )
-    command(
-        asub, "to-formula", cmd_to_formula, aut,
-        help="translate to an equivalent formula",
-    )
-    command(
-        asub, "project", cmd_project, aut, ("prop", "proposition to hide"),
-        flags=("--witness-bound",), help="hide a proposition existentially",
-    )
-    command(
-        asub, "normalize", cmd_normalize, aut, flags=("--witness-bound",),
-        help="adjoin a true state and prune unrealizable elements",
-    )
-
-    command(
-        sub, "to-automaton", cmd_to_automaton, flags=("--functor",), formula=True,
-        help="translate a formula to an automaton",
-    )
-    p = command(
-        sub, "interpolate", cmd_interpolate, formula=True,
-        flags=("--functor", "--witness-bound", "--max-model-size"),
-        help="uniform interpolant of a formula",
-    )
-    p.add_argument(
-        "--keep",
+    "--formula-file": dict(help="read the formula from a file"),
+    "--disregard": dict(metavar="P", help="ignore this proposition"),
+    "--keep": dict(
         required=True,
         metavar="{q,...}",
         help="propositions the interpolant may use",
-    )
-    command(
-        sub, "entails", cmd_entails, ("formula_a", "antecedent formula text"),
-        ("formula_b", "consequent formula text"),
-        flags=("--functor", "--max-model-size"),
-        help="entailment between two formulas",
+    ),
+    "--carrier-bound": dict(
+        type=_positive,
+        default=2,
+        metavar="N",
+        help="carrier size bound for the sweep (default: 2)",
+    ),
+}
+
+
+class _Command(NamedTuple):
+    """A leaf command: the words that name it, its handler and help, its
+    ``(dest, help)`` positionals, whether an inline formula may follow them,
+    its flags (keys of ``_FLAGS``, in help order), and its description."""
+
+    words: tuple
+    handler: Callable
+    help: str
+    positionals: tuple = ()
+    formula: bool = False
+    flags: tuple = ()
+    description: str | None = None
+
+
+_AUTOMATON = ("automaton", "automaton file")
+_MODEL = ("model", "model file")
+
+_COMMANDS = (
+    _Command(
+        ("check",), cmd_check, "evaluate a formula on a model",
+        positionals=(_MODEL,), formula=True, flags=("--format", "--formula-file"),
+    ),
+    _Command(
+        ("bisim",), cmd_bisim, "greatest bisimulation of two models",
+        positionals=(("model_a", "first model file"), ("model_b", "second model file")),
+        flags=("--format", "--disregard"),
+    ),
+    _Command(
+        ("automaton", "accept"), cmd_accept, "run the acceptance game",
+        positionals=(_AUTOMATON, _MODEL), flags=("--format",),
+    ),
+    _Command(
+        ("automaton", "to-formula"), cmd_to_formula, "translate to an equivalent formula",
+        positionals=(_AUTOMATON,), flags=("--format",),
+    ),
+    _Command(
+        ("automaton", "project"), cmd_project, "hide a proposition existentially",
+        positionals=(_AUTOMATON, ("prop", "proposition to hide")),
+        flags=("--format", "--witness-bound"),
+    ),
+    _Command(
+        ("automaton", "normalize"), cmd_normalize,
+        "adjoin a true state and prune unrealizable elements",
+        positionals=(_AUTOMATON,), flags=("--format", "--witness-bound"),
+    ),
+    _Command(
+        ("to-automaton",), cmd_to_automaton, "translate a formula to an automaton",
+        formula=True, flags=("--format", "--functor", "--formula-file"),
+    ),
+    _Command(
+        ("interpolate",), cmd_interpolate, "uniform interpolant of a formula",
+        formula=True,
+        flags=("--format", "--functor", "--witness-bound", "--max-model-size",
+               "--formula-file", "--keep"),
+    ),
+    _Command(
+        ("entails",), cmd_entails, "entailment between two formulas",
+        positionals=(
+            ("formula_a", "antecedent formula text"),
+            ("formula_b", "consequent formula text"),
+        ),
+        flags=("--format", "--functor", "--max-model-size"),
         description="Whether formula_a entails formula_b. Exact over every "
         "functor without a monotone part when a /\\ ~b translates to an "
         "automaton: the nonemptiness game, solved as a parity fixpoint, decides "
@@ -378,25 +366,106 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
         "monotone part and formulas outside the fragment (a negated modality "
         "outside powerset among them) are swept over all models of at most N "
         "states.",
-    )
-    p = command(
-        sub, "selftest", cmd_selftest, flags=("--functor", "--cap"),
-        help="exhaustive lax-extension axiom sweep",
-    )
-    p.add_argument(
-        "--carrier-bound",
-        type=_positive,
-        default=2,
-        metavar="N",
-        help="carrier size bound for the sweep (default: 2)",
-    )
+    ),
+    _Command(
+        ("selftest",), cmd_selftest, "exhaustive lax-extension axiom sweep",
+        flags=("--format", "--functor", "--cap", "--carrier-bound"),
+    ),
+)
 
+# The help of each command word that only groups leaf commands.
+_GROUPS = {"automaton": "operate on an automaton file"}
+
+_LEAVES = {command.words: command for command in _COMMANDS}
+
+
+def _read_argv(argv):
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read from
+    ``_COMMANDS`` without argparse; ``None`` unless ``argv`` is
+
+    - a leaf command's words;
+    - its positionals, the inline formula optional, none starting with ``-``;
+    - ``--flag value`` pairs: each flag one of the leaf's, spelled out and
+      given at most once, each value not starting with ``-`` and passing the
+      flag's type and choices, and every required flag among them.
+
+    Flags come last because argparse reads a flag between positionals
+    differently from one Python version to the next (3.11 rejects ``check M
+    --format structured p``).  Help, usage errors, ``--flag=value``,
+    abbreviations and ``--`` are left to argparse."""
+    command = _LEAVES.get(tuple(argv[:1])) or _LEAVES.get(tuple(argv[:2]))
+    if command is None:
+        return None
+    rest = argv[len(command.words) :]
+    count = next((i for i, arg in enumerate(rest) if arg.startswith("-")), len(rest))
+    dests = [dest for dest, _ in command.positionals]
+    if not len(dests) <= count <= len(dests) + command.formula:
+        return None
+    pairs = rest[count:]
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if 2 * len(given) != len(pairs):  # a flag without a value, or twice
+        return None
+    values = {"command": command.words[0], "handler": command.handler}
+    if len(command.words) == 2:
+        values["sub"] = command.words[1]
+    if command.formula:
+        values["formula"] = rest[count - 1] if count > len(dests) else None
+    values.update(zip(dests, rest))
+    for flag in command.flags:
+        spec = _FLAGS[flag]
+        dest = flag[2:].replace("-", "_")
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default")
+            continue
+        value = given.pop(flag)
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    return None if given else argparse.Namespace(**values)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, built from ``_COMMANDS``; ``main`` builds it
+    only for the command lines ``_read_argv`` leaves to it."""
+    parser = argparse.ArgumentParser(
+        prog="nablamu",
+        description="Coalgebraic fixpoint logic: models, automata, interpolants.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for command in _COMMANDS:
+        group = sub
+        if len(command.words) == 2:
+            word = command.words[0]
+            if word not in groups:
+                p = sub.add_parser(word, help=_GROUPS[word])
+                groups[word] = p.add_subparsers(dest="sub", required=True)
+            group = groups[word]
+        p = group.add_parser(
+            command.words[-1], help=command.help, description=command.description
+        )
+        for flag in command.flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        for dest, text in command.positionals:
+            p.add_argument(dest, help=text)
+        if command.formula:
+            p.add_argument("formula", nargs="?", help="formula text")
+        p.set_defaults(handler=command.handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except UnsupportedFragment as exc:

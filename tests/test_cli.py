@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import argparse
+import itertools
 import json
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -225,12 +227,15 @@ def test_subcommands_take_the_flags_the_readme_lists(capsys, flag):
     assert listed and listed <= set(LEAF_ARGS)
     accepting = set()
     for leaf, args in LEAF_ARGS.items():
+        argv = [*leaf.split(), *args, flag, FLAG_VALUES[flag]]
         try:
-            _build_parser().parse_args([*leaf.split(), *args, flag, FLAG_VALUES[flag]])
+            namespace = _build_parser().parse_args(argv)
             accepting.add(leaf)
         except SystemExit as exc:
+            namespace = None
             assert exc.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert cli._read_argv(argv) == namespace, argv
     assert accepting == listed
 
 
@@ -243,7 +248,7 @@ def test_non_integer_bound_is_a_usage_error(capsys):
 
 
 # --------------------------------------------------------------------------
-# a call builds the parsers of the subcommands it names, and no others
+# the command table's reader and the argparse parser
 
 
 def outcome(capsys, argv):
@@ -256,17 +261,25 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_named_parsers_answer_like_the_full_parser(write, capsys, monkeypatch):
+def test_the_reader_answers_like_argparse(write, capsys, monkeypatch):
     m = write("m.model", LOOP_P)
     aut = write("t.aut", render_automaton(TRUE_AUT))
     helps = [[*leaf.split(), "--help"] for leaf in LEAF_ARGS]
     argvs = helps + [
         [], ["--help"], ["-h"], ["automaton"], ["automaton", "--help"],
         ["--help", "entails"], ["entails", "--help", "p"], ["automaton", "-h", "accept"],
-        # flags before the subcommand, --, -1
+        ["entails", "p", "q", "-h"],
+        # flags before the subcommand, --, -1, -, the empty string
         ["--format", "structured", "entails", "p", "q"], ["--functor", "powerset", "check"],
         ["--", "entails", "p", "q"], ["entails", "--", "p", "q"], ["entails", "p", "--", "q"],
         ["-1"], ["entails", "-1", "p"], ["selftest", "--cap", "-1"],
+        ["entails", "-", "q"], ["check", m, "-"], ["entails", "", "q"], ["check", m, ""],
+        ["bisim", m, m, "--disregard", "-p"],
+        # flags between positionals, --flag=value, abbreviations, repeats
+        ["check", m, "--format", "structured", "p"],
+        ["entails", "p", "--format", "structured", "q"],
+        ["entails", "p", "q", "--format=structured"], ["entails", "p", "q", "--form", "structured"],
+        ["entails", "p", "q", "--format", "human", "--format", "structured"],
         # extra positionals, unknown leaves, subcommand names as arguments
         ["entails", "p", "q", "r"], ["automaton", "to-formula", aut, "extra"],
         ["bogus"], ["Check"], ["entail", "p", "q"], ["automaton", "bogus"],
@@ -274,7 +287,7 @@ def test_named_parsers_answer_like_the_full_parser(write, capsys, monkeypatch):
         ["entails", "check", "entails"], ["check", m, "check"],
         ["automaton", "project", aut, "automaton"], ["to-automaton", "selftest"],
         # one error of each argparse kind
-        ["entails", "p"], ["bisim", m], ["interpolate", "p"],
+        ["entails", "p"], ["bisim", m], ["interpolate", "p"], ["interpolate", "p", "--keep"],
         ["entails", "p", "q", "--bogus"], ["--bogus"], ["check", m, "p", "--cap", "5"],
         ["entails", "p", "q", "--format", "json"], ["entails", "p", "q", "--functor"],
         ["entails", "p", "q", "--max-model-size", "0"], ["selftest", "--carrier-bound", "x"],
@@ -282,20 +295,40 @@ def test_named_parsers_answer_like_the_full_parser(write, capsys, monkeypatch):
         # calls that reach their handler
         ["entails", "(p /\\ q)", "q"], ["entails", "p", "q", "--format", "structured"],
         ["check", m, "p"], ["check", m, "nabla {"], ["check", m + ".missing", "p"],
-        ["bisim", m, m], ["automaton", "accept", aut, m], ["automaton", "normalize", aut],
+        ["bisim", m, m], ["bisim", m, m, "--disregard", "p"],
+        ["automaton", "accept", aut, m], ["automaton", "normalize", aut],
         ["to-automaton", "mu x. (p \\/ nabla {x})"],
         ["interpolate", "(p /\\ q)", "--keep", "{q}"],
     ]
     monkeypatch.setenv("COLUMNS", "80")
-    named = [outcome(capsys, argv) for argv in argvs]
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
-    for argv, got in zip(argvs, named):
+    shipped = [outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    for argv, got in zip(argvs, shipped):
         assert outcome(capsys, argv) == got, argv
-    assert {code for code, _, _ in named} == {0, 1, 2}
+    assert {code for code, _, _ in shipped} == {0, 1, 2}
 
 
-def test_a_call_builds_only_the_parsers_it_names(write, capsys, monkeypatch):
+def _readme_quickstart() -> list:
+    """The argument lists of the README's "Quickstart (CLI)" lines."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    block = text.split("## Quickstart (CLI)", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+# One argument list of each request shape of the benchmark's workloads.
+BENCHMARK_SHAPES = [
+    ["interpolate", "(p /\\ nabla {})", "--keep", "{}", "--format", "structured"],
+    ["automaton", "project", "dia.aut", "p", "--format", "structured"],
+    ["automaton", "accept", "dia.aut", "a.model", "--format", "structured"],
+    ["entails", "nabla {p}", "p", "--format", "structured"],
+    ["check", "a.model", "nu x. (p /\\ nabla {x, true})", "--format", "structured"],
+    ["bisim", "a.model", "b.model", "--format", "structured"],
+    ["bisim", "a.model", "b.model", "--disregard", "q", "--format", "structured"],
+]
+
+
+def test_well_formed_calls_build_no_argument_parser(tmp_path, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -304,19 +337,78 @@ def test_a_call_builds_only_the_parsers_it_names(write, capsys, monkeypatch):
         init(self, **kw)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-
-    def count(argv):
-        built.clear()
-        outcome(capsys, argv)
-        return len(built)
-
-    aut = write("t.aut", render_automaton(TRUE_AUT))
-    assert count(["entails", "p", "q"]) == 2
-    assert count(["automaton", "accept", aut, write("m.model", LOOP_P)]) == 3
-    assert count(["--help"]) == 1
-    built.clear()
-    _build_parser()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.model").write_text(LOOP_P)
+    (tmp_path / "b.model").write_text(LOOP_NOP)
+    (tmp_path / "dia.aut").write_text(render_automaton(TRUE_AUT))
+    quickstart = _readme_quickstart()
+    assert len(quickstart) == len(LEAF_ARGS)
+    for argv in quickstart + BENCHMARK_SHAPES:
+        code, _, err = outcome(capsys, argv)
+        assert code in (0, 1) and err == "", argv
+        assert built == [], argv
+    outcome(capsys, ["--help"])
     assert len(built) == 12
+
+
+# A valid value of each flag, then values the flag's parser rejects.
+SWEEP_VALUES = {
+    "--format": ("structured", "json", "-1"),
+    "--functor": ("monotone", "-x"),
+    "--witness-bound": ("2", "0", "x", "-2"),
+    "--max-model-size": ("2", "0", "x", "-2"),
+    "--cap": ("5", "0", "-5"),
+    "--formula-file": ("f.txt", "-f"),
+    "--disregard": ("p", "-p"),
+    "--keep": ("{q}", "-q"),
+    "--carrier-bound": ("3", "x", "-3"),
+}
+
+
+def _flag_lines(flags):
+    """(flag pairs, well formed) for each order tried of ``flags``: every
+    value valid, one value rejected, and the first flag given twice."""
+    orders = (
+        itertools.permutations(flags) if len(flags) <= 3 else (flags, flags[::-1])
+    )
+    for order in orders:
+        valid = [(flag, SWEEP_VALUES[flag][0]) for flag in order]
+        yield valid, True
+        for i, flag in enumerate(order):
+            for bad in SWEEP_VALUES[flag][1:]:
+                yield valid[:i] + [(flag, bad)] + valid[i + 1 :], False
+        if order:
+            yield valid + valid[:1], False
+
+
+def test_the_reader_agrees_with_argparse_on_a_sweep_of_the_table():
+    """Each leaf × flag subset × flag order × values × positional count: the
+    reader takes exactly the well-formed lines and reads each as argparse."""
+    parser = _build_parser()
+    read = set()
+    for command in cli._COMMANDS:
+        required = {f for f in command.flags if cli._FLAGS[f].get("required")}
+        least = len(command.positionals)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(command.flags, k) for k in range(len(command.flags) + 1)
+        )
+        for flags in subsets:
+            for pairs, valid in _flag_lines(flags):
+                tail = [arg for pair in pairs for arg in pair]
+                for count in range(least + command.formula + 2):
+                    positionals = [f"x{i}" for i in range(count)]
+                    argv = [*command.words, *positionals, *tail]
+                    namespace = cli._read_argv(argv)
+                    well_formed = (
+                        valid
+                        and required <= set(flags)
+                        and least <= count <= least + command.formula
+                    )
+                    assert (namespace is not None) == well_formed, argv
+                    if namespace is not None:
+                        assert namespace == parser.parse_args(argv), argv
+                        read.add(command.words)
+    assert read == set(cli._LEAVES)
 
 
 def test_console_script_reads_sys_argv(capsys, monkeypatch):
