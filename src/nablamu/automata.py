@@ -169,10 +169,12 @@ def _winning_columns(aut: Automaton, view, roots, choices=None) -> dict:
     iteration ends at the fixpoint all the same.
 
     Each distinct element φ is one ∇ node, asked of the view on every pass.
-    A model's view re-checks only the predecessors of the states where some
-    X_b changed, so a node whose base kept its values costs one comparison;
-    a tuple view returns a node's last result when its arguments are
-    unchanged, and otherwise decides it afresh for every tuple.  The nodes
+    A model's view decides a powerset node from pre-images of the X_b that
+    it memoizes for all nodes, so a node whose base kept its values costs
+    a few lookups; over any other functor it re-checks only the
+    predecessors of the states where some X_b changed.  A tuple view
+    returns a node's last result when its arguments are unchanged, and
+    otherwise decides it afresh for every tuple.  The nodes
     are built here, not interned, so they die with the solve.  Only the
     colors that occur in the view are read, and only the automaton states
     reachable through their cells.

@@ -419,9 +419,7 @@ _STATE = re.compile(
 _TAIL = re.compile(rf"(?:\s*point\s+({_IDENT})\s*;)?\s*\Z")
 
 
-def _names(group) -> frozenset:
-    """The identifiers of a list ``_NAMES`` matched (``None`` if empty)."""
-    return frozenset(map(str.strip, group.split(","))) if group else frozenset()
+_IDENTS = re.compile(_IDENT).findall
 
 
 def _read_statements(text: str):
@@ -429,28 +427,30 @@ def _read_statements(text: str):
     statement per match, or ``None`` where ``parse_model``'s token reader
     must decide: any other functor, a ``point`` that is not the last
     statement, a second ``point``, anything malformed, or a model that
-    ``ColoredModel.make`` or ``PointedModel`` rejects (a state declared
-    twice, an undeclared successor, proposition or point)."""
+    ``ColoredModel`` or ``PointedModel`` rejects (a state declared twice,
+    an undeclared successor, proposition or point).  Equal ``gamma`` lists
+    are read once and share their set."""
     m = _HEAD.match(text)
     if m is None:
         return None
-    props = _names(m[1])
-    states, sigma, gamma = [], {}, {}
+    props = tuple(sorted(set(_IDENTS(m[1] or ""))))
+    states, sigma, gamma, colors = [], [], [], {}
     pos = m.end()
     match = _STATE.match
     while (m := match(text, pos)) is not None:
         name, t, g = m.groups()
         states.append(name)
-        sigma[name] = _names(t)
-        gamma[name] = _names(g)
+        sigma.append(frozenset(_IDENTS(t or "")))
+        c = colors.get(g)
+        if c is None:
+            c = colors[g] = frozenset(_IDENTS(g or ""))
+        gamma.append(c)
         pos = m.end()
     m = _TAIL.match(text, pos)
     if m is None:
         return None
     try:
-        model = ColoredModel.make(
-            POWERSET, sigma, gamma, props=props, states=tuple(states)
-        )
+        model = ColoredModel(POWERSET, props, tuple(states), tuple(sigma), tuple(gamma))
         return model if m[1] is None else PointedModel(model, m[1])
     except ValueError:
         return None
@@ -463,8 +463,8 @@ def parse_model(text: str):
     optional last ``point``, is read by ``_read_statements``, one pattern
     match per statement.  Every other text, and every text that reader
     declines, goes through the token ``Cursor``, which alone raises the
-    ``ParseError``s; both build the model with ``ColoredModel.make``, so
-    they give equal models.
+    ``ParseError``s; both build the model through ``ColoredModel``'s
+    checks, so they give equal models.
     """
     fast = _read_statements(text)
     if fast is not None:

@@ -18,7 +18,9 @@ rebuild it through :func:`_rebuild`, so a new node kind must be added to both.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress
+from operator import or_
 
 from .coalgebra import CodeSweep, PointedModel
 from .functors import POWERSET, FunctorDescriptor, base, lift_bits, parse_telem, render_telem, t_map
@@ -258,6 +260,7 @@ _BYTE_BITS = [()]  # byte value ↦ the positions of its set bits, ascending
 for _k in range(8):
     _BYTE_BITS += [bits + (_k,) for bits in _BYTE_BITS]
 del _k
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary numeral's digits as bytes 0 and 1
 
 
 def _bits(mask: int):
@@ -300,53 +303,66 @@ class _BitView:
 
     Bit i stands for ``model.states[i]``, and ``atoms`` maps each of
     ``props`` to the bitset of the states colored with it.  :meth:`nabla`
-    decides a ∇ node state by state and re-evaluates it incrementally.
+    decides a powerset ∇ node for all states at once, from memoized
+    pre-images, and any other ∇ node state by state and incrementally.
     """
 
-    __slots__ = ("functor", "size", "atoms", "model", "succ", "preds", "last")
+    __slots__ = ("functor", "size", "atoms", "model", "preds", "pre", "last")
 
     def __init__(self, model, props):
         self.functor, self.size, self.model = model.functor, len(model.states), model
         self.atoms = {p: sum(1 << i for i, g in enumerate(model.gamma) if p in g) for p in props}
-        self.succ = None  # s ↦ bitset of base(σ(s)), built at the first ∇ node
-        self.preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, built with ``succ``
-        self.last = {}  # ∇ node ↦ (argument bitsets, result) of its last evaluation
+        self.preds = None  # t ↦ bitset of {s | t ∈ base(σ(s))}, built at the first ∇ node
+        self.pre = {}  # powerset: bitset X ↦ pre(X), the states with a successor in X
+        self.last = {}  # other functors: ∇ node ↦ (argument bitsets, result) of its last call
 
     def nabla(self, g: Nabla, args: dict) -> int:
         """The bitset of the states in ∇α, for ``g = ∇α`` and ``args``
         mapping each formula of base(α) to its extension.
 
-        A powerset ∇α is decided by the Egli–Milner lifting on bitsets: with
-        ``succ`` the bitset of σ(s), s ∈ ∇α iff ``succ`` lies inside the
-        union of the arguments' extensions and meets the extension of every
-        argument.  Every other functor reads :func:`functors.lift_bits` on
-        one case: the atom (t, b) is bit t of b's extension.
+        A powerset ∇α is decided by the Egli–Milner lifting, for every state
+        at once: s ∈ ∇α iff σ(s) lies inside the union U of the arguments'
+        extensions and meets the extension of every argument, so ∇α is
+        ⋀_b pre(ext_b) ∧ ¬pre(full ∖ U), where pre(X) = ⋁_{t ∈ X} preds[t]
+        is the set of states with a successor in X (with no argument, the
+        deadlocks).  Each pre-image is one reduction over the predecessor
+        bitsets that X selects, and is kept in ``pre`` for every ∇ node of
+        the view: the whole state set, and any argument seen before, cost
+        one lookup (the pre-image of symbolic model checking: Burch, Clarke,
+        McMillan, Dill and Hwang, LICS 1990).
 
-        Each node is re-evaluated incrementally.  The view keeps the node's
-        arguments' extensions and the states it found at its last
-        evaluation.  When the arguments' extensions change, only the
+        Every other functor reads :func:`functors.lift_bits` on one case:
+        the atom (t, b) is bit t of b's extension.  Such a node is
+        re-evaluated incrementally.  The view keeps the node's arguments'
+        extensions and the states it found at its last call.  A call with
+        the same arguments returns that result.  Otherwise only the
         predecessors of the states whose membership changed in some
         argument are re-checked, and every other state keeps its verdict.
         This compares the old and new extensions only, so it is exact
         whatever the direction of the iteration (ν is encoded as ¬μ¬) and
         under ``env`` overrides.
         """
-        F, M = self.functor, self.model
-        succ, preds = self.succ, self.preds
-        if succ is None:
-            index, succ, preds = M._index, [], [0] * self.size
+        F, M, preds = self.functor, self.model, self.preds
+        if preds is None:
+            index, preds = M._index, [0] * self.size
             for s, x in enumerate(M.sigma):
-                bits = 0
                 for t in base(F, x):
-                    bits |= 1 << index[t]
                     preds[index[t]] |= 1 << s
-                succ.append(bits)
-            self.succ, self.preds = succ, preds
+            self.preds = preds
+        if F.kind == "powerset":
+            full = (1 << self.size) - 1
+            out, union = full, 0
+            for mask in args.values():
+                out &= self._pre(mask)
+                union |= mask
+            return out & ~self._pre(full & ~union)
         last = self.last.get(g)
         if last is None:
             todo, out = range(self.size), 0
         else:
             old_args, out = last
+            if old_args == args:
+                return out
             changed = hit = 0
             for b, mask in args.items():
                 changed |= mask ^ old_args[b]
@@ -354,31 +370,25 @@ class _BitView:
                 hit |= preds[t]
             out &= ~hit
             todo = _bits(hit)
-        if F.kind == "powerset":
-            outside = (1 << self.size) - 1
-            for mask in args.values():
-                outside &= ~mask
-            needed = tuple(args.values())
-            for s in todo:
-                bits = succ[s]
-                if bits & outside:
-                    continue
-                for mask in needed:
-                    if not bits & mask:
-                        break
-                else:
-                    out |= 1 << s
-        else:
-            index, sigma = M._index, M.sigma
+        index, sigma = M._index, M.sigma
 
-            def atom(t, b):
-                return args[b] >> index[t] & 1
+        def atom(t, b):
+            return args[b] >> index[t] & 1
 
-            for s in todo:
-                if lift_bits(F, sigma[s], g.payload, atom, 1):
-                    out |= 1 << s
+        for s in todo:
+            if lift_bits(F, sigma[s], g.payload, atom, 1):
+                out |= 1 << s
         self.last[g] = (args, out)
         return out
+
+    def _pre(self, X: int) -> int:
+        """pre(X), the bitset of the states with a successor in ``X``: the
+        union of the predecessor bitsets of X's states, memoized."""
+        got = self.pre.get(X)
+        if got is None:
+            picked = bin(X)[:1:-1].encode().translate(_BIT_BYTES)  # byte t is bit t of X
+            got = self.pre[X] = reduce(or_, compress(self.preds, picked), 0)
+        return got
 
 
 # Code tuples per :class:`_TupleView`: a size with more goes in consecutive
@@ -532,9 +542,9 @@ def _eval_bits(view, f: Formula, env: dict) -> int:
     A view has a ``functor``, a ``size`` in bits, the bitsets of its
     ``atoms``, and a ∇ rule: ``view.nabla(g, args)`` is the bitset of the
     node ``g`` given the extensions ``args`` of its arguments.  The model
-    view (:class:`_BitView`) decides a ∇ node state by state; the sweep's
-    view (:class:`_TupleView`) decides it for every tuple of successor
-    structures at once.
+    view (:class:`_BitView`) decides a powerset ∇ node from pre-images and
+    any other one state by state; the sweep's view (:class:`_TupleView`)
+    decides it for every tuple of successor structures at once.
 
     State sets are Python ints used as bitsets.  ¬, ⋁ and the fixpoint test
     are ``^``, ``|`` and ``==`` on ints, and a node's memo key is the node

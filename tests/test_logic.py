@@ -264,9 +264,13 @@ def test_eval_matches_brute_evaluator_on_alternating_ring():
     assert proper == 3
 
 
-def test_eval_rechecks_only_predecessors_of_changed_states(monkeypatch):
+def test_eval_computes_each_pre_image_once(monkeypatch):
     # A chain c0 -> c1 -> ... -> c{n-1} (deadlock) with p only at the end:
-    # the least fixpoint grows by one state per iteration.
+    # the least fixpoint grows by one state per iteration, through the
+    # suffixes x_0 = ∅, …, x_n = all states.  Round k asks ∇{x} for pre(x_k)
+    # and pre(¬x_k), a prefix; a suffix equals a prefix only when empty or
+    # full, so the view computes 2(n + 1) − 2 = 2n distinct pre-images, each
+    # one reduction, and answers the other two from its memo.
     import nablamu.logic
 
     n = 200
@@ -277,21 +281,21 @@ def test_eval_rechecks_only_predecessors_of_changed_states(monkeypatch):
         props=("p",),
     )
     calls = [0]
-    real = nablamu.logic.lift_bits
+    real = nablamu.logic.reduce
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(nablamu.logic, "lift_bits", counting)
+    monkeypatch.setattr(nablamu.logic, "reduce", counting)
     assert eval_formula(M, pf("mu x. (p \\/ nabla {x})")) == fs(M.states)
-    assert calls[0] <= 3 * n
+    assert calls[0] == 2 * n
 
 
 def test_eval_rechecks_only_predecessors_of_changed_states_monotone(monkeypatch):
     # The chain above over monotone neighbourhoods, c_i -> {{c_(i+1)}}: a
-    # powerset ∇ is decided by Egli–Milner mask tests without lift_bits, so
-    # the bound on re-checks is kept on a functor that still reads the lifting.
+    # powerset ∇ is decided from pre-images without lift_bits, so the bound
+    # on re-checks is kept on a functor that still reads the lifting.
     import nablamu.logic
 
     n = 200
@@ -426,6 +430,39 @@ def test_bitview_incremental_nabla_matches_lift_member():
                     1 << i for i, x in enumerate(M.sigma) if lift_member(F, pairs, x, alpha)
                 )
                 assert view.nabla(g, args) == want, (F, k, alpha)
+
+
+def test_powerset_bitview_shares_pre_images_between_nodes():
+    # Two or three ∇ nodes on one powerset view, ∇{} among them at times,
+    # asked in turn with arguments drawn from a small pool of bitsets, so
+    # that they overlap and are often equal: the view's pre-image memo is
+    # keyed by bitset, and one node reads what another computed.
+    rng = random.Random(23)
+    atoms = tuple(mk_atom(x) for x in "abc")
+    alphas = [fs(atoms[:k]) for k in range(4)]
+    for k in range(16):
+        n = rng.randint(5, 60)
+        full = (1 << n) - 1
+        M = _bitview_model(rng, POWERSET, n)
+        view = _BitView(M, ())
+        nodes = [Nabla(POWERSET, alpha) for alpha in rng.sample(alphas, rng.randint(2, 3))]
+        pool = [0, full] + [rng.getrandbits(n) for _ in range(3)]
+        asked = set()
+        for step in range(40):
+            if step % 5 == 4:
+                pool.append(rng.choice(pool) ^ 1 << rng.randrange(n))
+            g = nodes[step % len(nodes)]
+            args = {b: rng.choice(pool) for b in g.payload}
+            union = 0
+            for mask in args.values():
+                union |= mask
+            asked |= {*args.values(), full & ~union}
+            pairs = {(s, b) for b in g.payload for i, s in enumerate(M.states) if args[b] >> i & 1}
+            want = sum(
+                1 << i for i, x in enumerate(M.sigma) if lift_member(POWERSET, pairs, x, g.payload)
+            )
+            assert view.nabla(g, args) == want, (k, step)
+        assert set(view.pre) == asked
 
 
 def test_bits_matches_the_loop_it_replaced():
